@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -151,25 +151,19 @@ def grow_to_window(
     covered = np.zeros(G.order, dtype=bool)
     translates: List[int] = []
     while Fraction(int(covered.sum()), G.order) < alpha:
-        best_g, best_gain = -1, -1
+        best_g, best_gain, best_mask = -1, -1, covered
         for g in G.elements():
             shifted = np.zeros(G.order, dtype=bool)
             shifted[G.mul_many(d_idx, np.int64(g))] = True
             gain = int((shifted & ~covered).sum())
             if gain > best_gain:
-                best_gain, best_g = gain, g
-        covered |= _right_translate(G, d_idx, best_g)
+                best_g, best_gain, best_mask = g, gain, shifted
+        covered |= best_mask
         translates.append(best_g)
         assert len(translates) <= k_cap, "greedy cover exceeded the translate bound"
     result = almost_inv_set(G, [int(v) for v in np.nonzero(covered)[0]])
     assert result.density < beta, "greedy cover overshot the density window"
     return result
-
-
-def _right_translate(G: FinGroup, d_idx: np.ndarray, g: int) -> np.ndarray:
-    out = np.zeros(G.order, dtype=bool)
-    out[G.mul_many(d_idx, np.int64(g))] = True
-    return out
 
 
 def window_cardinality(order: int, alpha: Fraction, beta: Fraction) -> int:
@@ -182,9 +176,7 @@ def window_cardinality(order: int, alpha: Fraction, beta: Fraction) -> int:
     return c
 
 
-def window_set_cyclic(
-    G: FinGroup, S: Optional[Sequence[int]], alpha: Fraction, beta: Fraction
-) -> AlmostInvSet:
+def window_set_cyclic(G: FinGroup, alpha: Fraction, beta: Fraction) -> AlmostInvSet:
     """Closed-form almost-invariant set for cyclic / box-product groups.
 
     Cyclic groups get an initial interval {0..c-1}; a direct product with a

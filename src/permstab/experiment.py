@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -42,25 +42,15 @@ CSV_COLUMNS = [
 DEFECT_FLOOR = Fraction(1, 126)
 
 
-def _parse_fraction(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
-
-
 @dataclass
 class ExperimentConfig:
     primes: List[int]
     window: Tuple[Fraction, Fraction] = DEFAULT_WINDOW
     family: str = "sl2-swap"
-    order_cap: int = 200_000
-    tolerance: float = 1e-8
     seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.order_cap <= 0:
-            raise ConfigError("order_cap must be positive")
         alpha, beta = self.window
         if not (0 < alpha < beta <= Fraction(1, 2)):
             raise ConfigError("window must satisfy 0 < alpha < beta <= 1/2")
@@ -74,17 +64,18 @@ class ExperimentConfig:
         with open(path) as f:
             raw = json.load(f)
         try:
+            unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+            if unknown:
+                raise ConfigError(f"unknown config keys {unknown}")
             window = raw.get("window")
             return ExperimentConfig(
                 primes=[int(p) for p in raw["primes"]],
                 window=(
-                    (_parse_fraction(window[0]), _parse_fraction(window[1]))
+                    (Fraction(window[0]), Fraction(window[1]))
                     if window
                     else DEFAULT_WINDOW
                 ),
                 family=raw.get("family", "sl2-swap"),
-                order_cap=int(raw.get("order_cap", 200_000)),
-                tolerance=float(raw.get("tolerance", 1e-8)),
                 seed=int(raw.get("seed", 0)),
                 out_dir=raw.get("out_dir", "out"),
             )

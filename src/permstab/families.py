@@ -38,22 +38,6 @@ HomLike = Union[GroupHom, MarkedHom]
 DEFAULT_WINDOW = (Fraction(1, 7), Fraction(1, 6))
 
 
-def _gen_images(hom: HomLike) -> List[int]:
-    if isinstance(hom, MarkedHom):
-        return list(hom.gen_images)
-    return [int(hom.image[g]) for g in hom.source.generators]
-
-
-def _image_subgroup(hom: HomLike) -> List[int]:
-    if isinstance(hom, MarkedHom):
-        return list(hom.image_subgroup)
-    return sorted(set(int(v) for v in hom.image))
-
-
-def _is_surjective(hom: HomLike) -> bool:
-    return bool(hom.surjective)
-
-
 @dataclass
 class BiTranslationAction:
     """Left translations for p(Γ)-generators, right translations for q(Λ)."""
@@ -65,12 +49,12 @@ class BiTranslationAction:
     lambda_perms: List[Perm] = field(init=False)
 
     def __post_init__(self):
-        if not _is_surjective(self.p):
+        if not self.p.surjective:
             raise NotSurjectiveError("p must map onto the carrier group")
-        self.gamma_perms = [self.X.left_perm(g) for g in _gen_images(self.p)]
+        self.gamma_perms = [self.X.left_perm(g) for g in self.p.gen_images]
         # right translation by q(h): x -> x·q(h)^{-1} (a left action of Λ)
         self.lambda_perms = [
-            self.X.right_perm(self.X.inv(h)) for h in _gen_images(self.q)
+            self.X.right_perm(self.X.inv(h)) for h in self.q.gen_images
         ]
         for a in self.gamma_perms:
             for b in self.lambda_perms:
@@ -78,7 +62,7 @@ class BiTranslationAction:
                     raise ValueError("left and right translations fail to commute")
 
     def lambda_image(self) -> List[int]:
-        return _image_subgroup(self.q)
+        return self.q.image_subgroup
 
     def right_translation(self, h: int) -> Perm:
         """x -> x·h^{-1} for an element index h of the carrier."""
@@ -318,9 +302,9 @@ def product_lift(
     the generator count of p_extra's source presentation); t and the
     Λ-generators act trivially on the extra coordinate.
     """
-    if not _is_surjective(p_extra):
+    if not p_extra.surjective:
         raise NotSurjectiveError("the extra-factor map must be onto")
-    extra_gens = _gen_images(p_extra)
+    extra_gens = p_extra.gen_images
     if gamma_count is None:
         gamma_count = len(extra_gens)
     if gamma_count > m.marked.generator_count:

@@ -445,23 +445,34 @@ class GroupHom:
     def __call__(self, g: int) -> int:
         return int(self.image[g])
 
-    def verify(self, pair_cap: int = 10_000, rng: Optional[np.random.Generator] = None):
-        """Check multiplicativity: exhaustive up to pair_cap pairs, sampled above."""
-        n = self.source.order
-        if n * n <= pair_cap:
-            xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            xs, ys = xs.ravel(), ys.ravel()
-        else:
-            rng = rng or np.random.default_rng(0)
-            xs = rng.integers(0, n, size=pair_cap)
-            ys = rng.integers(0, n, size=pair_cap)
-        lhs = self.image[self.source.mul_many(xs, ys)]
-        rhs = self.target.mul_many(self.image[xs], self.image[ys])
-        if not np.array_equal(lhs, rhs):
-            bad = int(np.nonzero(lhs != rhs)[0][0])
-            raise NotAHomomorphismError(
-                f"map is not multiplicative at pair ({xs[bad]},{ys[bad]})"
-            )
+    @property
+    def gen_images(self) -> List[int]:
+        return [int(self.image[g]) for g in self.source.generators]
+
+    @property
+    def image_subgroup(self) -> List[int]:
+        return sorted(set(self.image.tolist()))
+
+    def verify(self):
+        """Check f(e) = e and f(x·s) = f(x)·f(s) for every x and generator s.
+
+        The generators must generate the source; then induction on word
+        length makes this an exact homomorphism check, at |G|·|S| lookups.
+        """
+        G, H = self.source, self.target
+        if not G.generates(G.generators):
+            raise NotAHomomorphismError("generators do not generate the source group")
+        if self.image[G.identity_index] != H.identity_index:
+            raise NotAHomomorphismError("identity does not map to the identity")
+        xs = np.arange(G.order)
+        for s in G.generators:
+            lhs = self.image[G.mul_many(xs, np.int64(s))]
+            rhs = H.mul_many(self.image, self.image[s])
+            bad = np.nonzero(lhs != rhs)[0]
+            if bad.size:
+                raise NotAHomomorphismError(
+                    f"map is not multiplicative at pair ({bad[0]},{s})"
+                )
 
 
 @dataclass(frozen=True)
@@ -603,18 +614,15 @@ def hom_from_generator_images(src, tgt: FinGroup, images: Sequence[int]):
         for x in frontier:
             for g, im in gen_pairs:
                 y = src.mul(x, g)
-                v = tgt.mul(int(img[x]), im)
                 if img[y] == -1:
-                    img[y] = v
+                    img[y] = tgt.mul(int(img[x]), im)
                     nxt.append(y)
-                elif img[y] != v:
-                    raise NotAHomomorphismError(
-                        "generator images are inconsistent on the source group"
-                    )
         frontier = nxt
-    if (img == -1).any():
-        raise NotAHomomorphismError("generators do not generate the source group")
     hom = GroupHom(src, tgt, img)
+    if hom.gen_images != [int(im) for im in images]:  # a repeated or identity generator
+        raise NotAHomomorphismError(
+            "generator images are inconsistent on the source group"
+        )
     hom.verify()
     return hom
 
@@ -637,24 +645,23 @@ class PermAction:
     def perm(self, g: int) -> Perm:
         return self.perms[g]
 
-    def verify(self, pair_cap: int = 4096, rng: Optional[np.random.Generator] = None):
-        n = self.group.order
-        if not self.perms[self.group.identity_index].is_identity():
+    def verify(self):
+        """Check α(e) = id and α(x·s) = α(x)∘α(s) for every x and generator s.
+
+        Exact for the same reason as GroupHom.verify.
+        """
+        G = self.group
+        if not G.generates(G.generators):
+            raise NotAnActionError("generator images do not span the group")
+        if not self.perms[G.identity_index].is_identity():
             raise NotAnActionError("identity element does not act trivially")
-        pairs: List[Tuple[int, int]]
-        if n * n <= pair_cap:
-            pairs = [(a, b) for a in range(n) for b in range(n)]
-        else:
-            rng = rng or np.random.default_rng(0)
-            pairs = [
-                (int(a), int(b))
-                for a, b in zip(
-                    rng.integers(0, n, pair_cap), rng.integers(0, n, pair_cap)
-                )
-            ]
-        for a, b in pairs:
-            if compose(self.perms[a], self.perms[b]) != self.perms[self.group.mul(a, b)]:
-                raise NotAnActionError(f"action fails at pair ({a},{b})")
+        rows = np.stack([p.image for p in self.perms])
+        xs = np.arange(G.order)
+        for s in G.generators:
+            lhs = rows[G.mul_many(xs, np.int64(s))]
+            bad = np.nonzero((lhs != rows[:, rows[s]]).any(axis=1))[0]
+            if bad.size:
+                raise NotAnActionError(f"action fails at pair ({bad[0]},{s})")
 
 
 def left_regular(G: FinGroup) -> PermAction:
@@ -667,9 +674,7 @@ def right_regular(G: FinGroup) -> PermAction:
     return PermAction(G, [G.right_perm(G.inv(g)) for g in G.elements()])
 
 
-def action_from_generator_images(
-    G: FinGroup, images: Dict[int, Perm], verify: bool = True
-) -> PermAction:
+def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAction:
     """Extend generator -> Perm images to all of G along a BFS spanning."""
     perms: List[Optional[Perm]] = [None] * G.order
     pts = next(iter(images.values())).n
@@ -690,8 +695,7 @@ def action_from_generator_images(
     if any(p is None for p in perms):
         raise NotAnActionError("generator images do not span the group")
     action = PermAction(G, perms)  # type: ignore[arg-type]
-    if verify:
-        action.verify()
+    action.verify()
     return action
 
 
@@ -765,11 +769,10 @@ def canonical_subgroup_key(G: FinGroup, H: Sequence[int], order_cap: int = 4096)
 
 
 def orbit_type_census(
-    action: PermAction, verify: bool = True, order_cap: int = 4096
+    action: PermAction, order_cap: int = 4096
 ) -> Dict[Tuple[int, ...], int]:
     """Count orbits by the conjugacy class of their point stabilizers."""
-    if verify:
-        action.verify()
+    action.verify()
     census: Dict[Tuple[int, ...], int] = {}
     for orbit in _orbits(action):
         stab = _stabilizer(action, orbit[0])

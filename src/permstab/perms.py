@@ -91,10 +91,6 @@ class PartialInjection:
     def n(self) -> int:
         return int(self.entries.shape[0])
 
-    @property
-    def domain_size(self) -> int:
-        return self.n
-
     def defined_count(self) -> int:
         return int(np.count_nonzero(self.entries != UNDEFINED))
 

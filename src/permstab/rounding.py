@@ -48,13 +48,6 @@ def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
     return kazhdan_bracket(G, S).lower
 
 
-def _max_commutation_defect(G: FinGroup, S: Sequence[int], phi: Perm) -> Fraction:
-    return max(
-        hamming(compose(G.left_perm(g), phi), compose(phi, G.left_perm(g)))
-        for g in S
-    )
-
-
 def nearest_right_translation(
     G: FinGroup, S: Sequence[int], phi: Perm, kappa_lower: Optional[float] = None
 ) -> Tuple[int, Fraction]:
@@ -69,20 +62,23 @@ def nearest_right_translation(
         raise ValueError("phi must permute the group's element indices")
     idx = np.arange(n)
     cost = np.zeros(n, dtype=np.int64)
+    row_defect = np.empty(n, dtype=np.int64)  # row g: n·d_H(α(g)φ, φα(g))
     chunk = max(1, 4_000_000 // n)
     for start in range(0, n, chunk):
         gs = idx[start : start + chunk]
         gx = G.mul_many(gs[:, None], idx[None, :])  # rows g, cols x
         lhs = phi.image[gx]
         rhs = G.mul_many(gs[:, None], phi.image[None, :])
-        cost += (lhs != rhs).sum(axis=0)
+        mismatch = lhs != rhs
+        cost += mismatch.sum(axis=0)
+        row_defect[start : start + chunk] = mismatch.sum(axis=1)
     x_star = int(np.argmin(cost))
     h = G.mul(G.inv(phi(x_star)), x_star)
     beta_h = G.right_perm(G.inv(h))
     dist = hamming(phi, beta_h)
     if kappa_lower is None:
         kappa_lower = certified_kappa_lower(G, S)
-    max_defect = _max_commutation_defect(G, S, phi)
+    max_defect = Fraction(int(row_defect[list(S)].max()), n)
     assert kappa_lower**2 * float(dist) <= 4 * float(max_defect) + 1e-9, (
         "right-translation bound violated"
     )
@@ -255,12 +251,10 @@ def commuting_extension(
     if phi.n != n:
         raise ValueError("phi must act on the action's points")
     phi_inv = inverse(phi)
-    eps = max(
-        hamming(compose(action.perms[g], phi), compose(phi, action.perms[g]))
-        for g in G.elements()
-    )
     conj = [compose(phi_inv, compose(action.perms[g], phi)) for g in G.elements()]
     res = extract_conjugacy(G, list(action.perms), conj, verify_actions=False)
+    # d_H(α(g), φ⁻¹α(g)φ) = d_H(φα(g), α(g)φ), so this is the commutation defect
+    eps = res.epsilon
     x1 = res.X1
     x3 = sorted(phi(res.phi_of(x)) for x in x1)  # X3 = φ(X2)
     tau = {x: phi(res.phi_of(x)) for x in x1}  # τ = φ∘σ
@@ -288,7 +282,7 @@ def commuting_extension(
         for x, y in _equivariant_orbit_bijection(action, o1, o3).items():
             image[x] = y
     psi = Perm(image)
-    for g in G.generators or list(G.elements()):  # generator-wise suffices
+    for g in G.generators:  # they generate G: action.verify() checked it
         assert compose(psi, action.perms[g]) == compose(action.perms[g], psi), (
             "extension fails to commute with the action"
         )
@@ -425,7 +419,7 @@ def rigidity_pipeline(
         kx = K.rows[ki][:n_x]
         worst_unif = max(worst_unif, int((kx != beta_img).sum()))
     delta = GroupHom(K0_group, G, delta_img)
-    delta.verify()  # δ(k′k) = δ(k′)δ(k), exhaustively
+    delta.verify()  # δ(ks) = δ(k)δ(s) for every k ∈ K₀ and generator s: exact
 
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
     k0_perms_y = [Perm(K.rows[ki], _checked=True) for ki in K0]

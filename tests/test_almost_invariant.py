@@ -127,7 +127,7 @@ def test_window_cardinality():
 
 
 def test_window_set_cyclic():
-    out = window_set_cyclic(cyclic(42), None, Fraction(1, 7), Fraction(1, 6))
+    out = window_set_cyclic(cyclic(42), Fraction(1, 7), Fraction(1, 6))
     assert out.members == list(range(6))
     assert Fraction(1, 7) <= out.density <= Fraction(1, 6)
     # interval sets have small defect: |(k + C) xor C| = 2k for small k
@@ -136,12 +136,12 @@ def test_window_set_cyclic():
 
 def test_window_set_box_product():
     G = direct_product(cyclic(3), cyclic(14))
-    out = window_set_cyclic(G, None, Fraction(1, 7), Fraction(1, 6))
+    out = window_set_cyclic(G, Fraction(1, 7), Fraction(1, 6))
     assert out.density == Fraction(2, 14)
 
 
 def test_window_set_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        window_set_cyclic(sl2_mod(3), None, Fraction(1, 7), Fraction(1, 6))
+        window_set_cyclic(sl2_mod(3), Fraction(1, 7), Fraction(1, 6))
     with pytest.raises(WindowEmptyError):
-        window_set_cyclic(cyclic(5), None, Fraction(1, 7), Fraction(1, 6))
+        window_set_cyclic(cyclic(5), Fraction(1, 7), Fraction(1, 6))

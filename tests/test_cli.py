@@ -117,14 +117,15 @@ def test_run_deterministic(tmp_path):
 
 def test_run_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"primes": [7], "family": "unknown"}))
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    # an unknown family, and an unknown key
+    bad = ({"primes": [7], "family": "unknown"}, {"primes": [7], "order_cap": 1000})
+    for raw in bad:
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(primes=[7], order_cap=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(primes=[1])
     from fractions import Fraction

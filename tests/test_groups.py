@@ -12,9 +12,11 @@ from permstab.errors import (
     NotASubgroupError,
 )
 from permstab.groups import (
+    GroupHom,
     MarkedGroup,
     MarkedHom,
     PermAction,
+    TableGroup,
     action_from_generator_images,
     canonical_subgroup_key,
     cyclic,
@@ -108,6 +110,44 @@ def test_hom_from_generator_images():
     h.verify()
     with pytest.raises(NotAHomomorphismError):
         hom_from_generator_images(cyclic(4), cyclic(3), [1])
+    z4 = TableGroup(_z4_table(), generators=[0, 1])  # the identity is a generator
+    with pytest.raises(NotAHomomorphismError):
+        hom_from_generator_images(z4, cyclic(4), [1, 1])
+
+
+def _z4_table():
+    idx = np.arange(4)
+    return (idx[:, None] + idx[None, :]) % 4
+
+
+def test_hom_verify_catches_one_corrupted_element():
+    # x -> x mod 2 on Z/40000, wrong at x = 2 only; a sample of 10k random
+    # pairs drawn with seed 0 never touches 2 as x, y or x·y
+    G, H = cyclic(40000), cyclic(2)
+    image = np.arange(G.order) % 2
+    GroupHom(G, H, image).verify()
+    image[2] = 1
+    with pytest.raises(NotAHomomorphismError):
+        GroupHom(G, H, image).verify()
+
+
+def test_action_verify_catches_one_corrupted_element():
+    # Z/10000 acting on two points through x mod 2, wrong at x = 7 only; a
+    # sample of 4096 random pairs drawn with seed 0 never touches 7
+    G = cyclic(10000)
+    perms = [swap(2, 0, 1) if x % 2 else Perm(np.arange(2)) for x in G.elements()]
+    PermAction(G, perms).verify()
+    perms[7] = Perm(np.arange(2))
+    with pytest.raises(NotAnActionError):
+        PermAction(G, perms).verify()
+
+
+def test_verify_requires_generating_set():
+    z4 = TableGroup(_z4_table(), generators=[2])  # generates {0, 2} only
+    with pytest.raises(NotAHomomorphismError):
+        GroupHom(z4, cyclic(4), np.arange(4)).verify()
+    with pytest.raises(NotAnActionError):
+        left_regular(z4).verify()
 
 
 def test_marked_groups():

@@ -63,6 +63,13 @@ def test_nearest_translation_perturbed():
     assert h == 3 and dist == Fraction(2, 12)
 
 
+def test_nearest_translation_bound_trips():
+    G = cyclic(20)
+    phi = compose(swap(20, 0, 1), _beta(G, 3))
+    with pytest.raises(AssertionError, match="right-translation bound"):
+        nearest_right_translation(G, [1], phi, kappa_lower=50.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 14), st.integers(0, 1000))
 def test_nearest_translation_vs_bruteforce(n, seed):
