@@ -1,8 +1,11 @@
 """Fully enumerated finite groups, homomorphisms, actions and coset machinery.
 
-Elements of a group of order N are the indices 0..N-1.  Small groups carry a
-flat multiplication table; larger ones (matrix groups, products) multiply
-through a vectorized backend so that index arrays stay the only currency.
+Elements of a group of order N are the indices 0..N-1, and index arrays are
+the only currency.  `TableGroup` looks products up in a flat multiplication
+table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
+vectorized arithmetic; `PermGroup` composes its stored permutation rows one
+pair at a time.  Closures and the generator-image builders share one BFS,
+`FinGroup._spread`.
 """
 
 from __future__ import annotations
@@ -88,29 +91,40 @@ class FinGroup:
             k += 1
         return k
 
-    def closure(self, seed: Sequence[int], cap: Optional[int] = None) -> List[int]:
-        """BFS product closure of a set of element indices, discovery order."""
+    def _spread(self, letters: Sequence[int], cap: Optional[int] = None):
+        """BFS from the identity by right multiplication with `letters`.
+
+        Yields one (new, parent, letter) triple of arrays per level, with
+        new = parent·letters[letter].  An element reached more than once is
+        credited to its first product in frontier order, then letter order,
+        so every element gets the same spanning word on every run.
+        """
         cap = cap if cap is not None else self.order
+        letters = np.asarray(letters, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity_index] = True
-        out = [self.identity_index]
+        reached = 1
         frontier = np.array([self.identity_index], dtype=np.int64)
-        gens = [np.int64(g) for g in seed]
-        while frontier.size:
-            if gens:
-                cands = np.concatenate([self.mul_many(frontier, g) for g in gens])
-            else:
-                cands = np.empty(0, dtype=np.int64)
-            uniq, first = np.unique(cands, return_index=True)
-            fresh = ~seen[uniq]
-            new = uniq[fresh][np.argsort(first[fresh], kind="stable")]
-            if len(out) + new.size > cap:
+        while frontier.size and letters.size:
+            prods = self.mul_many(frontier[:, None], letters[None, :]).ravel()
+            uniq, first = np.unique(prods, return_index=True)
+            first = np.sort(first[~seen[uniq]])
+            new = prods[first]
+            reached += new.size
+            if reached > cap:
                 raise CapacityError(
                     f"closure exceeds cap {cap} in group of order {self.order}"
                 )
             seen[new] = True
-            out.extend(int(v) for v in new)
+            parent, letter = np.divmod(first, letters.size)
+            yield new, frontier[parent], letter
             frontier = new
+
+    def closure(self, seed: Sequence[int], cap: Optional[int] = None) -> List[int]:
+        """BFS product closure of a set of element indices, discovery order."""
+        out = [self.identity_index]
+        for new, _, _ in self._spread(seed, cap):
+            out.extend(new.tolist())
         return out
 
     def generates(self, seed: Sequence[int]) -> bool:
@@ -118,16 +132,10 @@ class FinGroup:
         return len(self.closure(list(closed))) == self.order
 
     def is_subgroup(self, members: Sequence[int]) -> bool:
-        s = set(int(m) for m in members)
-        if self.identity_index not in s:
+        h = np.unique(np.asarray(list(members), dtype=np.int64))
+        if self.identity_index not in h or not np.isin(self.inv_many(h), h).all():
             return False
-        for a in s:
-            if self.inv(a) not in s:
-                return False
-            for b in s:
-                if self.mul(a, b) not in s:
-                    return False
-        return True
+        return bool(np.isin(self.mul_many(h[:, None], h[None, :]), h).all())
 
     def to_json(self, table_cap: int = TABLE_CAP) -> dict:
         data: dict = {
@@ -603,21 +611,14 @@ def hom_from_generator_images(src, tgt: FinGroup, images: Sequence[int]):
     if len(images) != len(gens):
         raise ValueError("one image per source generator required")
     # propagate images over a BFS spanning of the source
+    gens = np.asarray(gens, dtype=np.int64)
+    ims = np.asarray(images, dtype=np.int64)
     img = np.full(src.order, -1, dtype=np.int64)
     img[src.identity_index] = tgt.identity_index
-    gen_pairs = list(zip(gens, images)) + [
-        (src.inv(g), tgt.inv(im)) for g, im in zip(gens, images)
-    ]
-    frontier = [src.identity_index]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, im in gen_pairs:
-                y = src.mul(x, g)
-                if img[y] == -1:
-                    img[y] = tgt.mul(int(img[x]), im)
-                    nxt.append(y)
-        frontier = nxt
+    letters = np.concatenate([gens, src.inv_many(gens)])
+    steps = np.concatenate([ims, tgt.inv_many(ims)])
+    for new, parent, letter in src._spread(letters):
+        img[new] = tgt.mul_many(img[parent], steps[letter])
     hom = GroupHom(src, tgt, img)
     if hom.gen_images != [int(im) for im in images]:  # a repeated or identity generator
         raise NotAHomomorphismError(
@@ -676,25 +677,23 @@ def right_regular(G: FinGroup) -> PermAction:
 
 def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAction:
     """Extend generator -> Perm images to all of G along a BFS spanning."""
-    perms: List[Optional[Perm]] = [None] * G.order
-    pts = next(iter(images.values())).n
-    perms[G.identity_index] = identity(pts)
-    pairs = [(g, p) for g, p in images.items()] + [
-        (G.inv(g), inverse(p)) for g, p in images.items()
-    ]
-    frontier = [G.identity_index]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, p in pairs:
-                y = G.mul(x, g)
-                if perms[y] is None:
-                    perms[y] = compose(perms[x], p)
-                    nxt.append(y)
-        frontier = nxt
-    if any(p is None for p in perms):
+    if len({p.n for p in images.values()}) != 1:
+        raise NotAnActionError("permutations act on different point counts")
+    gens = np.asarray(list(images), dtype=np.int64)
+    fwd = np.stack([p.image for p in images.values()])
+    steps = np.concatenate([fwd, np.argsort(fwd, axis=1)])  # the images, then their inverses
+    rows = np.full((G.order, fwd.shape[1]), -1, dtype=np.int64)
+    rows[G.identity_index] = np.arange(fwd.shape[1])
+    reached = 1
+    for new, parent, letter in G._spread(np.concatenate([gens, G.inv_many(gens)])):
+        rows[new] = np.take_along_axis(rows[parent], steps[letter], axis=1)  # α(x)∘p
+        reached += new.size
+    if reached != G.order:
         raise NotAnActionError("generator images do not span the group")
-    action = PermAction(G, perms)  # type: ignore[arg-type]
+    for g, p in images.items():  # a key reached earlier by another word
+        if not np.array_equal(rows[g], p.image):
+            raise NotAnActionError(f"declared image of {g} disagrees with the spanned action")
+    action = PermAction(G, [Perm(r, _checked=True) for r in rows])
     action.verify()
     return action
 

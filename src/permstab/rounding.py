@@ -215,15 +215,16 @@ def _equivariant_orbit_bijection(
     """
     G = action.group
     a1, a2 = o1[0], o2[0]
-    h1 = set(_stabilizer(action, a1))
-    h2 = set(_stabilizer(action, a2))
+    h1 = np.asarray(_stabilizer(action, a1), dtype=np.int64)
+    h2 = np.asarray(_stabilizer(action, a2), dtype=np.int64)  # sorted
+    invs = G.inv_many(np.arange(G.order))
     conjugator = None
     for c in G.elements():
-        if {G.mul(G.mul(c, h), G.inv(c)) for h in h1} == h2:
+        if np.array_equal(np.sort(G.mul_many(G.mul_many(np.int64(c), h1), invs[c])), h2):
             conjugator = c
             break
     assert conjugator is not None, "orbit stabilizers are not conjugate"
-    c_inv = G.inv(conjugator)
+    c_inv = int(invs[conjugator])
     transport: Dict[int, int] = {}
     for g in G.elements():  # smallest g with α(g)a1 = x wins
         x = action.perms[g](a1)
@@ -394,18 +395,16 @@ def rigidity_pipeline(
         for ki in K.elements()
         if int((K.rows[ki][:n_x] < n_x).sum()) * 2 >= n_x
     ]
-    k0_set = set(K0)
-    for a in K0:
-        assert K.inv(a) in k0_set and all(K.mul(a, b) in k0_set for b in K0), (
-            "K₀ failed to close into a subgroup"
-        )
-    pos = {k: i for i, k in enumerate(K0)}
-    table = np.array([[pos[K.mul(a, b)] for b in K0] for a in K0], dtype=np.int64)
+    k0 = np.asarray(K0, dtype=np.int64)  # increasing, so searchsorted gives positions
+    prods = K.mul_many(k0[:, None], k0[None, :])
+    assert np.isin(K.inv_many(k0), k0).all() and np.isin(prods, k0).all(), (
+        "K₀ failed to close into a subgroup"
+    )
     K0_group = TableGroup(
-        table,
+        np.searchsorted(k0, prods),
         generators=list(range(len(K0))),
         name="K0",
-        identity_index=pos[K.identity_index],
+        identity_index=int(np.searchsorted(k0, K.identity_index)),
     )
 
     # δ through right-translation rounding of each completed k̃
@@ -424,32 +423,30 @@ def rigidity_pipeline(
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
     k0_perms_y = [Perm(K.rows[ki], _checked=True) for ki in K0]
     X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_perms_y, cap=k_cap)
+    # Z is sorted and holds 0..|X|−1 first, so position z ↦ z on X
     Z = sorted(X0 | set(range(n_x)))
-    z_pos = {z: i for i, z in enumerate(Z)}
     nz = len(Z)
     z_arr = np.asarray(Z, dtype=np.int64)
     in_x0 = np.asarray([z in X0 for z in Z])
-    in_x = z_arr < n_x
+    xs = np.arange(n_x)
+    h_invs = G.inv_many(delta_img)
 
     alpha1, alpha2 = [], []
     for i, ki in enumerate(K0):
         a1 = np.arange(nz, dtype=np.int64)
-        moved = K.rows[ki][z_arr[in_x0]]
-        a1[in_x0] = [z_pos[int(v)] for v in moved]
+        a1[in_x0] = np.searchsorted(z_arr, K.rows[ki][z_arr[in_x0]])  # X₀ is K₀-invariant
         alpha1.append(Perm(a1))
         a2 = np.arange(nz, dtype=np.int64)
-        h_inv = G.inv(int(delta_img[i]))
-        a2[in_x] = [z_pos[int(G.mul(int(x), h_inv))] for x in z_arr[in_x]]
+        a2[:n_x] = G.mul_many(xs, h_invs[i])
         alpha2.append(Perm(a2))
     conj = extract_conjugacy(K0_group, alpha1, alpha2, verify_actions=True)
 
     # X₁ = (Z₁ ∩ X₀) ∩ φ⁻¹(Z₂ ∩ X), X₂ = φ(X₁), both back in Y / X coordinates
-    z1 = set(conj.X1)
     z2 = set(conj.X2)
     X1_z = [
         z
         for z in conj.X1
-        if in_x0[z] and conj.phi_of(z) in z2 and in_x[conj.phi_of(z)]
+        if in_x0[z] and conj.phi_of(z) in z2 and conj.phi_of(z) < n_x
     ]
     X1 = sorted(int(z_arr[z]) for z in X1_z)
     X2 = sorted(int(z_arr[conj.phi_of(z)]) for z in X1_z)
@@ -459,21 +456,20 @@ def rigidity_pipeline(
     phi = PartialInjection(entries)
 
     # exact invariance and equivariance checks
-    x1_set, x2_set = set(X1), set(X2)
+    x1_arr = np.asarray(X1, dtype=np.int64)
+    x2_arr = np.asarray(X2, dtype=np.int64)
     for i, ki in enumerate(K0):
-        k_row = K.rows[ki]
-        h_inv = G.inv(int(delta_img[i]))
-        for x in X1:
-            kx = int(k_row[x])
-            assert kx in x1_set, "X1 is not K₀-invariant"
-            assert int(entries[kx]) == G.mul(int(entries[x]), h_inv), (
-                "equivariance φ∘k = β(δ(k))∘φ fails on X1"
-            )
-        for x in X2:
-            assert G.mul(x, h_inv) in x2_set, "X2 is not β(δ(K₀))-invariant"
+        kx = K.rows[ki][x1_arr]
+        assert np.isin(kx, x1_arr).all(), "X1 is not K₀-invariant"
+        assert np.array_equal(entries[kx], G.mul_many(entries[x1_arr], h_invs[i])), (
+            "equivariance φ∘k = β(δ(k))∘φ fails on X1"
+        )
+        assert np.isin(G.mul_many(x2_arr, h_invs[i]), x2_arr).all(), (
+            "X2 is not β(δ(K₀))-invariant"
+        )
 
-    set_loss = max(n_x - len(x1_set & set(range(n_x))), n_x - len(X2))
-    displacement = sum(1 for x in X1 if int(entries[x]) != x)
+    set_loss = max(n_x - int((x1_arr < n_x).sum()), n_x - len(X2))
+    displacement = int((entries[x1_arr] != x1_arr).sum())
     bound1 = 4162 * float(eps) * n_x / kappa_lower**4
     bound2 = 2048 * float(eps) * n_x / kappa_lower**4
     if eps == 0:

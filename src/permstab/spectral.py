@@ -49,8 +49,7 @@ class KazhdanBracket:
 
 
 def _require_generating(G: FinGroup, S: Sequence[int]):
-    seed = sorted(set(int(s) for s in S) | {G.inv(s) for s in S})
-    if len(G.closure(seed)) != G.order:
+    if not G.generates(S):
         raise NonGeneratingError("S does not generate G")
 
 
@@ -67,24 +66,12 @@ def _characters(G: FinGroup, cand_cap: int = 10_000_000) -> np.ndarray:
     # BFS exponent vector E[x][i] = net power of generator i in some word for x
     k = len(gens)
     E = np.zeros((G.order, k), dtype=np.int64)
-    seen = np.zeros(G.order, dtype=bool)
-    seen[G.identity_index] = True
-    frontier = [G.identity_index]
-    pairs = [(g, i, +1) for i, g in enumerate(gens)] + [
-        (G.inv(g), i, -1) for i, g in enumerate(gens)
-    ]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, i, sgn in pairs:
-                y = G.mul(x, g)
-                if not seen[y]:
-                    seen[y] = True
-                    E[y] = E[x]
-                    E[y, i] += sgn
-                    nxt.append(y)
-        frontier = nxt
-    if not seen.all():
+    steps = np.concatenate([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64)])
+    reached = 1
+    for new, parent, letter in G._spread(gens + [G.inv(g) for g in gens]):
+        E[new] = E[parent] + steps[letter]
+        reached += new.size
+    if reached != G.order:
         raise NonGeneratingError("declared generators do not generate G")
     orders = [G.element_order(g) for g in gens]
     n_cand = math.prod(orders)

@@ -115,6 +115,20 @@ def test_hom_from_generator_images():
         hom_from_generator_images(z4, cyclic(4), [1, 1])
 
 
+def test_hom_from_generator_images_two_generators():
+    # (a, b) -> a + b mod 2 on Z/4 x Z/6; the BFS reaches (3, 0) and (0, 5)
+    # through the inverse letters first
+    G = direct_product(cyclic(4), cyclic(6))
+    h = hom_from_generator_images(G, cyclic(2), [1, 1])
+    assert [h(G.encode(a, b)) for a in range(4) for b in range(6)] == [
+        (a + b) % 2 for a in range(4) for b in range(6)
+    ]
+    assert h.surjective
+    with pytest.raises(NotAHomomorphismError):
+        # the order-3 generator of Z/3 x Z/4 cannot map to 1 in Z/2
+        hom_from_generator_images(direct_product(cyclic(3), cyclic(4)), cyclic(2), [1, 0])
+
+
 def _z4_table():
     idx = np.arange(4)
     return (idx[:, None] + idx[None, :]) % 4
@@ -203,6 +217,9 @@ def test_action_from_generator_images():
     with pytest.raises(NotAnActionError):
         # order-2 image of an order-3 generator cannot extend
         action_from_generator_images(cyclic(3), {1: swap(4, 0, 1)})
+    with pytest.raises(NotAnActionError):
+        # the identity is reached before its declared image is read
+        action_from_generator_images(G, {0: swap(4, 0, 1), 1: from_cycles(4, [(0, 1, 2, 3)])})
 
 
 def test_left_coset_reps():

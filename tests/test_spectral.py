@@ -36,6 +36,19 @@ def test_abelian_exact_product():
     assert br.lower == pytest.approx(2 * math.sin(math.pi / 4), abs=1e-12)
 
 
+def test_abelian_exact_pinned_values():
+    # bit-exact values recorded before the character BFS was vectorised: the
+    # floats depend on the spanning word chosen for each element
+    G = direct_product(cyclic(4), cyclic(6))
+    br = kazhdan_abelian_exact(G, G.generators)
+    assert (br.lower, br.upper, br.lambda1) == (
+        0.9999999999999999, 0.9999999999999999, 0.9999999999999998
+    )
+    Z = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    br = kazhdan_abelian_exact(Z, [x for x in Z.elements() if x != Z.identity_index])
+    assert (br.lower, br.upper, br.lambda1) == (2.0, 2.0, 16.0)
+
+
 def test_abelian_exact_rejects_nonabelian():
     X = sl2_mod(3)
     with pytest.raises(NotAbelianError):
