@@ -161,6 +161,19 @@ def build_swap_family(
     C is the smallest-index subset of q(Λ) whose density sits in the window;
     B = Z·C over the left coset representatives Z, so |B|/|X| = |C|/|q(Λ)|;
     g maximizes |B ∖ g⁻¹B| (ties to the smallest index) and A = B ∖ g⁻¹B.
+
+    The counts |B ∩ g⁻¹B| come from the difference multiset of C rather
+    than from all |B|² quotients y·x⁻¹: since B = Z·C is a disjoint union,
+    y·x⁻¹ = z₁·u·z₂⁻¹ with u = c₁c₂⁻¹, so
+
+        |B ∩ g⁻¹B| = Σ_u w(u)·F_u(g),
+        w(u) = #{(c₁, c₂) ∈ C²: c₁c₂⁻¹ = u},
+        F_u(g) = #{(z₁, z₂) ∈ Z²: z₁·u·z₂⁻¹ = g}.
+
+    Swapping (c₁, c₂) and (z₁, z₂) gives w(u⁻¹) = w(u) and
+    F_{u⁻¹}(g) = F_u(g⁻¹), so one |Z|² sweep serves the pair {u, u⁻¹};
+    an involution u = u⁻¹ is counted once.  Neither identity needs q(Λ)
+    to be abelian, and the integer counts equal the |B|² ones exactly.
     """
     X = base.X
     alpha, beta = window
@@ -179,13 +192,23 @@ def build_swap_family(
 
     # counts[g] = |B ∩ g^{-1}B| = #{(y,x) ∈ B²: g = y·x^{-1}};
     # maximizing |B ∖ g^{-1}B| = |B| - counts[g] means minimizing counts.
+    # Summed as Σ_u w(u)·F_u over the difference multiset of C (docstring).
     counts = np.zeros(X.order, dtype=np.int64)
-    inv_b = X.inv_many(b_arr)
-    chunk = max(1, 2_000_000 // max(1, int(b_arr.size)))
-    for start in range(0, b_arr.size, chunk):
-        block = inv_b[start : start + chunk]
-        prods = X.mul_many(b_arr[:, None], block[None, :])
-        counts += np.bincount(prods.ravel(), minlength=X.order)
+    inv_all = X.inv_many(np.arange(X.order))
+    inv_z = inv_all[z_arr]
+    diffs = X.mul_many(c_arr[:, None], inv_all[c_arr][None, :]).ravel()
+    u_arr, w_arr = np.unique(diffs, return_counts=True)
+    chunk = max(1, 2_000_000 // len(Z))
+    for u, w in zip(u_arr.tolist(), w_arr.tolist()):
+        u_inv = int(inv_all[u])
+        if u_inv < u:
+            continue  # already swept as the partner of u⁻¹
+        zu = X.mul_many(z_arr, np.int64(u))
+        f = np.zeros(X.order, dtype=np.int64)
+        for start in range(0, len(Z), chunk):
+            prods = X.mul_many(zu[:, None], inv_z[None, start : start + chunk])
+            f += np.bincount(prods.ravel(), minlength=X.order)
+        counts += w * (f if u_inv == u else f + f[inv_all])
     g = int(np.argmin(counts))  # first minimum = smallest index
 
     b_mask = np.zeros(X.order, dtype=bool)

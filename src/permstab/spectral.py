@@ -78,6 +78,7 @@ def _characters(G: FinGroup, cand_cap: int = 10_000_000) -> np.ndarray:
     if n_cand > cand_cap:
         raise CapacityError(f"character scan over {n_cand} candidates exceeds cap")
     idx = np.arange(G.order)
+    shifted = [G.mul_many(idx, np.int64(g)) for g in gens]  # x ↦ x·g
     chars = []
     for exps in itertools.product(*[range(d) for d in orders]):
         # χ(x) = Π_i exp(2πi e_i E[x,i] / d_i): exact on exponents, so compute
@@ -88,9 +89,9 @@ def _characters(G: FinGroup, cand_cap: int = 10_000_000) -> np.ndarray:
         vals = np.exp(1j * phase)
         # consistency: χ(x·g) = χ(x)χ(g) for every x and generator g
         ok = True
-        for i, g in enumerate(gens):
+        for i, xg in enumerate(shifted):
             gv = cmath.exp(2j * cmath.pi * exps[i] / orders[i])
-            if not np.allclose(vals[G.mul_many(idx, np.int64(g))], vals * gv, atol=1e-9):
+            if not np.allclose(vals[xg], vals * gv, atol=1e-9):
                 ok = False
                 break
         if ok:

@@ -30,12 +30,12 @@ from permstab.groups import (
 from permstab.perms import Perm, compose, from_cycles, hamming, identity
 
 
-def _sl2_base(p):
+def _sl2_base(p, gamma_gens=((1, 2, 0, 1), (1, 0, 2, 1)), lam_gen=(1, 2, 0, 1)):
     X = sl2_mod(p)
     gamma = MarkedGroup.free(2, name="F2")
     lam = MarkedGroup.free(1, name="Z")
-    p_hom = MarkedHom(gamma, X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
-    q_hom = MarkedHom(lam, X, [X.index_of(1, 2, 0, 1)])
+    p_hom = MarkedHom(gamma, X, [X.index_of(*m) for m in gamma_gens])
+    q_hom = MarkedHom(lam, X, [X.index_of(*lam_gen)])
     return X, build_bitranslation(X, p_hom, q_hom)
 
 
@@ -91,6 +91,63 @@ def test_swap_family_invariants_p13():
     assert compose(fam.t_image, fam.t_image).is_identity()
     moved = {x for x in range(X.order) if fam.t_image(x) != x}
     assert moved == set(fam.A) | {X.mul(fam.g, x) for x in fam.A}
+
+
+# SL2(Z/5) with Λ sent to [[0,1],[4,3]] (order 10): C·C⁻¹ holds exactly one
+# involution other than e, which has no partner u⁻¹ ≠ u.  At |C| = 3 its term
+# is 0 at the argmin; at |C| = 6 counting it twice would move g.
+_INVOLUTION_CARRIER = (5, ((1, 1, 0, 1), (1, 0, 1, 1)), (0, 1, 4, 3))
+_INVOLUTION_WINDOWS = [
+    (Fraction(1, 4), Fraction(1, 3)),
+    (Fraction(3, 5), Fraction(2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "carrier, window",
+    [((p,), DEFAULT_WINDOW) for p in (7, 13, 19)]
+    + [(_INVOLUTION_CARRIER, w) for w in _INVOLUTION_WINDOWS],
+)
+def test_swap_family_matches_brute_force(carrier, window):
+    X, base = _sl2_base(*carrier)
+    fam = build_swap_family(base, window=window)
+    B = np.asarray(fam.B, dtype=np.int64)
+    # reference: counts[g] = |B ∩ g⁻¹B| from all |B|² quotients y·x⁻¹
+    counts = np.bincount(
+        X.mul_many(B[:, None], X.inv_many(B)[None, :]).ravel(), minlength=X.order
+    )
+    assert fam.g == int(np.argmin(counts))
+    assert len(fam.A) == len(fam.B) - int(counts.min())
+
+
+@pytest.mark.parametrize(
+    "window, c_size, diff_size, g, a_size",
+    [(_INVOLUTION_WINDOWS[0], 3, 6, 30, 32), (_INVOLUTION_WINDOWS[1], 6, 10, 95, 48)],
+)
+def test_swap_family_unpaired_involution(window, c_size, diff_size, g, a_size):
+    X, base = _sl2_base(*_INVOLUTION_CARRIER)
+    fam = build_swap_family(base, window=window)
+    C = np.asarray(fam.C, dtype=np.int64)
+    diffs = np.unique(X.mul_many(C[:, None], X.inv_many(C)[None, :]))
+    e = X.identity_index
+    involutions = [u for u in diffs.tolist() if u != e and X.mul(u, u) == e]
+    assert (len(fam.C), diffs.size, len(involutions)) == (c_size, diff_size, 1)
+    assert (fam.g, len(fam.A)) == (g, a_size)
+
+
+@pytest.mark.parametrize(
+    "p, g, a_size, b_size, max_defect",
+    [
+        (13, 182, 312, 336, Fraction(48, 91)),
+        (19, 361, 960, 1080, Fraction(881, 1710)),
+        (43, 1849, 11088, 12936, Fraction(10169, 19866)),
+    ],
+)
+def test_flagship_pinned(p, g, a_size, b_size, max_defect):
+    inst = flagship_family(p)
+    fam = inst.family
+    assert (fam.g, len(fam.A), len(fam.B)) == (g, a_size, b_size)
+    assert inst.report.max_commutator_defect == max_defect
 
 
 def test_family_relator_defects():
