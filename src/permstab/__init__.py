@@ -4,7 +4,6 @@ almost-homomorphisms into symmetric groups."""
 from .errors import (
     CapacityError,
     ConfigError,
-    EigensolveError,
     NoWitnessError,
     NonGeneratingError,
     NotAbelianError,

@@ -53,9 +53,5 @@ class OutOfRegimeError(PermstabError, ValueError):
     """Measured defect is too large for the certified rounding regime."""
 
 
-class EigensolveError(PermstabError, RuntimeError):
-    """The sparse eigensolver failed to converge."""
-
-
 class ConfigError(PermstabError, ValueError):
     """Invalid experiment configuration."""

@@ -333,15 +333,14 @@ def _measure_epsilon(G: FinGroup, S: Sequence[int], K, n_x: int) -> Fraction:
     """max over g∈S, k∈K of |{x ∈ X∩k⁻¹X : α(g)kx ≠ kα(g)x}| / |X|."""
     worst = 0
     xs = np.arange(n_x)
-    gx = {g: G.mul_many(np.int64(g), xs) for g in S}
+    gx = G.mul_many(np.asarray(S, dtype=np.int64)[:, None], xs[None, :])  # row g: α(g)x
     for ki in K.elements():
         k = K.rows[ki]
         kx = k[xs]
         dom = kx < n_x  # x ∈ X ∩ k⁻¹X
-        for g in S:
-            lhs = gx[g][kx[dom]]  # α(g)·(kx)
-            rhs = k[gx[g][xs[dom]]]  # k·(α(g)x)
-            worst = max(worst, int((lhs != rhs).sum()))
+        lhs = gx[:, kx[dom]]  # α(g)·(kx)
+        rhs = k[gx[:, dom]]  # k·(α(g)x)
+        worst = max(worst, int((lhs != rhs).sum(axis=1).max(initial=0)))
     return Fraction(worst, n_x)
 
 

@@ -1,11 +1,27 @@
 """Kazhdan-constant estimation and expansion / almost-invariance checks.
 
 Abelian groups get exact constants through their characters; general groups
-get a certified bracket [sqrt(λ1/|S|) - tol, sqrt(λ1) + tol] from the
-smallest eigenvalue λ1 of the generator Laplacian on the mean-zero subspace
-of ℓ²(G).  For unit ξ orthogonal to constants,
-Σ_s ||π(s)ξ - ξ||² = <Lξ, ξ> >= λ1 forces max_s ||π(s)ξ - ξ|| >= sqrt(λ1/|S|),
+get a certified bracket [sqrt((λ1 - δ)/k) - tol, sqrt(λ1 + δ) + tol] from the
+smallest eigenvalue λ1 of L = 2k·I - Σ_{t∈S±} λ(t), k = |S|, on the mean-zero
+subspace of ℓ²(G).  For unit ξ orthogonal to constants,
+Σ_s ||π(s)ξ - ξ||² = <Lξ, ξ> >= λ1 forces max_s ||π(s)ξ - ξ|| >= sqrt(λ1/k),
 while the minimizing eigenvector witnesses max_s <= sqrt(λ1).
+
+L commutes with right translation by h of order m: ℓ²(G) = ⊕_j V_j,
+V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
+cosets of ⟨h⟩ L acts on V_j by an N×N Hermitian block, N = |G|/m.  If
+n⁻¹hn = h^a, right translation by n maps V_j onto V_{ja}, and conjugation
+maps V_j onto V_{-j}, both commuting with L; so with A = {a : h^a ~ h} one
+block per orbit of ℤ/m under ±A is diagonalised.  V_0 holds the constants.
+
+Every computed eigenvalue is within δ = 2k(4P + 6k + 23)u of the exact one
+(Weyl), u = 2⁻⁵³, P = DENSE_DIM_CAP >= N: a phase exp(iθ̂),
+θ̂ = fl(fl(2π̂r)/m), is within 19u + 2 ulp < 22u of ω^{je}, and each of an
+entry's c terms adds an error < √2·u·4k; t ↔ t⁻¹ pairs the terms of (c, c')
+and (c', c), so each row eigvalsh reads has 2k terms and the input error E
+has ||E||₂ <= ||E||_∞ <= 2k(22 + 6k)u; LAPACK's backward error is at most
+p(N)·ε·||B||₂ (Users' Guide §4.7), p(N) = N <= P, ε = 2u and
+||B||₂ <= 4k + ||E||₂, the last unit of δ absorbing 2Pu·||E||₂.
 """
 
 from __future__ import annotations
@@ -14,16 +30,12 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     CapacityError,
-    EigensolveError,
     NotAbelianError,
     NonGeneratingError,
 )
@@ -41,7 +53,6 @@ class KazhdanBracket:
     upper: float
     lambda1: float
     method: str  # "abelian-exact" or "laplacian-bracket"
-    iterations: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper <= 2.0 + 1e-12):
@@ -119,58 +130,70 @@ def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
     return KazhdanBracket(lower=kappa, upper=kappa, lambda1=lam1, method="abelian-exact")
 
 
-def _laplacian(G: FinGroup, S: Sequence[int]) -> scipy.sparse.csr_matrix:
-    n = G.order
-    idx = np.arange(n)
-    mats = []
-    for s in sorted(set(int(v) for v in S)):
-        for g in (s, G.inv(s)):
-            col = G.mul_many(np.int64(g), idx)  # π(g)ξ(x) = ξ(g^{-1}x): entry (gx, x)
-            mats.append(
-                scipy.sparse.csr_matrix(
-                    (np.ones(n), (col, idx)), shape=(n, n)
-                )
-            )
-    k = len(mats) // 2
-    L = 2 * k * scipy.sparse.identity(G.order, format="csr")
-    for m in mats:
-        L = L - m
-    return L.tocsr()
+@dataclass
+class _CharacterBlocks:
+    """L on each V_j; every x is r_c·h^e for the smallest r_c of its coset."""
+
+    m: int  # the order of h
+    cols: np.ndarray  # (2k, N): the coset c' of t·r_c = r_c'·h^e, t ∈ S±
+    exps: np.ndarray  # (2k, N): its exponent e
+    powers: np.ndarray  # A = {a : h^a conjugate to h}
+
+    @classmethod
+    def of(cls, G: FinGroup, S: Sequence[int]) -> "_CharacterBlocks":
+        gens = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
+        idx = np.arange(G.order)
+        central = np.logical_and.reduce([G.mul_many(idx, s) == G.mul_many(s, idx) for s in gens])
+        cand = G.mul_many(gens[:, None], idx[central][None, :]).ravel()
+        order, cur = np.zeros(cand.size, dtype=np.int64), cand.copy()
+        for r in itertools.count(1):  # order: the first power of a candidate at e
+            order[(order == 0) & (cur == G.identity_index)] = r
+            if order.all():
+                break
+            cur = G.mul_many(cur, cand)
+        m = int(order.max())
+        h = int(cand[order == m].min())
+        if G.order // m > DENSE_DIM_CAP:
+            raise CapacityError(f"character blocks of size {G.order // m} exceed {DENSE_DIM_CAP}")
+        # m rounds along x ↦ x·h: the smallest x·h^r is r_c, and then e = -r
+        right_h = G.mul_many(idx, np.int64(h))
+        cur, rep, back = idx, idx.copy(), np.zeros(G.order, dtype=np.int64)
+        for r in range(1, m):
+            cur = right_h[cur]
+            better = cur < rep
+            rep[better], back[better] = cur[better], r
+        reps, coset = np.unique(rep, return_inverse=True)
+        steps = np.asarray([t for s in gens for t in (s, G.inv(s))], dtype=np.int64)
+        moved = G.mul_many(steps[:, None], reps[None, :])
+        conj = G.mul_many(right_h, G.inv_many(idx))  # g·h·g⁻¹
+        in_h = conj[coset[conj] == coset[G.identity_index]]  # h^a = h^{back[e] - back}
+        a = (back[G.identity_index] - back[in_h]) % m
+        return cls(m, coset[moved], -back[moved] % m, np.unique(a))
+
+    def block(self, j: int) -> np.ndarray:
+        """The N×N block of L on V_j: Hermitian, and real when ω^j = ±1."""
+        phase = np.exp(1j * (2 * np.pi * (j * self.exps % self.m) / self.m))
+        entries = phase.real if 2 * j % self.m == 0 else phase
+        out = np.diag(np.full(self.cols.shape[1], self.cols.shape[0], dtype=entries.dtype))
+        np.subtract.at(out, (np.arange(self.cols.shape[1]), self.cols), entries)
+        return out
+
+    def orbit_reps(self) -> np.ndarray:
+        """The smallest j of each orbit of ℤ/m under multiplication by ±A."""
+        mult = np.concatenate([self.powers, -self.powers])
+        return np.unique((np.arange(self.m)[:, None] * mult % self.m).min(axis=1))
 
 
-def _lambda1(
-    G: FinGroup, S: Sequence[int], tol: float, dense_only: bool = False
-) -> Tuple[float, int]:
-    """Smallest eigenvalue of the generator Laplacian on mean-zero functions."""
-    n = G.order
-    L = _laplacian(G, S)
-    if dense_only or n <= DENSE_DIM_CAP:
-        dense = L.toarray()
-        vals = np.linalg.eigvalsh(dense)
-        # eigenvalue 0 of the constant vector is simple when S generates
-        return float(vals[1]), 0
-    # locally-optimal block iteration, explicitly orthogonalized against the
-    # all-ones kernel vector of L
-    ones = np.ones((n, 1)) / math.sqrt(n)
-    rng = np.random.default_rng(0)
-    block = rng.standard_normal((n, 4))
-    maxiter = 5_000
-    try:
-        vals, vecs, history = scipy.sparse.linalg.lobpcg(
-            L, block, Y=ones, largest=False, tol=max(tol, 1e-10),
-            maxiter=maxiter, retLambdaHistory=True,
-        )
-    except Exception as exc:  # scipy raises plain errors on breakdown
-        raise EigensolveError("iterative eigensolve failed") from exc
-    order = np.argsort(vals)
-    lam = float(vals[order[0]])
-    v = vecs[:, order[0]]
-    residual = float(np.linalg.norm(L @ v - lam * v) / np.linalg.norm(v))
-    if not np.isfinite(lam) or residual > max(tol, 1e-7) * (1 + abs(lam)):
-        raise EigensolveError(
-            f"iterative eigensolve did not converge (residual {residual:.3g})"
-        )
-    return lam, len(history)
+def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int]:
+    """Smallest eigenvalue of L on mean-zero functions, and the blocks solved."""
+    blocks = _CharacterBlocks.of(G, S)
+    reps = blocks.orbit_reps()
+    lam = math.inf
+    for j in reps:
+        vals = np.linalg.eigvalsh(blocks.block(int(j)))
+        # block 0 holds the constants, whose eigenvalue 0 is simple when S generates
+        lam = min(lam, vals[int(j == 0):].min(initial=math.inf))
+    return float(lam), len(reps)
 
 
 def kazhdan_bracket(
@@ -183,16 +206,12 @@ def kazhdan_bracket(
     if G.order > spectral_cap:
         raise CapacityError(f"group order {G.order} exceeds spectral cap {spectral_cap}")
     _require_generating(G, S)
-    lam1, iters = _lambda1(G, S, tol=tol)
-    lam1 = max(lam1, 0.0)
+    lam1 = max(_lambda1(G, S)[0], 0.0)
     k = len(set(int(v) for v in S))
-    lower = max(math.sqrt(max(lam1, 0.0) / k) - tol, 0.0)
-    upper = min(math.sqrt(lam1) + tol, 2.0)
-    lower = min(lower, upper)
-    return KazhdanBracket(
-        lower=lower, upper=upper, lambda1=lam1, method="laplacian-bracket",
-        iterations=iters,
-    )
+    delta = 2 * k * (4 * DENSE_DIM_CAP + 6 * k + 23) * 2.0**-53  # δ of the module docstring
+    lower = max(math.sqrt(max(lam1 - delta, 0.0) / k) - tol, 0.0)
+    upper = min(math.sqrt(lam1 + delta) + tol, 2.0)
+    return KazhdanBracket(lower=lower, upper=upper, lambda1=lam1, method="laplacian-bracket")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def test_kazhdan_bracket_stdout(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["method"] == "laplacian-bracket"
     assert 0 < data["lower"] <= data["upper"]
+
+
+def test_kazhdan_bracket_no_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["kazhdan", "--group", "sl2:13"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(capsys.readouterr().out)["method"] == "laplacian-bracket"
 
 
 def test_kazhdan_bad_group(capsys):

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permstab.errors import OutOfRegimeError
-from permstab.groups import PermAction, cyclic, direct_product, left_regular, sl2_mod
+from permstab.groups import (
+    PermAction,
+    cyclic,
+    direct_product,
+    group_from_perm_generators,
+    left_regular,
+    sl2_mod,
+)
 from permstab.perms import (
     Perm,
     compose,
@@ -22,6 +29,7 @@ from permstab.perms import (
 )
 from permstab.rounding import (
     MatchMatrix,
+    _measure_epsilon,
     commuting_extension,
     extract_conjugacy,
     nearest_right_translation,
@@ -250,3 +258,36 @@ def test_pipeline_input_validation():
         rigidity_pipeline(G, [1], 2, [identity(2)])  # Y smaller than X
     with pytest.raises(ValueError):
         rigidity_pipeline(G, [1], 6, [identity(5)])  # wrong point count
+
+
+def _measure_epsilon_loop(G, S, K, n_x):
+    # reference: one (k, g) pair at a time
+    worst = 0
+    for ki in K.elements():
+        k = K.rows[ki]
+        for g in S:
+            bad = sum(
+                1 for x in range(n_x)
+                if k[x] < n_x and G.mul(g, int(k[x])) != k[G.mul(g, x)]
+            )
+            worst = max(worst, bad)
+    return Fraction(worst, n_x)
+
+
+@pytest.mark.parametrize("y_extra, moved", [(4, 1), (3, 5), (2, 0)])
+def test_measure_epsilon_matches_loop(y_extra, moved):
+    G = _z2k(4)
+    S = list(range(1, G.order))
+    y_size = G.order + y_extra
+    tau = swap(y_size, G.order - 1 - moved, G.order)
+    k_gens = [
+        compose(tau, compose(_embed(_beta(G, g), y_size), tau)) for g in G.generators
+    ]
+    K = group_from_perm_generators(k_gens)
+    assert _measure_epsilon(G, S, K, G.order) == _measure_epsilon_loop(G, S, K, G.order)
+    C = cyclic(9)
+    rng = np.random.default_rng(moved)
+    k_gens = [_embed(compose(_beta(C, 2), random_perm(9, rng)), 9 + y_extra)]
+    K = group_from_perm_generators(k_gens)
+    for S in ([1], [1, 4, 4]):
+        assert _measure_epsilon(C, S, K, 9) == _measure_epsilon_loop(C, S, K, 9)

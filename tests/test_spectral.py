@@ -1,16 +1,23 @@
 """Kazhdan constants: exact abelian values and certified Laplacian brackets."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permstab.errors import NonGeneratingError, NotAbelianError
+import permstab
+from permstab import spectral
+from permstab.errors import CapacityError, NonGeneratingError, NotAbelianError
 from permstab.groups import cyclic, direct_product, left_regular, sl2_mod
 from permstab.spectral import (
+    _CharacterBlocks,
     check_expansion,
     global_from_generators,
     kazhdan_abelian_exact,
@@ -76,6 +83,86 @@ def test_bracket_nonabelian():
     br = kazhdan_bracket(X, list(X.generators))
     assert 0 < br.lower <= br.upper <= 2
     assert br.lambda1 > 0  # generating set => positive gap
+
+
+def _dense_laplacian(G, S):
+    # L = 2k·I - Σ_{t∈S±} λ(t), with λ(t) sending the basis vector x to t·x
+    n = G.order
+    idx = np.arange(n)
+    L = 2.0 * len(set(S)) * np.eye(n)
+    for s in sorted(set(S)):
+        for t in (s, G.inv(s)):
+            L[G.mul_many(np.int64(t), idx), idx] -= 1.0
+    return L
+
+
+BLOCK_GROUPS = [sl2_mod(5), sl2_mod(7), direct_product(sl2_mod(5), cyclic(4))]
+
+
+@pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
+def test_blocks_reproduce_dense_spectrum(G):
+    blocks = _CharacterBlocks.of(G, G.generators)
+    assert G.order % blocks.m == 0 and blocks.cols.shape[1] == G.order // blocks.m
+    assert blocks.block(0).dtype == np.float64 and blocks.block(1).dtype == np.complex128
+    spectrum = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(blocks.block(j)) for j in range(blocks.m)]
+    ))
+    dense = np.linalg.eigvalsh(_dense_laplacian(G, G.generators))
+    assert spectrum.shape == dense.shape
+    np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-10)
+    lam1, solved = spectral._lambda1(G, G.generators)
+    assert solved == len(blocks.orbit_reps()) < blocks.m
+    assert abs(lam1 - dense[1]) < 1e-10
+
+
+@pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
+def test_orbit_blocks_isospectral(G):
+    blocks = _CharacterBlocks.of(G, G.generators)
+    m = blocks.m
+    for j in range(m):
+        vals = np.linalg.eigvalsh(blocks.block(j))
+        for a in blocks.powers:
+            for ja in (j * a % m, -j * a % m):
+                other = np.linalg.eigvalsh(blocks.block(int(ja)))
+                np.testing.assert_allclose(other, vals, rtol=0, atol=1e-10)
+
+
+def test_bracket_matches_reference_lambda1():
+    # λ1 recorded in perfbench/reference/kazhdan_sl2.json (LOBPCG for 13 and 43)
+    reference = {11: 0.38196601125009766, 13: 0.3248691294333531, 43: 0.16616505151860148}
+    for p, lam1 in reference.items():
+        X = sl2_mod(p)
+        assert abs(kazhdan_bracket(X, X.generators).lambda1 - lam1) < 1e-12
+        assert spectral._lambda1(X, X.generators)[1] == (6 if p == 13 else 4)
+
+
+def test_bracket_lower_end_keeps_margin():
+    for G in (sl2_mod(5), direct_product(sl2_mod(3), cyclic(2))):
+        tol = 1e-8
+        br = kazhdan_bracket(G, G.generators, tol=tol)
+        k = len(set(G.generators))
+        # the rounding margin pushes the lower end strictly below sqrt(λ1/k) - tol
+        assert math.sqrt(br.lambda1 / k) - tol - br.lower > 1e-13
+        assert br.upper >= math.sqrt(br.lambda1) + tol
+
+
+def test_bracket_block_cap(monkeypatch):
+    X = sl2_mod(5)  # h = -u of order 10: blocks of size 12
+    monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 11)
+    with pytest.raises(CapacityError):
+        kazhdan_bracket(X, X.generators)
+    monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 12)
+    assert kazhdan_bracket(X, X.generators).lambda1 > 0
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(permstab.__file__).resolve().parents[1])
+    code = "import sys, permstab; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_lambda1_monotone_in_generators():
