@@ -49,20 +49,11 @@ from .groups import (
     hom_from_generator_images,
     left_coset_reps,
     left_regular,
-    orbit_type_census,
     product_with_free_z,
     right_regular,
     sl2_mod,
 )
-from .spectral import (
-    ExpansionCheck,
-    GlobalInvarianceCheck,
-    KazhdanBracket,
-    check_expansion,
-    global_from_generators,
-    kazhdan_abelian_exact,
-    kazhdan_bracket,
-)
+from .spectral import KazhdanBracket, kazhdan_abelian_exact, kazhdan_bracket
 from .almost_invariant import (
     AlmostInvSet,
     almost_inv_set,
@@ -97,11 +88,7 @@ from .rounding import (
     nearest_right_translation,
     rigidity_pipeline,
 )
-from .oracle import (
-    OracleResult,
-    nearest_homomorphism_bruteforce,
-    stability_defect_table,
-)
+from .oracle import OracleResult, nearest_homomorphism_bruteforce
 from .experiment import ExperimentConfig, run_experiment, run_instance
 
 __version__ = "0.1.0"

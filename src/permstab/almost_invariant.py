@@ -30,15 +30,6 @@ class AlmostInvSet:
     density: Fraction
     defect_profile: Dict[int, Fraction]  # generator index -> |gC △ C| / |G|
 
-    def to_json(self) -> dict:
-        return {
-            "members": [int(m) for m in self.members],
-            "density": str(self.density),
-            "defect_profile": {
-                str(g): str(d) for g, d in sorted(self.defect_profile.items())
-            },
-        }
-
 
 def _mask_of(order: int, members: Sequence[int]) -> np.ndarray:
     mask = np.zeros(order, dtype=bool)
@@ -48,22 +39,19 @@ def _mask_of(order: int, members: Sequence[int]) -> np.ndarray:
     return mask
 
 
-def translate_mask(G: FinGroup, mask: np.ndarray, g: int, side: str = "left") -> np.ndarray:
-    """Indicator of gC (side='left') or Cg (side='right')."""
+def translate_mask(G: FinGroup, mask: np.ndarray, g: int) -> np.ndarray:
+    """Indicator of gC."""
     idx = np.nonzero(mask)[0]
     out = np.zeros_like(mask)
     if idx.size:
-        if side == "left":
-            out[G.mul_many(np.int64(g), idx)] = True
-        else:
-            out[G.mul_many(idx, np.int64(g))] = True
+        out[G.mul_many(np.int64(g), idx)] = True
     return out
 
 
 def left_defect_profile(G: FinGroup, members: Sequence[int]) -> Dict[int, Fraction]:
     mask = _mask_of(G.order, members)
     return {
-        g: Fraction(int((translate_mask(G, mask, g, "left") ^ mask).sum()), G.order)
+        g: Fraction(int((translate_mask(G, mask, g) ^ mask).sum()), G.order)
         for g in G.generators
     }
 
@@ -78,9 +66,7 @@ def almost_inv_set(G: FinGroup, members: Sequence[int]) -> AlmostInvSet:
     )
 
 
-def round_to_invariant(
-    y_size: int, X: Sequence[int], H: Sequence[Perm], cap: int = 100_000
-) -> Tuple[Set[int], int]:
+def round_to_invariant(y_size: int, X: Sequence[int], H: Sequence[Perm]) -> Tuple[Set[int], int]:
     """Round X ⊂ {0..y_size-1} to an exactly H-invariant X0.
 
     Averages the indicator of X over the full subgroup generated by H and
@@ -88,7 +74,7 @@ def round_to_invariant(
     |X0 △ X| <= 2 max_h |X △ hX|.
     """
     x_mask = _mask_of(y_size, X)
-    subgroup = group_from_perm_generators(list(H), cap=cap) if H else None
+    subgroup = group_from_perm_generators(list(H)) if H else None
     if subgroup is None or subgroup.order == 1:
         return set(int(v) for v in np.nonzero(x_mask)[0]), 0
     counts = np.zeros(y_size, dtype=np.int64)

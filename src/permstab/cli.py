@@ -19,10 +19,10 @@ from .errors import ConfigError, PermstabError
 from .experiment import ExperimentConfig, run_experiment
 from .families import DEFAULT_WINDOW, flagship_family
 from .groups import FinGroup, MarkedGroup, MarkedMap, cyclic, direct_product, sl2_mod
-from .oracle import nearest_homomorphism_bruteforce
+from .oracle import EXHAUSTIVE_CAP, nearest_homomorphism_bruteforce
 from .perms import Perm
 from .rounding import rigidity_pipeline
-from .spectral import kazhdan_abelian_exact, kazhdan_bracket
+from .spectral import DEFAULT_TOL, kazhdan_abelian_exact, kazhdan_bracket
 
 
 def parse_group_spec(spec: str) -> FinGroup:
@@ -137,7 +137,7 @@ def cmd_oracle(args) -> int:
     res = nearest_homomorphism_bruteforce(
         marked,
         m,
-        exhaustive_cap=int(raw.get("exhaustive_cap", 10_000_000)),
+        exhaustive_cap=int(raw.get("exhaustive_cap", EXHAUSTIVE_CAP)),
         seed=args.seed,
     )
     _emit(res.to_json(), args.out)
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kazhdan", help="Kazhdan constant (exact or bracket)")
     p.add_argument("--group", required=True, help="e.g. cyclic:12 or sl2:7")
     p.add_argument("--gens", help="comma-separated element indices (default: canonical)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(func=cmd_kazhdan)
 

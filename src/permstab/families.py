@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -154,7 +154,6 @@ def _equidistribution_spot_check(
 def build_swap_family(
     base: BiTranslationAction,
     window: Tuple[Fraction, Fraction] = DEFAULT_WINDOW,
-    spot_check: bool = True,
 ) -> SwapFamily:
     """Assemble A, g, and the swap permutation from a density-window set.
 
@@ -187,7 +186,7 @@ def build_swap_family(
     assert b_arr.size == len(Z) * len(C), "coset translates of C overlap"
     b_density = Fraction(int(b_arr.size), X.order)
     assert alpha <= b_density <= beta
-    if spot_check and len(q_members) * X.order <= 50_000_000:
+    if len(q_members) * X.order <= 50_000_000:
         _equidistribution_spot_check(X, b_arr, q_members)
 
     # counts[g] = |B ∩ g^{-1}B| = #{(y,x) ∈ B²: g = y·x^{-1}};

@@ -10,9 +10,8 @@ pair at a time.  Closures and the generator-image builders share one BFS,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,11 +20,12 @@ from .errors import (
     NotAHomomorphismError,
     NotAnActionError,
     NotASubgroupError,
-    NotSurjectiveError,
 )
 from .perms import Perm, compose, identity, inverse
 
-TABLE_CAP = 4096
+PRODUCT_ORDER_CAP = 10_000_000
+PERM_CLOSURE_CAP = 100_000
+CONJUGACY_CAP = 4096  # largest group whose subgroups are compared up to conjugacy
 
 
 class FinGroup:
@@ -137,21 +137,6 @@ class FinGroup:
             return False
         return bool(np.isin(self.mul_many(h[:, None], h[None, :]), h).all())
 
-    def to_json(self, table_cap: int = TABLE_CAP) -> dict:
-        data: dict = {
-            "order": self.order,
-            "generators": [int(g) for g in self.generators],
-        }
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        if self.order <= table_cap:
-            idx = np.arange(self.order)
-            data["mul_rows"] = [
-                [int(v) for v in self.mul_many(np.int64(i), idx)]
-                for i in range(self.order)
-            ]
-        return data
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, order={self.order})"
 
@@ -174,19 +159,15 @@ class TableGroup(FinGroup):
         self.order = n
         self.table = table
         if identity_index is None:
-            idx = np.arange(n)
-            matches = [e for e in range(n) if np.array_equal(table[e], idx)]
-            if not matches:
+            matches = np.nonzero((table == np.arange(n)).all(1))[0]
+            if not matches.size:
                 raise ValueError("no identity element in table")
             identity_index = matches[0]
         self.identity_index = int(identity_index)
-        inv = np.empty(n, dtype=np.int64)
-        for a in range(n):
-            hits = np.nonzero(table[a] == self.identity_index)[0]
-            if hits.size != 1:
-                raise ValueError("table row has no unique inverse")
-            inv[a] = hits[0]
-        self._inv = inv
+        hits = table == self.identity_index
+        if (hits.sum(1) != 1).any():
+            raise ValueError("table row has no unique inverse")
+        self._inv = hits.argmax(1)
         self.generators = [int(g) for g in generators]
         self.labels = list(labels) if labels is not None else None
         self.name = name
@@ -348,15 +329,6 @@ class PermGroup(FinGroup):
         self.labels = None
         self.name = name
 
-    def perm(self, g: int) -> Perm:
-        return Perm(self.rows[g], _checked=True)
-
-    def index_of_perm(self, p: Perm) -> int:
-        key = np.asarray(p.image, dtype=np.int64).tobytes()
-        if key not in self._index:
-            raise ValueError("permutation not in this group")
-        return self._index[key]
-
     def mul(self, a: int, b: int) -> int:
         return self._index[self.rows[a][self.rows[b]].tobytes()]
 
@@ -388,9 +360,9 @@ def cyclic(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
 
-def direct_product(a: FinGroup, b: FinGroup, order_cap: int = 10_000_000) -> DirectProductGroup:
-    if a.order * b.order > order_cap:
-        raise CapacityError(f"product order {a.order * b.order} exceeds cap {order_cap}")
+def direct_product(a: FinGroup, b: FinGroup) -> DirectProductGroup:
+    if a.order * b.order > PRODUCT_ORDER_CAP:
+        raise CapacityError(f"product order {a.order * b.order} exceeds cap {PRODUCT_ORDER_CAP}")
     return DirectProductGroup(a, b)
 
 
@@ -398,7 +370,7 @@ def sl2_mod(n: int, order_cap: int = 200_000) -> SL2Group:
     return SL2Group(n, order_cap=order_cap)
 
 
-def group_from_perm_generators(gens: Sequence[Perm], cap: int = 100_000) -> PermGroup:
+def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP) -> PermGroup:
     """BFS closure of permutation generators; identity has index 0."""
     if not gens:
         raise ValueError("need at least one generator")
@@ -442,7 +414,7 @@ class GroupHom:
     source: FinGroup
     target: FinGroup
     image: np.ndarray
-    surjective: bool = False
+    surjective: bool = field(init=False)
 
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.int64)
@@ -509,13 +481,6 @@ class MarkedGroup:
             for j in range(i + 1, d + 1)
         )
         return MarkedGroup(d, rels, name or f"Z^{d}")
-
-    def to_json(self) -> dict:
-        return {
-            "generator_count": self.generator_count,
-            "relators": [list(r) for r in self.relators],
-            "name": self.name,
-        }
 
 
 def product_with_free_z(gamma: MarkedGroup, lam: MarkedGroup) -> MarkedGroup:
@@ -643,9 +608,6 @@ class PermAction:
             if p.n != self.points:
                 raise NotAnActionError("permutations act on different point counts")
 
-    def perm(self, g: int) -> Perm:
-        return self.perms[g]
-
     def verify(self):
         """Check α(e) = id and α(x·s) = α(x)∘α(s) for every x and generator s.
 
@@ -713,7 +675,7 @@ def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Orbit-type census
+# Orbits, stabilizers and subgroups up to conjugacy
 # ---------------------------------------------------------------------------
 
 
@@ -750,11 +712,11 @@ def _stabilizer(action: PermAction, point: int) -> Tuple[int, ...]:
     )
 
 
-def canonical_subgroup_key(G: FinGroup, H: Sequence[int], order_cap: int = 4096) -> Tuple[int, ...]:
+def canonical_subgroup_key(G: FinGroup, H: Sequence[int]) -> Tuple[int, ...]:
     """Lexicographically-smallest conjugate of H, as a sorted index tuple."""
-    if G.order > order_cap:
+    if G.order > CONJUGACY_CAP:
         raise CapacityError(
-            f"subgroup conjugacy testing limited to order {order_cap}"
+            f"subgroup conjugacy testing limited to order {CONJUGACY_CAP}"
         )
     h_arr = np.asarray(sorted(set(int(x) for x in H)), dtype=np.int64)
     best: Optional[Tuple[int, ...]] = None
@@ -765,16 +727,3 @@ def canonical_subgroup_key(G: FinGroup, H: Sequence[int], order_cap: int = 4096)
             best = key
     assert best is not None
     return best
-
-
-def orbit_type_census(
-    action: PermAction, order_cap: int = 4096
-) -> Dict[Tuple[int, ...], int]:
-    """Count orbits by the conjugacy class of their point stabilizers."""
-    action.verify()
-    census: Dict[Tuple[int, ...], int] = {}
-    for orbit in _orbits(action):
-        stab = _stabilizer(action, orbit[0])
-        key = canonical_subgroup_key(action.group, stab, order_cap=order_cap)
-        census[key] = census.get(key, 0) + 1
-    return census

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .groups import MarkedGroup, MarkedMap
-from .perms import Perm, hamming
+from .perms import Perm
 
 EXHAUSTIVE_CAP = 10_000_000
 LOCAL_RESTARTS = 64
@@ -77,7 +77,6 @@ def nearest_homomorphism_bruteforce(
     m: MarkedMap,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
     allow_local_search: bool = True,
-    restarts: int = LOCAL_RESTARTS,
     seed: int = 0,
 ) -> OracleResult:
     """Exact homomorphism minimizing max_i d_H to the input generator images.
@@ -109,7 +108,7 @@ def nearest_homomorphism_bruteforce(
         raise CapacityError(
             f"search space (n!)^k = {space} exceeds cap {exhaustive_cap}"
         )
-    return _local_search(marked, targets, n, k, space, restarts, seed)
+    return _local_search(marked, targets, n, k, space, seed)
 
 
 def _objective(
@@ -124,7 +123,6 @@ def _local_search(
     n: int,
     k: int,
     space: int,
-    restarts: int,
     seed: int,
 ) -> OracleResult:
     rng = np.random.default_rng(seed)
@@ -135,7 +133,7 @@ def _local_search(
     best_dist = _max_distance(fallback, targets, n)
 
     starts: List[List[np.ndarray]] = [[t.copy() for t in targets]]
-    for _ in range(restarts - 1):
+    for _ in range(LOCAL_RESTARTS - 1):
         starts.append([rng.permutation(n).astype(np.int64) for _ in range(k)])
 
     for images in starts:
@@ -182,33 +180,3 @@ def _result(
         search_space_size=space,
         exhaustive=exhaustive,
     )
-
-
-def stability_defect_table(
-    marked: MarkedGroup,
-    family: Sequence[MarkedMap],
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
-    seed: int = 0,
-) -> List[dict]:
-    """Per instance: worst relator defect versus nearest-homomorphism distance.
-
-    A finite table cannot certify stability of the presented group — it only
-    samples the relation between the two quantities.
-    """
-    rows = []
-    for idx, m in enumerate(family):
-        images = [np.asarray(p.image, dtype=np.int64) for p in m.images]
-        defect = _relator_defect(images, marked, m.points)
-        res = nearest_homomorphism_bruteforce(
-            marked, m, exhaustive_cap=exhaustive_cap, seed=seed
-        )
-        rows.append(
-            {
-                "instance": idx,
-                "points": m.points,
-                "max_relator_defect": defect,
-                "nearest_hom_distance": res.max_distance,
-                "exhaustive": res.exhaustive,
-            }
-        )
-    return rows

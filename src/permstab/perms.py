@@ -97,14 +97,6 @@ class PartialInjection:
     def to_json(self) -> list:
         return [int(v) if v != UNDEFINED else None for v in self.entries]
 
-    @staticmethod
-    def from_perm_restriction(p: Perm, domain: Sequence[int]) -> "PartialInjection":
-        """Restrict a permutation to a subset of its domain."""
-        entries = np.full(p.n, UNDEFINED, dtype=np.int64)
-        dom = np.asarray(domain, dtype=np.int64)
-        entries[dom] = p.image[dom]
-        return PartialInjection(entries)
-
 
 MapLike = Union[Perm, PartialInjection]
 

@@ -27,6 +27,7 @@ import numpy as np
 from .almost_invariant import round_to_invariant
 from .errors import CapacityError, OutOfRegimeError
 from .groups import (
+    CONJUGACY_CAP,
     FinGroup,
     GroupHom,
     PermAction,
@@ -38,8 +39,6 @@ from .groups import (
 )
 from .perms import Perm, PartialInjection, UNDEFINED, compose, hamming, inverse
 from .spectral import kazhdan_abelian_exact, kazhdan_bracket
-
-COMMUTANT2_CAP = 4096
 
 
 def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
@@ -235,16 +234,14 @@ def _equivariant_orbit_bijection(
     return out
 
 
-def commuting_extension(
-    G: FinGroup, action: PermAction, phi: Perm, cap: int = COMMUTANT2_CAP
-) -> Tuple[Perm, Fraction]:
+def commuting_extension(G: FinGroup, action: PermAction, phi: Perm) -> Tuple[Perm, Fraction]:
     """Round φ to a ψ commuting exactly with the action: d_H(φ,ψ) <= 32·defect.
 
     Matches the action with its φ-conjugate, keeps φ∘σ on the recovered part,
     and re-routes the two leftover parts through orbit-type matching.
     """
-    if G.order > cap:
-        raise CapacityError(f"group order {G.order} exceeds cap {cap}")
+    if G.order > CONJUGACY_CAP:
+        raise CapacityError(f"group order {G.order} exceeds cap {CONJUGACY_CAP}")
     action.verify()
     n = action.points
     if phi.n != n:
@@ -270,7 +267,7 @@ def commuting_extension(
         out = []
         for o in orbs:
             stab = _stabilizer(action, o[0])
-            out.append((canonical_subgroup_key(G, stab, order_cap=cap), o[0], o))
+            out.append((canonical_subgroup_key(G, stab), o[0], o))
         return sorted(out, key=lambda t: (t[0], t[1]))
 
     k1, k3 = keyed(orbs1), keyed(orbs3)
@@ -363,7 +360,6 @@ def rigidity_pipeline(
     Y_size: int,
     K_gens: Sequence[Perm],
     kappa_lower: Optional[float] = None,
-    k_cap: int = 100_000,
 ) -> AlmostResult:
     """Recover exact right-translation structure from an almost-normalizing K.
 
@@ -376,7 +372,7 @@ def rigidity_pipeline(
     for p in K_gens:
         if p.n != Y_size:
             raise ValueError("K generators must permute Y")
-    K = group_from_perm_generators(list(K_gens), cap=k_cap)
+    K = group_from_perm_generators(list(K_gens))
     eps = _measure_epsilon(G, S, K, n_x)
     if kappa_lower is None:
         kappa_lower = certified_kappa_lower(G, S)
@@ -419,7 +415,7 @@ def rigidity_pipeline(
 
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
     k0_perms_y = [Perm(K.rows[ki], _checked=True) for ki in K0]
-    X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_perms_y, cap=k_cap)
+    X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_perms_y)
     # Z is sorted and holds 0..|X|−1 first, so position z ↦ z on X
     Z = sorted(X0 | set(range(n_x)))
     nz = len(Z)

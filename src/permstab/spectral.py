@@ -1,4 +1,4 @@
-"""Kazhdan-constant estimation and expansion / almost-invariance checks.
+"""Kazhdan constants: exact for abelian groups, certified brackets otherwise.
 
 Abelian groups get exact constants through their characters; general groups
 get a certified bracket [sqrt((λ1 - δ)/k) - tol, sqrt(λ1 + δ) + tol] from the
@@ -39,10 +39,12 @@ from .errors import (
     NotAbelianError,
     NonGeneratingError,
 )
-from .groups import FinGroup, PermAction
+from .groups import FinGroup
 
 DENSE_DIM_CAP = 2000
 DEFAULT_TOL = 1e-8
+SPECTRAL_CAP = 200_000  # largest group order kazhdan_bracket accepts
+CHARACTER_CAP = 10_000_000  # most root-of-unity assignments _characters scans
 
 
 @dataclass
@@ -64,7 +66,7 @@ def _require_generating(G: FinGroup, S: Sequence[int]):
         raise NonGeneratingError("S does not generate G")
 
 
-def _characters(G: FinGroup, cand_cap: int = 10_000_000) -> np.ndarray:
+def _characters(G: FinGroup) -> np.ndarray:
     """All |G| characters of an abelian group, rows indexed by character.
 
     Works directly from the multiplication structure: BFS words over the
@@ -86,7 +88,7 @@ def _characters(G: FinGroup, cand_cap: int = 10_000_000) -> np.ndarray:
         raise NonGeneratingError("declared generators do not generate G")
     orders = [G.element_order(g) for g in gens]
     n_cand = math.prod(orders)
-    if n_cand > cand_cap:
+    if n_cand > CHARACTER_CAP:
         raise CapacityError(f"character scan over {n_cand} candidates exceeds cap")
     idx = np.arange(G.order)
     shifted = [G.mul_many(idx, np.int64(g)) for g in gens]  # x ↦ x·g
@@ -196,15 +198,10 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int]:
     return float(lam), len(reps)
 
 
-def kazhdan_bracket(
-    G: FinGroup,
-    S: Sequence[int],
-    tol: float = DEFAULT_TOL,
-    spectral_cap: int = 200_000,
-) -> KazhdanBracket:
+def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
     """Certified Kazhdan bracket from the Laplacian spectral gap."""
-    if G.order > spectral_cap:
-        raise CapacityError(f"group order {G.order} exceeds spectral cap {spectral_cap}")
+    if G.order > SPECTRAL_CAP:
+        raise CapacityError(f"group order {G.order} exceeds spectral cap {SPECTRAL_CAP}")
     _require_generating(G, S)
     lam1 = max(_lambda1(G, S)[0], 0.0)
     k = len(set(int(v) for v in S))
@@ -212,69 +209,3 @@ def kazhdan_bracket(
     lower = max(math.sqrt(max(lam1 - delta, 0.0) / k) - tol, 0.0)
     upper = min(math.sqrt(lam1 + delta) + tol, 2.0)
     return KazhdanBracket(lower=lower, upper=upper, lambda1=lam1, method="laplacian-bracket")
-
-
-@dataclass
-class ExpansionCheck:
-    holds: bool
-    lhs: float  # κ_lower² |A| |G\A|
-    rhs: int  # max_g |gA △ A| · |G|
-    witness_generator: int
-    witness_boundary: int  # |gA △ A| at the maximizing generator
-
-
-def check_expansion(
-    G: FinGroup, S: Sequence[int], A: Sequence[int], kappa_lower: float
-) -> ExpansionCheck:
-    """κ² |A| |G∖A| <= max_{g∈S} |gA △ A| · |G|, with the certified lower κ."""
-    a_set = set(int(x) for x in A)
-    if any(x < 0 or x >= G.order for x in a_set):
-        raise ValueError("A is not a subset of G")
-    mask = np.zeros(G.order, dtype=bool)
-    mask[sorted(a_set)] = True
-    best_g, best_boundary = -1, -1
-    a_idx = np.asarray(sorted(a_set), dtype=np.int64)
-    for g in sorted(set(int(v) for v in S)):
-        g_a = np.zeros(G.order, dtype=bool)
-        if a_idx.size:
-            g_a[G.mul_many(np.int64(g), a_idx)] = True
-        boundary = int(np.count_nonzero(g_a ^ mask))
-        if boundary > best_boundary:
-            best_boundary, best_g = boundary, g
-    lhs = kappa_lower**2 * len(a_set) * (G.order - len(a_set))
-    rhs = best_boundary * G.order
-    return ExpansionCheck(
-        holds=bool(lhs <= rhs + 1e-9),
-        lhs=lhs,
-        rhs=rhs,
-        witness_generator=best_g,
-        witness_boundary=best_boundary,
-    )
-
-
-@dataclass
-class GlobalInvarianceCheck:
-    lhs: float  # κ · max_{g∈G} ||π(g)ξ - ξ||
-    rhs: float  # 2 · max_{g∈S} ||π(g)ξ - ξ||
-    holds: bool
-
-
-def global_from_generators(
-    G: FinGroup,
-    S: Sequence[int],
-    action: PermAction,
-    point: np.ndarray,
-    kappa_lower: float,
-) -> GlobalInvarianceCheck:
-    """κ · max over all of G of the displacement vs twice the max over S."""
-    xi = np.asarray(point, dtype=float)
-    if xi.shape != (action.points,):
-        raise ValueError("vector dimension does not match the action")
-    def disp(g: int) -> float:
-        return float(np.linalg.norm(xi[np.argsort(action.perms[g].image)] - xi))
-    # π(g)ξ(x) = ξ(g^{-1}x): permute coordinates by the inverse image
-    all_max = max(disp(g) for g in G.elements())
-    s_max = max(disp(int(g)) for g in S)
-    lhs = kappa_lower * all_max
-    rhs = 2.0 * s_max
-    return GlobalInvarianceCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9))

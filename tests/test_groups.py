@@ -1,4 +1,4 @@
-"""Group engine: enumeration, closure, homs, actions, cosets, census."""
+"""Group engine: enumeration, closure, homs, actions, cosets, subgroup keys."""
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from permstab.groups import (
     hom_from_generator_images,
     left_coset_reps,
     left_regular,
-    orbit_type_census,
     product_with_free_z,
     right_regular,
     sl2_mod,
@@ -108,6 +107,8 @@ def test_hom_from_generator_images():
     h = hom_from_generator_images(G, H, [1])  # 1 mod 6 -> 1 mod 3
     assert h(4) == 1 and h.surjective
     h.verify()
+    with pytest.raises(TypeError):  # surjectivity is computed, never passed in
+        GroupHom(G, H, h.image, surjective=True)
     with pytest.raises(NotAHomomorphismError):
         hom_from_generator_images(cyclic(4), cyclic(3), [1])
     z4 = TableGroup(_z4_table(), generators=[0, 1])  # the identity is a generator
@@ -132,6 +133,19 @@ def test_hom_from_generator_images_two_generators():
 def _z4_table():
     idx = np.arange(4)
     return (idx[:, None] + idx[None, :]) % 4
+
+
+def test_table_group_identity_and_inverses():
+    z4 = TableGroup(_z4_table(), generators=[1])
+    assert z4.identity_index == 0 and z4.inv_many(np.arange(4)).tolist() == [0, 3, 2, 1]
+    assert TableGroup(np.zeros((2, 2)) + np.arange(2), generators=[]).identity_index == 0  # first match
+    with pytest.raises(ValueError, match="no identity element"):
+        TableGroup(np.zeros((4, 4)), generators=[])
+    for row, col, value in ((2, 3, 0), (1, 3, 1)):  # row 2 hits the identity twice, row 1 never
+        bad = _z4_table()
+        bad[row, col] = value
+        with pytest.raises(ValueError, match="no unique inverse"):
+            TableGroup(bad, generators=[1])
 
 
 def test_hom_verify_catches_one_corrupted_element():
@@ -258,17 +272,6 @@ def test_canonical_subgroup_key():
     assert len(keys) == 1
 
 
-def test_orbit_type_census():
-    G = cyclic(2)
-    # two fixed points + one 2-orbit
-    p = swap(4, 2, 3)
-    act = PermAction(G, [Perm(np.arange(4)), p])
-    census = orbit_type_census(act)
-    trivial = (0, 1)  # full stabilizer
-    free = (0,)
-    assert census[trivial] == 2 and census[free] == 1
-
-
 @settings(max_examples=20)
 @given(st.integers(2, 10), st.integers(0, 100))
 def test_cyclic_group_laws(n, seed):
@@ -277,11 +280,3 @@ def test_cyclic_group_laws(n, seed):
     a, b, c = rng.integers(0, n, 3)
     assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
     assert G.mul(a, G.inv(a)) == G.identity_index
-
-
-def test_to_json_table_cap():
-    G = cyclic(5)
-    data = G.to_json()
-    assert data["mul_rows"][2][4] == 1
-    big = sl2_mod(19)  # order 6840 > table cap
-    assert "mul_rows" not in big.to_json()

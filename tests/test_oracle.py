@@ -9,10 +9,7 @@ import pytest
 
 from permstab.errors import CapacityError
 from permstab.groups import MarkedGroup, MarkedMap
-from permstab.oracle import (
-    nearest_homomorphism_bruteforce,
-    stability_defect_table,
-)
+from permstab.oracle import nearest_homomorphism_bruteforce
 from permstab.perms import Perm, from_cycles, identity, swap
 
 
@@ -103,17 +100,3 @@ def test_local_search_deterministic():
     r1 = nearest_homomorphism_bruteforce(z2, m, exhaustive_cap=100, seed=7)
     r2 = nearest_homomorphism_bruteforce(z2, m, exhaustive_cap=100, seed=7)
     assert r1.best_hom.images == r2.best_hom.images
-
-
-def test_stability_defect_table():
-    z2 = MarkedGroup.free_abelian(2)
-    family = [
-        MarkedMap(z2, [identity(3), identity(3)]),
-        MarkedMap(z2, [from_cycles(3, [(0, 1, 2)]), swap(3, 0, 1)]),
-    ]
-    rows = stability_defect_table(z2, family)
-    assert rows[0]["max_relator_defect"] == 0
-    assert rows[0]["nearest_hom_distance"] == 0
-    assert rows[1]["max_relator_defect"] > 0
-    assert rows[1]["nearest_hom_distance"] > 0
-    assert all(r["exhaustive"] for r in rows)

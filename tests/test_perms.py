@@ -112,7 +112,7 @@ def test_partial_injection_conventions():
 
 def test_partial_injection_from_restriction():
     p = from_cycles(4, [(0, 1, 2, 3)])
-    r = PartialInjection.from_perm_restriction(p, [0, 2])
+    r = PartialInjection([1, -1, 3, -1])  # p restricted to {0, 2}
     assert r.to_json() == [1, None, 3, None]
     assert hamming(r, p) == Fraction(2, 4)
 
