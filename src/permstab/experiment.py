@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ConfigError, PermstabError
 from .families import DEFAULT_WINDOW, flagship_family

@@ -31,7 +31,7 @@ from .groups import (
     product_with_free_z,
     sl2_mod,
 )
-from .perms import Perm, compose, hamming, identity
+from .perms import Perm, compose, hamming, identity, inverse
 
 HomLike = Union[GroupHom, MarkedHom]
 
@@ -257,8 +257,12 @@ def relator_defects(m: MarkedMap) -> Dict[Tuple[int, ...], Fraction]:
 def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     """Exact defect of [θ, right-translation by h] for every h in q(Λ).
 
-    Computed twice — by direct composition and by the closed-form count over
-    the displaced parts of A and A ∪ gA — and the two must agree exactly.
+    The right translations R_h: x ↦ x·h are built along a BFS of q(Λ) over
+    q's generator images and their inverses, one gather each:
+    R_{h·s} = R_s[R_h].  Each defect is computed twice — by direct
+    composition with ρ = R_h⁻¹ and by the closed-form count over the
+    displaced parts of A and A ∪ gA, read off as R_h[A] and R_h[U] — and the
+    two must agree exactly.
     """
     X = fam.base.X
     theta = fam.t_image
@@ -271,16 +275,14 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     u_mask = np.zeros(X.order, dtype=bool)
     u_mask[u_arr] = True
     g_is_involution = X.mul(g, g) == X.identity_index
-    curve: Dict[int, Fraction] = {}
-    for h in fam.base.lambda_image():
-        rho = fam.base.right_translation(h)
+
+    def defect(h: int, right_h: np.ndarray) -> Fraction:
+        rho = inverse(Perm(right_h, _checked=True))  # x ↦ x·h⁻¹
         direct = hamming(compose(theta, rho), compose(rho, theta))
-        ah = X.mul_many(a_arr, np.int64(h))
-        uh = X.mul_many(u_arr, np.int64(h))
         ah_mask = np.zeros(X.order, dtype=bool)
-        ah_mask[ah] = True
+        ah_mask[right_h[a_arr]] = True
         uh_mask = np.zeros(X.order, dtype=bool)
-        uh_mask[uh] = True
+        uh_mask[right_h[u_arr]] = True
         u_loss = int((u_mask & ~uh_mask).sum())  # |U ∖ Uh|, U = A ∪ gA
         if g_is_involution:
             closed = Fraction(2 * u_loss, X.order)
@@ -288,8 +290,21 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
             a_loss = int((a_mask & ~ah_mask).sum())  # |A ∖ Ah|
             closed = Fraction(2 * a_loss + u_loss, X.order)
         assert closed == direct, f"closed-form defect disagrees at h={h}"
-        curve[int(h)] = direct
-    return curve
+        return direct
+
+    idx = np.arange(X.order)
+    gens = fam.base.q.gen_images
+    letters = np.asarray(gens + [X.inv(s) for s in gens], dtype=np.int64)
+    steps = [X.mul_many(idx, s) for s in letters]  # R_s for each letter s
+    level = {X.identity_index: idx}  # R_h for the h of the current BFS level
+    curve = {X.identity_index: defect(X.identity_index, idx)}
+    for new, parent, letter in X._spread(letters):
+        level = {
+            h: steps[k][level[p]]
+            for h, p, k in zip(new.tolist(), parent.tolist(), letter.tolist())
+        }
+        curve.update((h, defect(h, right_h)) for h, right_h in level.items())
+    return {int(h): curve[h] for h in fam.base.lambda_image()}
 
 
 def defect_report(m: MarkedMap, fam: Optional[SwapFamily] = None) -> DefectReport:

@@ -6,10 +6,18 @@ table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
 vectorized arithmetic; `PermGroup` composes its stored permutation rows one
 pair at a time.  Closures and the generator-image builders share one BFS,
 `FinGroup._spread`.
+
+`SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
+or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
+longer fits int16.  Its kernel multiplies and reduces mod n in that width,
+then looks the product up by the key ((a·n + b)·n + c)·n + d in an int32
+table of n⁴ entries (13.7 MB at n = 43).  The same key serves every
+modulus; index arrays come back as int64.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -241,12 +249,17 @@ class DirectProductGroup(FinGroup):
         return self.left.inv_many(a // m) * m + self.right.inv_many(a % m)
 
 
+_SL2_LABEL = "[[{},{}],[{},{}]]"
+
+
 class SL2Group(FinGroup):
     """SL2(Z/nZ), elements enumerated in lexicographic (a,b,c,d) order."""
 
     def __init__(self, n: int, order_cap: int = 200_000):
         if n < 2:
             raise ValueError("modulus must be >= 2")
+        if n**4 > np.iinfo(np.int32).max:
+            raise CapacityError(f"modulus {n} overflows the int32 lookup key")
         self.modulus = n
         rows = []
         bc = np.stack(
@@ -265,19 +278,24 @@ class SL2Group(FinGroup):
             if sum(len(r) for r in rows) > order_cap:
                 raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {order_cap}")
         elems = np.concatenate(rows)
-        self.elems = elems
         self.order = int(elems.shape[0])
+        width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
+        self.entries = np.ascontiguousarray(elems.T, dtype=width)  # rows a, b, c, d
         keys = ((elems[:, 0] * n + elems[:, 1]) * n + elems[:, 2]) * n + elems[:, 3]
-        lut = np.full(n**4, -1, dtype=np.int64)
+        lut = np.full(n**4, -1, dtype=np.int32)
         lut[keys] = np.arange(self.order)
         self._lut = lut
         self.identity_index = self.index_of(1, 0, 0, 1)
         self.generators = [self.index_of(1, 1, 0, 1), self.index_of(1, 0, 1, 1)]
-        self.labels = [
-            f"[[{r[0]},{r[1]}],[{r[2]},{r[3]}]]" for r in elems.tolist()
-        ]
         self.name = f"sl2({n})"
         self._abelian = False
+
+    def label(self, g: int) -> str:
+        return _SL2_LABEL.format(*self.entries[:, g].tolist())
+
+    @functools.cached_property
+    def labels(self) -> List[str]:
+        return [_SL2_LABEL.format(*r) for r in self.entries.T.tolist()]
 
     def index_of(self, a: int, b: int, c: int, d: int) -> int:
         n = self.modulus
@@ -288,23 +306,29 @@ class SL2Group(FinGroup):
         assert idx >= 0
         return idx
 
+    def _lookup(self, entries) -> np.ndarray:
+        """int64 indices of the matrices whose reduced a, b, c, d `entries` yields."""
+        n = self.modulus
+        entries = iter(entries)
+        key = next(entries).astype(np.int32)
+        for e in entries:
+            key *= n
+            key += e
+        return self._lut[key].astype(np.int64)
+
     def mul_many(self, a, b) -> np.ndarray:
         n = self.modulus
-        A = self.elems[np.asarray(a)]
-        B = self.elems[np.asarray(b)]
-        a11 = (A[..., 0] * B[..., 0] + A[..., 1] * B[..., 2]) % n
-        a12 = (A[..., 0] * B[..., 1] + A[..., 1] * B[..., 3]) % n
-        a21 = (A[..., 2] * B[..., 0] + A[..., 3] * B[..., 2]) % n
-        a22 = (A[..., 2] * B[..., 1] + A[..., 3] * B[..., 3]) % n
-        return self._lut[((a11 * n + a12) * n + a21) * n + a22]
+        A = self.entries[:, np.asarray(a)]
+        B = self.entries[:, np.asarray(b)]
+        return self._lookup(  # row i/2 of A times column j of B, for a, b, c, d
+            (A[i] * B[j] + A[i + 1] * B[j + 2]) % n for i in (0, 2) for j in (0, 1)
+        )
 
     def inv_many(self, a) -> np.ndarray:
         n = self.modulus
-        A = self.elems[np.asarray(a)]
+        A = self.entries[:, np.asarray(a)]
         # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
-        a11, a12 = A[..., 3] % n, (-A[..., 1]) % n
-        a21, a22 = (-A[..., 2]) % n, A[..., 0] % n
-        return self._lut[((a11 * n + a12) * n + a21) * n + a22]
+        return self._lookup((A[3], (n - A[1]) % n, (n - A[2]) % n, A[0]))
 
 
 class PermGroup(FinGroup):
@@ -661,17 +685,34 @@ def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAc
 
 
 def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
-    """Smallest-index representative of each left coset gH."""
+    """Smallest-index representative of each left coset gH.
+
+    Min-label propagation: every x starts labelled by its own index and takes
+    the smaller label of x·s, for each s of a generating set of H, until
+    nothing changes.  x·s stays in xH and the generators connect each coset,
+    so the fixed point labels every x with the smallest index of xH.  That
+    is one |G|-product pass per generator instead of one per element of H.
+    """
     members = sorted(set(int(h) for h in H))
     if not G.is_subgroup(members):
         raise NotASubgroupError("H is not a subgroup")
+    gens: List[int] = []
+    spanned = np.zeros(G.order, dtype=bool)
+    spanned[G.identity_index] = True
+    for h in members:  # each new generator at least doubles the span
+        if not spanned[h]:
+            gens.append(h)
+            spanned[G.closure(gens)] = True
     idx = np.arange(G.order)
-    m = None
-    for h in members:
-        col = G.mul_many(idx, np.int64(h))
-        m = col if m is None else np.minimum(m, col)
-    reps = np.unique(m)
-    return [int(r) for r in reps]
+    steps = [G.mul_many(idx, np.int64(s)) for s in gens]  # x ↦ x·s
+    label = idx
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
+        if np.array_equal(new, label):
+            return [int(r) for r in np.unique(label)]
+        label = new
 
 
 # ---------------------------------------------------------------------------

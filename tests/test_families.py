@@ -27,7 +27,7 @@ from permstab.groups import (
     product_with_free_z,
     sl2_mod,
 )
-from permstab.perms import Perm, compose, from_cycles, hamming, identity
+from permstab.perms import compose, from_cycles, hamming, identity
 
 
 def _sl2_base(p, gamma_gens=((1, 2, 0, 1), (1, 0, 2, 1)), lam_gen=(1, 2, 0, 1)):
@@ -148,6 +148,19 @@ def test_flagship_pinned(p, g, a_size, b_size, max_defect):
     fam = inst.family
     assert (fam.g, len(fam.A), len(fam.B)) == (g, a_size, b_size)
     assert inst.report.max_commutator_defect == max_defect
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_commutator_curve_matches_direct(p):
+    inst = flagship_family(p)
+    base, theta = inst.family.base, inst.family.t_image
+    direct = {}
+    for h in base.lambda_image():
+        rho = base.right_translation(h)
+        direct[h] = hamming(compose(theta, rho), compose(rho, theta))
+    assert len(direct) == p
+    assert inst.report.commutator_curve == direct
+    assert list(inst.report.commutator_curve) == base.lambda_image()
 
 
 def test_family_relator_defects():

@@ -1,5 +1,7 @@
 """Group engine: enumeration, closure, homs, actions, cosets, subgroup keys."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,34 @@ def test_sl2_canonical_f2_images_generate():
 def test_sl2_cap():
     with pytest.raises(CapacityError):
         sl2_mod(97, order_cap=1000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 12, 13])
+def test_sl2_kernel_matches_matrix_product(n):
+    X = sl2_mod(n)
+    mats = np.array(
+        [m for m in itertools.product(range(n), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % n == 1],
+        dtype=np.int64,
+    ).reshape(-1, 2, 2)
+    assert len(mats) == X.order
+
+    def index(m):
+        return X.index_of(*(int(v) for v in m.ravel()))
+
+    assert [index(m) for m in mats] == list(X.elements())  # lexicographic order
+    rng = np.random.default_rng(n)
+    xs = rng.integers(0, X.order, 40)
+    ys = rng.integers(0, X.order, 30)
+    expected = np.array([[index(mats[x] @ mats[y] % n) for y in ys] for x in xs])
+    for got, want in [
+        (X.mul_many(xs[:, None], ys[None, :]), expected),
+        (X.mul_many(np.int64(xs[0]), ys), expected[0]),
+        (X.mul_many(xs, np.int64(ys[0])), expected[:, 0]),
+        (X.inv_many(xs), [index(np.array([[d, -b], [-c, a]]) % n) for (a, b), (c, d) in mats[xs]]),
+    ]:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert X.mul(int(xs[0]), int(ys[0])) == expected[0, 0]
 
 
 def test_direct_product():
@@ -236,6 +266,11 @@ def test_action_from_generator_images():
         action_from_generator_images(G, {0: swap(4, 0, 1), 1: from_cycles(4, [(0, 1, 2, 3)])})
 
 
+def _brute_force_reps(G, H):
+    """The smallest index of every x·H, by one product per (x, h)."""
+    return sorted({min(G.mul(x, h) for h in H) for x in G.elements()})
+
+
 def test_left_coset_reps():
     X = sl2_mod(7)
     q = MarkedHom(MarkedGroup.free_abelian(1), X, [X.index_of(1, 2, 0, 1)])
@@ -244,6 +279,7 @@ def test_left_coset_reps():
     reps = left_coset_reps(X, H)
     assert len(reps) == X.order // 7 == 48
     # reps are smallest-index and cover everything
+    assert reps == _brute_force_reps(X, H)
     cover = set()
     for r in reps:
         for h in H:
@@ -251,6 +287,31 @@ def test_left_coset_reps():
     assert len(cover) == X.order
     with pytest.raises(NotASubgroupError):
         left_coset_reps(X, [1, 2, 3])
+
+
+Z4_Z6 = direct_product(cyclic(4), cyclic(6))
+SL2_4 = sl2_mod(4)
+SL2_5 = sl2_mod(5)
+
+
+@pytest.mark.parametrize(
+    "G, H",
+    [
+        (Z4_Z6, [0, 3, 12, 15]),  # <(2,0), (0,3)>: not cyclic, index 6
+        # <[[1,1],[0,1]], -I>: Z/4 x Z/2 in a non-abelian group
+        (SL2_4, SL2_4.closure([SL2_4.index_of(1, 1, 0, 1), SL2_4.index_of(3, 0, 0, 3)])),
+        (SL2_5, [SL2_5.identity_index]),  # H = {e}
+        (SL2_5, list(SL2_5.elements())),  # H = G
+    ],
+)
+def test_left_coset_reps_smallest_index(G, H):
+    reps = left_coset_reps(G, H)
+    assert reps == _brute_force_reps(G, H)
+    assert len(reps) * len(set(H)) == G.order
+    if len(H) == 1:
+        assert reps == list(G.elements())
+    if len(H) == G.order:
+        assert reps == [0]
 
 
 def test_lagrange_property():

@@ -23,7 +23,6 @@ from permstab.perms import (
     from_cycles,
     hamming,
     identity,
-    inverse,
     random_perm,
     swap,
 )
