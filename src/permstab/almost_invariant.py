@@ -77,23 +77,16 @@ def round_to_invariant(y_size: int, X: Sequence[int], H: Sequence[Perm]) -> Tupl
     subgroup = group_from_perm_generators(list(H)) if H else None
     if subgroup is None or subgroup.order == 1:
         return set(int(v) for v in np.nonzero(x_mask)[0]), 0
-    counts = np.zeros(y_size, dtype=np.int64)
-    max_move = 0
-    x_idx = np.nonzero(x_mask)[0]
-    for i in range(subgroup.order):
-        row = subgroup.rows[i]
-        h_mask = np.zeros(y_size, dtype=bool)
-        h_mask[row[x_idx]] = True
-        counts += h_mask
-        max_move = max(max_move, int((h_mask ^ x_mask).sum()))
+    hx = subgroup.rows[:, np.flatnonzero(x_mask)]  # row h: hX
+    counts = np.bincount(hx.ravel(), minlength=y_size)  # |{h : y ∈ hX}|
+    max_move = 2 * int((~x_mask[hx]).sum(axis=1).max())  # |X △ hX| = 2|hX ∖ X|
     x0_mask = 2 * counts >= subgroup.order  # f(y) >= 1/2
-    x0 = set(int(v) for v in np.nonzero(x0_mask)[0])
     sym_diff = int((x0_mask ^ x_mask).sum())
     assert sym_diff <= 2 * max_move, "invariant rounding bound violated"
-    # exact invariance under every generator
-    for p in H:
-        assert x0 == {int(p(v)) for v in x0}, "rounded set is not invariant"
-    return x0, max_move
+    # exact invariance under every generator: p(X0) ⊆ X0, so p(X0) = X0
+    gens = np.stack([p.image for p in H])
+    assert x0_mask[gens[:, x0_mask]].all(), "rounded set is not invariant"
+    return set(np.flatnonzero(x0_mask).tolist()), max_move
 
 
 def shrink_step(G: FinGroup, D: Sequence[int]) -> Tuple[int, List[int]]:

@@ -3,9 +3,11 @@
 Elements of a group of order N are the indices 0..N-1, and index arrays are
 the only currency.  `TableGroup` looks products up in a flat multiplication
 table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
-vectorized arithmetic; `PermGroup` composes its stored permutation rows one
-pair at a time.  Closures and the generator-image builders share one BFS,
-`FinGroup._spread`.
+vectorized arithmetic; `PermGroup` composes its stored permutation rows
+in chunks and finds each product by one `searchsorted` over the rows' sorted
+byte keys.  Closures and the generator-image builders share one BFS,
+`FinGroup._spread`.  An action is one (|G|, n) array of image rows, and
+orbits and coset representatives share one min-label propagation.
 
 `SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
 or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
@@ -34,6 +36,7 @@ from .perms import Perm, compose, identity, inverse
 PRODUCT_ORDER_CAP = 10_000_000
 PERM_CLOSURE_CAP = 100_000
 CONJUGACY_CAP = 4096  # largest group whose subgroups are compared up to conjugacy
+_CHUNK_ENTRIES = 1 << 14  # bounds the permutation-row temporaries of PermGroup and its closure
 
 
 class FinGroup:
@@ -139,11 +142,22 @@ class FinGroup:
         closed = set(seed) | {self.inv(g) for g in seed}
         return len(self.closure(list(closed))) == self.order
 
-    def is_subgroup(self, members: Sequence[int]) -> bool:
-        h = np.unique(np.asarray(list(members), dtype=np.int64))
-        if self.identity_index not in h or not np.isin(self.inv_many(h), h).all():
-            return False
-        return bool(np.isin(self.mul_many(h[:, None], h[None, :]), h).all())
+    def greedy_generators(self, members: Sequence[int]) -> Tuple[List[int], np.ndarray]:
+        """Generators picked from `members` in order, each outside the span so far.
+
+        Returns (gens, spanned), spanned the mask of the subgroup they
+        generate.  Each new generator at least doubles the span, so there are
+        at most log2 of its order.  `members` is a subgroup exactly when
+        spanned.sum() equals its size, every member being in the span.
+        """
+        gens: List[int] = []
+        spanned = np.zeros(self.order, dtype=bool)
+        spanned[self.identity_index] = True
+        for h in members:
+            if not spanned[h]:
+                gens.append(int(h))
+                spanned[self.closure(gens)] = True
+        return gens, spanned
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, order={self.order})"
@@ -218,16 +232,12 @@ class DirectProductGroup(FinGroup):
         self.generators = [g * b.order + b.identity_index for g in a.generators] + [
             a.identity_index * b.order + h for h in b.generators
         ]
-        if a.labels is not None or b.labels is not None:
-            self.labels = [
-                f"({a.label(i)},{b.label(j)})"
-                for i in range(a.order)
-                for j in range(b.order)
-            ]
-        else:
-            self.labels = None
         self.name = f"{a.name}x{b.name}"
         self._abelian = a.is_abelian and b.is_abelian
+
+    def label(self, g: int) -> str:
+        i, j = self.decode(g)
+        return f"({self.left.label(i)},{self.right.label(j)})"
 
     def encode(self, i: int, j: int) -> int:
         return i * self.right.order + j
@@ -331,8 +341,19 @@ class SL2Group(FinGroup):
         return self._lookup((A[3], (n - A[1]) % n, (n - A[2]) % n, A[0]))
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte key per int64 row: equal keys exactly when the rows are equal."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view((np.void, 8 * rows.shape[1])).ravel()
+
+
 class PermGroup(FinGroup):
-    """Group of permutations of m points, elements stored by image rows."""
+    """Group of permutations of m points, elements stored by image rows.
+
+    `rows` must be closed under composition.  An element is found from its
+    row by one `searchsorted` over the sorted byte keys of `rows`; products
+    and inverses are composed in chunks of about 2¹⁴ row entries.
+    """
 
     def __init__(
         self,
@@ -340,44 +361,43 @@ class PermGroup(FinGroup):
         generators: Sequence[int],
         name: str = "perm-group",
     ):
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
         self.rows = rows
-        self.order = int(rows.shape[0])
-        self.points = int(rows.shape[1])
-        self._index: Dict[bytes, int] = {
-            rows[i].tobytes(): i for i in range(self.order)
-        }
+        self.order, self.points = (int(d) for d in rows.shape)
+        keys = _row_keys(rows)
+        self._by_key = np.argsort(keys)
+        self._keys = keys[self._by_key]
         ident = np.arange(self.points, dtype=np.int64)
-        self.identity_index = self._index[ident.tobytes()]
+        self.identity_index = int(self._find(ident[None, :])[0])
+        if not np.array_equal(rows[self.identity_index], ident):
+            raise ValueError("rows do not contain the identity")
         self.generators = [int(g) for g in generators]
         self.labels = None
         self.name = name
 
-    def mul(self, a: int, b: int) -> int:
-        return self._index[self.rows[a][self.rows[b]].tobytes()]
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the elements whose image rows are `rows`."""
+        pos = np.searchsorted(self._keys, _row_keys(rows))
+        return self._by_key[np.minimum(pos, self.order - 1)]
 
-    def inv(self, a: int) -> int:
-        inv = np.empty(self.points, dtype=np.int64)
-        inv[self.rows[a]] = np.arange(self.points)
-        return self._index[inv.tobytes()]
+    def _map_rows(self, fn, *elems) -> np.ndarray:
+        """The elements with rows fn(rows of elems...), broadcast over elems."""
+        elems = np.broadcast_arrays(*(np.asarray(e, dtype=np.int64) for e in elems))
+        flat = [e.ravel() for e in elems]
+        out = np.empty(flat[0].size, dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // self.points)
+        for start in range(0, out.size, step):
+            chunk = slice(start, start + step)
+            out[chunk] = self._find(fn(*(self.rows[f[chunk]] for f in flat)))
+        return out.reshape(elems[0].shape)
+
+    mul = FinGroup.mul  # bound on this class too: the benchmark tracer counts PermGroup.mul
 
     def mul_many(self, a, b) -> np.ndarray:
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.int64))
-        a, b = np.broadcast_arrays(a, b)
-        out = np.empty(a.shape, dtype=np.int64)
-        flat_a, flat_b, flat_o = a.ravel(), b.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = self.mul(int(flat_a[i]), int(flat_b[i]))
-        return out
+        return self._map_rows(lambda ra, rb: np.take_along_axis(ra, rb, axis=1), a, b)
 
     def inv_many(self, a) -> np.ndarray:
-        a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-        out = np.empty(a.shape, dtype=np.int64)
-        flat_a, flat_o = a.ravel(), out.ravel()
-        for i in range(flat_a.size):
-            flat_o[i] = self.inv(int(flat_a[i]))
-        return out
+        return self._map_rows(lambda ra: np.argsort(ra, axis=1), a)
 
 
 def cyclic(n: int) -> CyclicGroup:
@@ -395,35 +415,45 @@ def sl2_mod(n: int, order_cap: int = 200_000) -> SL2Group:
 
 
 def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP) -> PermGroup:
-    """BFS closure of permutation generators; identity has index 0."""
+    """BFS closure of permutation generators; identity has index 0.
+
+    Elements are numbered level by level, within a level by parent in
+    frontier order, then by generator; a row reached twice keeps its first
+    product.  Products are formed in chunks of about 2¹⁴ row entries and
+    looked up by one `searchsorted` among the rows of earlier levels; one
+    `np.unique` of byte keys per level drops the repeats within it.
+    """
     if not gens:
         raise ValueError("need at least one generator")
     m = gens[0].n
     for g in gens:
         if g.n != m:
             raise ValueError("generators act on different point counts")
-    ident = np.arange(m, dtype=np.int64)
-    rows = [ident]
-    index = {ident.tobytes(): 0}
-    gen_rows = [np.asarray(g.image, dtype=np.int64) for g in gens]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ei in frontier:
-            e = rows[ei]
-            for gr in gen_rows:
-                f = e[gr]  # e∘g
-                key = f.tobytes()
-                if key not in index:
-                    if len(rows) >= cap:
-                        raise CapacityError(f"perm closure exceeds cap {cap}")
-                    index[key] = len(rows)
-                    rows.append(f)
-                    nxt.append(index[key])
-        frontier = nxt
-    rows_arr = np.stack(rows)
-    gen_indices = [index[gr.tobytes()] for gr in gen_rows]
-    return PermGroup(rows_arr, gen_indices, name=f"perm-closure({len(gens)} gens)")
+    gen_rows = np.stack([g.image for g in gens])
+    frontier = np.arange(m, dtype=np.int64)[None, :]
+    levels = [frontier]
+    known = frontier  # the rows of every level so far, sorted by byte key
+    size = 1
+    step = max(1, _CHUNK_ENTRIES // (m * len(gens)))
+    while frontier.size:
+        fresh = []
+        for start in range(0, len(frontier), step):
+            prods = frontier[start : start + step, gen_rows].reshape(-1, m)  # e∘g, e-major
+            at = np.searchsorted(_row_keys(known), _row_keys(prods))
+            seen = (known[np.minimum(at, len(known) - 1)] == prods).all(axis=1)
+            fresh.append(prods[~seen])
+        fresh = np.concatenate(fresh)
+        _, first = np.unique(_row_keys(fresh), return_index=True)
+        frontier = fresh[np.sort(first)]
+        size += len(frontier)
+        if size > cap:
+            raise CapacityError(f"perm closure exceeds cap {cap}")
+        levels.append(frontier)
+        known = np.concatenate([known, frontier])
+        known = known[np.argsort(_row_keys(known))]
+    group = PermGroup(np.concatenate(levels), [], name=f"perm-closure({len(gens)} gens)")
+    group.generators = group._find(gen_rows).tolist()
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -617,32 +647,36 @@ def hom_from_generator_images(src, tgt: FinGroup, images: Sequence[int]):
     return hom
 
 
-@dataclass
+@dataclass(eq=False)
 class PermAction:
-    """An action of a FinGroup given by one Perm per element index."""
+    """An action of a FinGroup: row g of `rows` is the image array of α(g)."""
 
     group: FinGroup
-    perms: List[Perm]
+    rows: np.ndarray
 
     def __post_init__(self):
-        if len(self.perms) != self.group.order:
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        if self.rows.ndim != 2 or self.rows.shape[0] != self.group.order:
             raise NotAnActionError("need one permutation per group element")
-        self.points = self.perms[0].n
-        for p in self.perms:
-            if p.n != self.points:
-                raise NotAnActionError("permutations act on different point counts")
+        self.points = int(self.rows.shape[1])
+        if not (np.sort(self.rows, axis=1) == np.arange(self.points)).all():
+            raise NotAnActionError("a row is not a permutation of the points")
+
+    @property
+    def perms(self) -> List[Perm]:
+        """One read-only Perm view per row."""
+        return [Perm(r, _checked=True) for r in self.rows]
 
     def verify(self):
         """Check α(e) = id and α(x·s) = α(x)∘α(s) for every x and generator s.
 
         Exact for the same reason as GroupHom.verify.
         """
-        G = self.group
+        G, rows = self.group, self.rows
         if not G.generates(G.generators):
             raise NotAnActionError("generator images do not span the group")
-        if not self.perms[G.identity_index].is_identity():
+        if not np.array_equal(rows[G.identity_index], np.arange(self.points)):
             raise NotAnActionError("identity element does not act trivially")
-        rows = np.stack([p.image for p in self.perms])
         xs = np.arange(G.order)
         for s in G.generators:
             lhs = rows[G.mul_many(xs, np.int64(s))]
@@ -653,12 +687,14 @@ class PermAction:
 
 def left_regular(G: FinGroup) -> PermAction:
     """α(g)x = g x on the group itself."""
-    return PermAction(G, [G.left_perm(g) for g in G.elements()])
+    idx = np.arange(G.order)
+    return PermAction(G, G.mul_many(idx[:, None], idx[None, :]))
 
 
 def right_regular(G: FinGroup) -> PermAction:
     """β(g)x = x g^{-1} on the group itself (a genuine left action)."""
-    return PermAction(G, [G.right_perm(G.inv(g)) for g in G.elements()])
+    idx = np.arange(G.order)
+    return PermAction(G, G.mul_many(idx[None, :], G.inv_many(idx)[:, None]))
 
 
 def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAction:
@@ -679,40 +715,47 @@ def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAc
     for g, p in images.items():  # a key reached earlier by another word
         if not np.array_equal(rows[g], p.image):
             raise NotAnActionError(f"declared image of {g} disagrees with the spanned action")
-    action = PermAction(G, [Perm(r, _checked=True) for r in rows])
+    action = PermAction(G, rows)
     action.verify()
     return action
+
+
+def _min_labels(steps: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The smallest point of each point's class under the permutations `steps`.
+
+    Every point starts labelled by itself.  Each round passes the smaller
+    label both ways along every step, then gives each point its label's
+    label (pointer jumping).  A label only ever names a smaller point of the
+    same class, so a round that changes nothing leaves each class labelled
+    by its least point; the jumps let a long cycle settle in a number of
+    rounds logarithmic in its length.
+    """
+    label = np.arange(size)
+    while True:
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])  # x takes the label of step(x)
+            new[step] = np.minimum(new[step], new)  # step(x) takes the label of x
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
     """Smallest-index representative of each left coset gH.
 
-    Min-label propagation: every x starts labelled by its own index and takes
-    the smaller label of x·s, for each s of a generating set of H, until
-    nothing changes.  x·s stays in xH and the generators connect each coset,
-    so the fixed point labels every x with the smallest index of xH.  That
-    is one |G|-product pass per generator instead of one per element of H.
+    The classes of x ↦ x·s, for s in a generating set of H, are the left
+    cosets, so their min-labels are the representatives: a few |G|-product
+    passes per generator instead of one per element of H.
     """
     members = sorted(set(int(h) for h in H))
-    if not G.is_subgroup(members):
+    gens, spanned = G.greedy_generators(members)
+    if int(spanned.sum()) != len(members):
         raise NotASubgroupError("H is not a subgroup")
-    gens: List[int] = []
-    spanned = np.zeros(G.order, dtype=bool)
-    spanned[G.identity_index] = True
-    for h in members:  # each new generator at least doubles the span
-        if not spanned[h]:
-            gens.append(h)
-            spanned[G.closure(gens)] = True
     idx = np.arange(G.order)
-    steps = [G.mul_many(idx, np.int64(s)) for s in gens]  # x ↦ x·s
-    label = idx
-    while True:
-        new = label
-        for step in steps:
-            new = np.minimum(new, new[step])
-        if np.array_equal(new, label):
-            return [int(r) for r in np.unique(label)]
-        label = new
+    label = _min_labels([G.mul_many(idx, np.int64(s)) for s in gens], G.order)
+    return np.unique(label).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -722,35 +765,16 @@ def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
 
 def _orbits(action: PermAction) -> List[List[int]]:
     """Orbits under the generated group, each sorted, ordered by min point."""
-    pts = action.points
-    seen = np.zeros(pts, dtype=bool)
-    gens = [action.perms[g] for g in action.group.generators] or [
-        action.perms[action.group.identity_index]
-    ]
-    gens = gens + [inverse(p) for p in gens]
-    orbits = []
-    for x in range(pts):
-        if seen[x]:
-            continue
-        orbit = [x]
-        seen[x] = True
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for p in gens:
-                z = p(y)
-                if not seen[z]:
-                    seen[z] = True
-                    orbit.append(z)
-                    queue.append(z)
-        orbits.append(sorted(orbit))
-    return orbits
+    gens = [action.rows[g] for g in action.group.generators]
+    label = _min_labels(gens, action.points)
+    points = np.argsort(label, kind="stable")  # by orbit minimum, then by point
+    ends = np.flatnonzero(np.diff(label[points])) + 1
+    return [o.tolist() for o in np.split(points, ends)]
 
 
-def _stabilizer(action: PermAction, point: int) -> Tuple[int, ...]:
-    return tuple(
-        g for g in action.group.elements() if action.perms[g](point) == point
-    )
+def _stabilizer(action: PermAction, point: int) -> np.ndarray:
+    """The elements fixing `point`, in increasing order."""
+    return np.flatnonzero(action.rows[:, point] == point)
 
 
 def canonical_subgroup_key(G: FinGroup, H: Sequence[int]) -> Tuple[int, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .groups import (
     _orbits,
     _stabilizer,
 )
-from .perms import Perm, PartialInjection, UNDEFINED, compose, hamming, inverse
+from .perms import Perm, PartialInjection, UNDEFINED, hamming
 from .spectral import kazhdan_abelian_exact, kazhdan_bracket
 
 
@@ -119,12 +119,13 @@ class ConjugacyResult:
         return int(self.phi.entries[x])
 
 
-def _action_perms(K: FinGroup, action) -> List[Perm]:
+def _action_rows(K: FinGroup, action) -> np.ndarray:
+    """The (|K|, n) image rows of a PermAction of K, or of one Perm per element."""
     if isinstance(action, PermAction):
         if action.group is not K and action.group.order != K.order:
             raise ValueError("action does not belong to the given group")
-        return list(action.perms)
-    return list(action)
+        return action.rows
+    return PermAction(K, np.stack([p.image for p in action])).rows
 
 
 def extract_conjugacy(
@@ -136,21 +137,18 @@ def extract_conjugacy(
     |X∖X1| = |X∖X2| <= 16ε|X|, displacement <= 16ε|X| and exact
     equivariance φ∘α₁(k) = α₂(k)∘φ on X1.
     """
-    p1 = _action_perms(K, alpha1)
-    p2 = _action_perms(K, alpha2)
-    if verify_actions:
-        PermAction(K, p1).verify()
-        PermAction(K, p2).verify()
-    n = p1[0].n
-    if p2[0].n != n:
+    r1 = _action_rows(K, alpha1)
+    r2 = _action_rows(K, alpha2)
+    n = r1.shape[1]
+    if r2.shape[1] != n:
         raise ValueError("actions live on different point counts")
-    eps = max(hamming(p1[k], p2[k]) for k in K.elements())
+    if verify_actions:
+        PermAction(K, r1).verify()
+        PermAction(K, r2).verify()
+    eps = Fraction(int((r1 != r2).sum(axis=1).max()), n)  # max_k d_H(α₁(k), α₂(k))
 
     # counts[x1*n + x2] over the pairs (x1, α₂(k)⁻¹α₁(k)x1) actually hit
-    idx = np.arange(n)
-    keys = np.concatenate(
-        [idx * n + inverse(p2[k]).image[p1[k].image] for k in K.elements()]
-    )
+    keys = np.arange(n) * n + np.take_along_axis(np.argsort(r2, axis=1), r1, axis=1)
     uniq, cnt = np.unique(keys, return_counts=True)
     counts = {
         (int(u) // n, int(u) % n): int(c) for u, c in zip(uniq.tolist(), cnt.tolist())
@@ -158,32 +156,26 @@ def extract_conjugacy(
     match = MatchMatrix(n=n, k_order=K.order, counts=counts)
     match.check_substochastic()
 
-    half = Fraction(1, 2)
-    row_best: Dict[int, int] = {}
-    col_best: Dict[int, int] = {}
-    for (x1, x2), c in counts.items():
-        if Fraction(c, K.order) > half:
-            row_best[x1] = x2
-            col_best[x2] = x1
-    X1 = sorted(x1 for x1, x2 in row_best.items() if x2 in col_best)
+    # weights above 1/2: substochastic, so at most one per row and per column
+    x1_arr, phi_x1 = np.divmod(uniq[2 * cnt > K.order], n)  # x1 increasing
     entries = np.full(n, UNDEFINED, dtype=np.int64)
-    for x1 in X1:
-        entries[x1] = row_best[x1]
+    entries[x1_arr] = phi_x1
     phi = PartialInjection(entries)
-    X2 = sorted(row_best[x1] for x1 in X1)
+    x2_arr = np.sort(phi_x1)
+    X1, X2 = x1_arr.tolist(), x2_arr.tolist()
 
     set_loss = max(n - len(X1), n - len(X2))
-    displacement = sum(1 for x1 in X1 if row_best[x1] != x1)
+    displacement = int((phi_x1 != x1_arr).sum())
     assert Fraction(set_loss) <= 16 * eps * n, "conjugacy set-loss bound violated"
     assert Fraction(displacement) <= 16 * eps * n, "displacement bound violated"
-    x1_arr = np.asarray(X1, dtype=np.int64)
-    x2_arr = np.asarray(X2, dtype=np.int64)
-    for k in K.elements():  # exact equivariance on X1, invariance of X2
-        kx1 = p1[k].image[x1_arr]
-        assert np.isin(kx1, x1_arr).all()
-        assert np.array_equal(entries[kx1], p2[k].image[entries[x1_arr]])
-        assert np.isin(p2[k].image[x2_arr], x2_arr).all()
-    if eps < Fraction(1, 16) and len(_orbits(PermAction(K, p1))) == 1:
+    # exact equivariance on X1 and invariance of X2, for every k at once
+    kx1 = r1[:, x1_arr]
+    assert (entries[kx1] != UNDEFINED).all()  # φ is defined exactly on X1
+    assert np.array_equal(entries[kx1], r2[:, phi_x1])
+    in_x2 = np.zeros(n, dtype=bool)
+    in_x2[x2_arr] = True
+    assert in_x2[r2[:, x2_arr]].all()
+    if eps < Fraction(1, 16) and len(_orbits(PermAction(K, r1))) == 1:
         assert len(X1) == n, "transitive small-defect actions must fully match"
     return ConjugacyResult(
         X1=X1,
@@ -196,24 +188,19 @@ def extract_conjugacy(
     )
 
 
-def _orbit_list(action: PermAction, points: Set[int]) -> List[List[int]]:
-    """Orbits of the action that lie inside `points` (which must be invariant)."""
-    return [o for o in _orbits(action) if o[0] in points]
-
-
 def _equivariant_orbit_bijection(
     action: PermAction, o1: List[int], o2: List[int]
-) -> Dict[int, int]:
+) -> np.ndarray:
     """Deterministic G-equivariant bijection between two same-type orbits.
 
     Anchored at the smallest points a1, a2: conjugate the stabilizers by the
     smallest c with c·Stab(a1)·c⁻¹ = Stab(a2), then transport along the
-    smallest group element reaching each point.
+    smallest group element reaching each point.  Returns the images of o1.
     """
     G = action.group
     a1, a2 = o1[0], o2[0]
-    h1 = np.asarray(_stabilizer(action, a1), dtype=np.int64)
-    h2 = np.asarray(_stabilizer(action, a2), dtype=np.int64)  # sorted
+    h1 = _stabilizer(action, a1)
+    h2 = _stabilizer(action, a2)  # sorted
     invs = G.inv_many(np.arange(G.order))
     conjugator = None
     for c in G.elements():
@@ -221,16 +208,10 @@ def _equivariant_orbit_bijection(
             conjugator = c
             break
     assert conjugator is not None, "orbit stabilizers are not conjugate"
-    c_inv = int(invs[conjugator])
-    transport: Dict[int, int] = {}
-    for g in G.elements():  # smallest g with α(g)a1 = x wins
-        x = action.perms[g](a1)
-        if x not in transport:
-            transport[x] = g
-    out = {}
-    for x in o1:
-        out[x] = action.perms[G.mul(transport[x], c_inv)](a2)
-    assert sorted(out.values()) == sorted(o2)
+    reached, transport = np.unique(action.rows[:, a1], return_index=True)  # smallest g per point
+    assert np.array_equal(reached, o1)
+    out = action.rows[G.mul_many(transport, invs[conjugator]), a2]
+    assert np.array_equal(np.sort(out), o2)
     return out
 
 
@@ -246,22 +227,20 @@ def commuting_extension(G: FinGroup, action: PermAction, phi: Perm) -> Tuple[Per
     n = action.points
     if phi.n != n:
         raise ValueError("phi must act on the action's points")
-    phi_inv = inverse(phi)
-    conj = [compose(phi_inv, compose(action.perms[g], phi)) for g in G.elements()]
-    res = extract_conjugacy(G, list(action.perms), conj, verify_actions=False)
+    conj = np.argsort(phi.image)[action.rows[:, phi.image]]  # φ⁻¹α(g)φ
+    res = extract_conjugacy(G, action, PermAction(G, conj), verify_actions=False)
     # d_H(α(g), φ⁻¹α(g)φ) = d_H(φα(g), α(g)φ), so this is the commutation defect
     eps = res.epsilon
-    x1 = res.X1
-    x3 = sorted(phi(res.phi_of(x)) for x in x1)  # X3 = φ(X2)
-    tau = {x: phi(res.phi_of(x)) for x in x1}  # τ = φ∘σ
-
+    x1 = np.asarray(res.X1, dtype=np.int64)
     image = np.full(n, -1, dtype=np.int64)
-    for x, y in tau.items():
-        image[x] = y
-    rest1 = set(range(n)) - set(x1)
-    rest3 = set(range(n)) - set(x3)
-    orbs1 = _orbit_list(action, rest1)
-    orbs3 = _orbit_list(action, rest3)
+    image[x1] = phi.image[res.phi.entries[x1]]  # τ = φ∘σ on X1, onto X3 = φ(X2)
+    done1 = np.zeros(n, dtype=bool)
+    done1[x1] = True
+    done3 = np.zeros(n, dtype=bool)
+    done3[image[x1]] = True
+    orbits = _orbits(action)  # X1 and X3 are invariant: an orbit lies in or out
+    orbs1 = [o for o in orbits if not done1[o[0]]]
+    orbs3 = [o for o in orbits if not done3[o[0]]]
 
     def keyed(orbs):
         out = []
@@ -275,13 +254,12 @@ def commuting_extension(G: FinGroup, action: PermAction, phi: Perm) -> Tuple[Per
         "orbit-type censuses of the leftover parts disagree"
     )
     for (key1, _, o1), (_, _, o3) in zip(k1, k3):
-        for x, y in _equivariant_orbit_bijection(action, o1, o3).items():
-            image[x] = y
+        image[o1] = _equivariant_orbit_bijection(action, o1, o3)
     psi = Perm(image)
-    for g in G.generators:  # they generate G: action.verify() checked it
-        assert compose(psi, action.perms[g]) == compose(action.perms[g], psi), (
-            "extension fails to commute with the action"
-        )
+    gens = action.rows[G.generators]  # they generate G: action.verify() checked it
+    assert np.array_equal(psi.image[gens], gens[:, psi.image]), (
+        "extension fails to commute with the action"
+    )
     dist = hamming(phi, psi)
     assert dist <= 32 * eps, "commuting-extension distance bound violated"
     return psi, dist
@@ -383,86 +361,75 @@ def rigidity_pipeline(
         )
 
     # K₀ = {k : |X ∩ kX| >= |X|/2}, with closure verified explicitly
-    K0 = [
-        ki
-        for ki in K.elements()
-        if int((K.rows[ki][:n_x] < n_x).sum()) * 2 >= n_x
-    ]
-    k0 = np.asarray(K0, dtype=np.int64)  # increasing, so searchsorted gives positions
+    k0 = np.flatnonzero((K.rows[:, :n_x] < n_x).sum(axis=1) * 2 >= n_x)
+    K0 = k0.tolist()  # increasing, so searchsorted gives positions
     prods = K.mul_many(k0[:, None], k0[None, :])
-    assert np.isin(K.inv_many(k0), k0).all() and np.isin(prods, k0).all(), (
+    in_k0 = np.zeros(K.order, dtype=bool)
+    in_k0[k0] = True
+    assert in_k0[K.inv_many(k0)].all() and in_k0[prods].all(), (
         "K₀ failed to close into a subgroup"
     )
     K0_group = TableGroup(
         np.searchsorted(k0, prods),
-        generators=list(range(len(K0))),
+        generators=[],
         name="K0",
         identity_index=int(np.searchsorted(k0, K.identity_index)),
     )
+    K0_group.generators = K0_group.greedy_generators(K0_group.elements())[0]
+    k0_rows = K.rows[k0]
 
     # δ through right-translation rounding of each completed k̃
     delta_img = np.empty(len(K0), dtype=np.int64)
-    worst_unif = 0
-    for i, ki in enumerate(K0):
-        k_tilde = _complete_to_perm(K.rows[ki], n_x)
-        h, _ = nearest_right_translation(G, S, k_tilde, kappa_lower=kappa_lower)
-        delta_img[i] = h
-        beta_img = G.right_perm(G.inv(h)).image
-        kx = K.rows[ki][:n_x]
-        worst_unif = max(worst_unif, int((kx != beta_img).sum()))
+    for i, row in enumerate(k0_rows):
+        k_tilde = _complete_to_perm(row, n_x)
+        delta_img[i], _ = nearest_right_translation(G, S, k_tilde, kappa_lower=kappa_lower)
     delta = GroupHom(K0_group, G, delta_img)
     delta.verify()  # δ(ks) = δ(k)δ(s) for every k ∈ K₀ and generator s: exact
+    xs = np.arange(n_x)
+    beta = G.mul_many(xs[None, :], G.inv_many(delta_img)[:, None])  # row i: β(δ(k_i))
+    worst_unif = int((k0_rows[:, :n_x] != beta).sum(axis=1).max())
 
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
-    k0_perms_y = [Perm(K.rows[ki], _checked=True) for ki in K0]
-    X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_perms_y)
+    k0_gens = [Perm(k0_rows[g], _checked=True) for g in K0_group.generators]
+    X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_gens)
     # Z is sorted and holds 0..|X|−1 first, so position z ↦ z on X
     Z = sorted(X0 | set(range(n_x)))
     nz = len(Z)
     z_arr = np.asarray(Z, dtype=np.int64)
     in_x0 = np.asarray([z in X0 for z in Z])
-    xs = np.arange(n_x)
-    h_invs = G.inv_many(delta_img)
 
-    alpha1, alpha2 = [], []
-    for i, ki in enumerate(K0):
-        a1 = np.arange(nz, dtype=np.int64)
-        a1[in_x0] = np.searchsorted(z_arr, K.rows[ki][z_arr[in_x0]])  # X₀ is K₀-invariant
-        alpha1.append(Perm(a1))
-        a2 = np.arange(nz, dtype=np.int64)
-        a2[:n_x] = G.mul_many(xs, h_invs[i])
-        alpha2.append(Perm(a2))
-    conj = extract_conjugacy(K0_group, alpha1, alpha2, verify_actions=True)
+    alpha1 = np.tile(np.arange(nz), (len(K0), 1))
+    alpha1[:, in_x0] = np.searchsorted(z_arr, k0_rows[:, z_arr[in_x0]])  # X₀ is K₀-invariant
+    alpha2 = np.tile(np.arange(nz), (len(K0), 1))
+    alpha2[:, :n_x] = beta
+    conj = extract_conjugacy(
+        K0_group, PermAction(K0_group, alpha1), PermAction(K0_group, alpha2), verify_actions=True
+    )
 
     # X₁ = (Z₁ ∩ X₀) ∩ φ⁻¹(Z₂ ∩ X), X₂ = φ(X₁), both back in Y / X coordinates
-    z2 = set(conj.X2)
-    X1_z = [
-        z
-        for z in conj.X1
-        if in_x0[z] and conj.phi_of(z) in z2 and conj.phi_of(z) < n_x
-    ]
-    X1 = sorted(int(z_arr[z]) for z in X1_z)
-    X2 = sorted(int(z_arr[conj.phi_of(z)]) for z in X1_z)
+    z1 = np.asarray(conj.X1, dtype=np.int64)  # increasing, and φ maps it onto Z₂
+    phi_z1 = conj.phi.entries[z1]
+    keep = in_x0[z1] & (phi_z1 < n_x)
+    x1_arr = z_arr[z1[keep]]  # increasing
+    phi_x1 = phi_z1[keep]  # in X, where position z is point z
+    x2_arr = np.sort(phi_x1)
+    X1, X2 = x1_arr.tolist(), x2_arr.tolist()
     entries = np.full(Y_size, UNDEFINED, dtype=np.int64)
-    for z in X1_z:
-        entries[int(z_arr[z])] = int(z_arr[conj.phi_of(z)])
+    entries[x1_arr] = phi_x1
     phi = PartialInjection(entries)
 
-    # exact invariance and equivariance checks
-    x1_arr = np.asarray(X1, dtype=np.int64)
-    x2_arr = np.asarray(X2, dtype=np.int64)
-    for i, ki in enumerate(K0):
-        kx = K.rows[ki][x1_arr]
-        assert np.isin(kx, x1_arr).all(), "X1 is not K₀-invariant"
-        assert np.array_equal(entries[kx], G.mul_many(entries[x1_arr], h_invs[i])), (
-            "equivariance φ∘k = β(δ(k))∘φ fails on X1"
-        )
-        assert np.isin(G.mul_many(x2_arr, h_invs[i]), x2_arr).all(), (
-            "X2 is not β(δ(K₀))-invariant"
-        )
+    # exact invariance and equivariance checks, for every k ∈ K₀ at once
+    kx = k0_rows[:, x1_arr]
+    assert (entries[kx] != UNDEFINED).all(), "X1 is not K₀-invariant"  # φ is defined on X1 only
+    assert np.array_equal(entries[kx], beta[:, phi_x1]), (
+        "equivariance φ∘k = β(δ(k))∘φ fails on X1"
+    )
+    in_x2 = np.zeros(n_x, dtype=bool)
+    in_x2[x2_arr] = True
+    assert in_x2[beta[:, x2_arr]].all(), "X2 is not β(δ(K₀))-invariant"
 
     set_loss = max(n_x - int((x1_arr < n_x).sum()), n_x - len(X2))
-    displacement = int((entries[x1_arr] != x1_arr).sum())
+    displacement = int((phi_x1 != x1_arr).sum())
     bound1 = 4162 * float(eps) * n_x / kappa_lower**4
     bound2 = 2048 * float(eps) * n_x / kappa_lower**4
     if eps == 0:

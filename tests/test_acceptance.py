@@ -166,7 +166,7 @@ def test_criterion_5_rounding_property_suites():
             assert Fraction(res.displacement) <= 16 * res.epsilon * n
             for k in (1, n - 1):  # equivariance spot check (full check is internal)
                 for x in res.X1:
-                    assert res.phi_of(act.perms[k](x)) == conj[k](res.phi_of(x))
+                    assert res.phi_of(act.rows[k, x]) == conj[k](res.phi_of(x))
 
         # suite C: commuting extension (constant 32, exact commutation)
         for _ in range(200):

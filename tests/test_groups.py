@@ -19,6 +19,8 @@ from permstab.groups import (
     MarkedHom,
     PermAction,
     TableGroup,
+    _orbits,
+    _stabilizer,
     action_from_generator_images,
     canonical_subgroup_key,
     cyclic,
@@ -31,7 +33,7 @@ from permstab.groups import (
     right_regular,
     sl2_mod,
 )
-from permstab.perms import Perm, compose, from_cycles, swap
+from permstab.perms import Perm, compose, from_cycles, identity, inverse, random_perm, swap
 
 
 def test_cyclic_basics():
@@ -109,6 +111,10 @@ def test_direct_product():
     a = G.encode(1, 2)
     b = G.encode(2, 3)
     assert G.decode(G.mul(a, b)) == (0, 1)
+    # labels are formed per element from the factors' labels
+    assert G.labels is None and G.label(a) == "(1,2)"
+    P = direct_product(sl2_mod(2), cyclic(2))
+    assert P.label(P.encode(P.left.identity_index, 1)) == "([[1,0],[0,1]],1)"
 
 
 def test_group_from_perm_generators():
@@ -117,6 +123,65 @@ def test_group_from_perm_generators():
     s3 = group_from_perm_generators([from_cycles(3, [(0, 1, 2)]), swap(3, 0, 1)])
     assert s3.order == 6
     assert s3.identity_index == 0
+
+
+def _closure_reference(gens):
+    """Scalar BFS closure: rows in discovery order (frontier, then generator)."""
+    rows = [np.arange(gens[0].n)]
+    index = {rows[0].tobytes(): 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = rows[e][g.image]
+                if f.tobytes() not in index:
+                    index[f.tobytes()] = len(rows)
+                    nxt.append(len(rows))
+                    rows.append(f)
+        frontier = nxt
+    return np.stack(rows), [index[g.image.tobytes()] for g in gens], index
+
+
+def _perm_group_cases():
+    rng = np.random.default_rng(8)
+    X = sl2_mod(5)
+    five_cycle = from_cycles(5, [(0, 1, 2, 3, 4)])
+    return {
+        "sym3": [from_cycles(3, [(0, 1, 2)]), swap(3, 0, 1)],
+        "sl2_5_regular": [X.left_perm(g) for g in X.generators],
+        "random_7": [random_perm(7, rng), random_perm(7, rng)],
+        "identity_and_repeat": [identity(5), five_cycle, five_cycle],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_perm_group_cases()))
+def test_perm_group_matches_scalar_reference(name):
+    gens = _perm_group_cases()[name]
+    rows, gen_indices, index = _closure_reference(gens)
+    K = group_from_perm_generators(gens)
+    assert K.rows.dtype == np.int64 and np.array_equal(K.rows, rows)
+    assert K.order == len(rows) and K.points == gens[0].n
+    assert K.generators == gen_indices and K.identity_index == 0
+    rng = np.random.default_rng(K.order)
+    a = rng.integers(0, K.order, 70)
+    b = rng.integers(0, K.order, 80)
+    perm = [Perm(r) for r in rows]
+    want = np.array([[index[compose(perm[x], perm[y]).image.tobytes()] for y in b] for x in a])
+    want_inv = np.array([index[inverse(perm[x]).image.tobytes()] for x in a])
+    for got, expected in [
+        (K.mul_many(a[:, None], b[None, :]), want),  # (k,1) x (1,m)
+        (K.mul_many(a, b[:70]), want[np.arange(70), np.arange(70)]),
+        (K.mul_many(np.int64(a[0]), b), want[0]),
+        (K.mul_many(a[:3, None], np.int64(b[0])), want[:3, :1]),
+        (K.mul_many(np.int64(a[1]), np.int64(b[1])), want[1, 1]),
+        (K.inv_many(a), want_inv),
+        (K.inv_many(a.reshape(7, 10)), want_inv.reshape(7, 10)),
+        (K.inv_many(np.int64(a[2])), want_inv[2]),
+    ]:
+        assert got.dtype == np.int64 and got.shape == np.shape(expected)
+        assert np.array_equal(got, expected)
+    assert K.mul(int(a[0]), int(b[0])) == want[0, 0] and K.inv(int(a[0])) == want_inv[0]
 
 
 def test_group_from_perm_generators_sl2_regular():
@@ -193,11 +258,11 @@ def test_action_verify_catches_one_corrupted_element():
     # Z/10000 acting on two points through x mod 2, wrong at x = 7 only; a
     # sample of 4096 random pairs drawn with seed 0 never touches 7
     G = cyclic(10000)
-    perms = [swap(2, 0, 1) if x % 2 else Perm(np.arange(2)) for x in G.elements()]
-    PermAction(G, perms).verify()
-    perms[7] = Perm(np.arange(2))
+    rows = np.array([[1, 0] if x % 2 else [0, 1] for x in G.elements()])
+    PermAction(G, rows).verify()
+    rows[7] = [0, 1]
     with pytest.raises(NotAnActionError):
-        PermAction(G, perms).verify()
+        PermAction(G, rows).verify()
 
 
 def test_verify_requires_generating_set():
@@ -206,6 +271,69 @@ def test_verify_requires_generating_set():
         GroupHom(z4, cyclic(4), np.arange(4)).verify()
     with pytest.raises(NotAnActionError):
         left_regular(z4).verify()
+
+
+def test_perm_action_rejects_non_actions():
+    G = cyclic(3)
+    rows = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    act = PermAction(G, rows)
+    assert act.points == 3 and act.rows.dtype == np.int64
+    assert act.perms == [Perm(r) for r in rows]
+    with pytest.raises(ValueError):  # the Perm views are read-only
+        act.perms[1].image[0] = 0
+    for bad_row in ([1, 1, 0], [0, 1, 3], [-1, 0, 1]):
+        bad = rows.copy()
+        bad[1] = bad_row
+        with pytest.raises(NotAnActionError, match="not a permutation"):
+            PermAction(G, bad)
+    for wrong_count in (rows[:2], np.vstack([rows, rows[:1]]), rows[0]):
+        with pytest.raises(NotAnActionError, match="one permutation per group element"):
+            PermAction(G, wrong_count)
+
+
+def _orbits_reference(action):
+    """Scalar BFS along every generator and its inverse."""
+    steps = [p for g in action.group.generators for p in (action.perms[g], inverse(action.perms[g]))]
+    orbits, seen = [], set()
+    for x in range(action.points):
+        if x in seen:
+            continue
+        orbit, queue = {x}, [x]
+        while queue:
+            y = queue.pop()
+            for p in steps:
+                if p(y) not in orbit:
+                    orbit.add(p(y))
+                    queue.append(p(y))
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def _orbit_cases():
+    z6 = cyclic(6)
+    z2_z3 = direct_product(cyclic(2), cyclic(3))  # generators 3 = (1,0) and 1 = (0,1)
+    trivial = TableGroup(np.zeros((1, 1), dtype=np.int64), generators=[])
+    return {
+        "regular_z12": left_regular(cyclic(12)),
+        "regular_sl2_3": right_regular(sl2_mod(3)),
+        "z6_three_orbits": action_from_generator_images(
+            z6, {1: from_cycles(9, [(0, 1), (2, 3, 4), (6, 8)])}
+        ),
+        "z2_z3_two_generators": action_from_generator_images(
+            z2_z3, {3: from_cycles(7, [(0, 1), (5, 6)]), 1: from_cycles(7, [(2, 3, 4)])}
+        ),
+        "no_generators": PermAction(trivial, np.arange(4)[None, :]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_orbit_cases()))
+def test_orbits_and_stabilizers_match_scalar_reference(name):
+    act = _orbit_cases()[name]
+    assert _orbits(act) == _orbits_reference(act)
+    for point in range(act.points):
+        want = [g for g in act.group.elements() if act.perms[g](point) == point]
+        assert _stabilizer(act, point).tolist() == want
 
 
 def test_marked_groups():
@@ -246,9 +374,8 @@ def test_regular_actions_commute():
     beta.verify()
     for g in G.generators:
         for h in G.generators:
-            assert compose(alpha.perms[g], beta.perms[h]) == compose(
-                beta.perms[h], alpha.perms[g]
-            )
+            a, b = alpha.rows[g], beta.rows[h]
+            assert np.array_equal(a[b], b[a])  # α(g)∘β(h) = β(h)∘α(g)
 
 
 def test_action_from_generator_images():
@@ -287,6 +414,10 @@ def test_left_coset_reps():
     assert len(cover) == X.order
     with pytest.raises(NotASubgroupError):
         left_coset_reps(X, [1, 2, 3])
+    s = X.index_of(0, 6, 1, 6)  # {e, s} misses s² when s has order 3
+    assert X.element_order(s) == 3
+    with pytest.raises(NotASubgroupError):
+        left_coset_reps(X, [X.identity_index, s])
 
 
 Z4_Z6 = direct_product(cyclic(4), cyclic(6))

@@ -134,7 +134,7 @@ def test_extract_conjugacy_property(n, seed):
     x1 = set(res.X1)
     for k in K.elements():
         for x in res.X1:
-            kx = act.perms[k](x)
+            kx = act.rows[k, x]
             assert kx in x1
             assert res.phi_of(kx) == conj[k](res.phi_of(x))
     # transitive + small defect: nothing is lost
@@ -194,8 +194,8 @@ def test_commuting_extension_property(n, seed):
 def test_commuting_extension_nonregular_action():
     # two 3-orbits of cyclic(3) on six points; phi swapping the orbits commutes
     G = cyclic(3)
-    act = PermAction(G, [identity(6), from_cycles(6, [(0, 1, 2), (3, 4, 5)]),
-                         from_cycles(6, [(0, 2, 1), (3, 5, 4)])])
+    act = PermAction(G, np.stack([identity(6).image, from_cycles(6, [(0, 1, 2), (3, 4, 5)]).image,
+                                  from_cycles(6, [(0, 2, 1), (3, 5, 4)]).image]))
     phi = from_cycles(6, [(0, 3), (1, 4), (2, 5)])
     psi, dist = commuting_extension(G, act, phi)
     assert dist == 0 and psi == phi
