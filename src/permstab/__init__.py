@@ -53,7 +53,7 @@ from .groups import (
     right_regular,
     sl2_mod,
 )
-from .spectral import KazhdanBracket, kazhdan_abelian_exact, kazhdan_bracket
+from .spectral import KazhdanBracket, kazhdan, kazhdan_abelian_exact, kazhdan_bracket
 from .almost_invariant import (
     AlmostInvSet,
     almost_inv_set,

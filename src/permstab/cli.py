@@ -22,26 +22,37 @@ from .groups import FinGroup, MarkedGroup, MarkedMap, cyclic, direct_product, sl
 from .oracle import EXHAUSTIVE_CAP, nearest_homomorphism_bruteforce
 from .perms import Perm
 from .rounding import rigidity_pipeline
-from .spectral import DEFAULT_TOL, kazhdan_abelian_exact, kazhdan_bracket
+from .spectral import DEFAULT_TOL, kazhdan
 
 
 def parse_group_spec(spec: str) -> FinGroup:
+    builders = {"cyclic": cyclic, "sl2": sl2_mod}
     factors = []
     for part in spec.split("*"):
         kind, _, arg = part.partition(":")
         if not arg:
             raise ConfigError(f"group spec {part!r} needs an argument, e.g. cyclic:12")
-        n = int(arg)
-        if kind == "cyclic":
-            factors.append(cyclic(n))
-        elif kind == "sl2":
-            factors.append(sl2_mod(n))
-        else:
+        if kind not in builders:
             raise ConfigError(f"unknown group kind {kind!r}")
+        try:  # not an integer, or below the kind's least order
+            factors.append(builders[kind](int(arg)))
+        except ValueError as exc:
+            raise ConfigError(f"group spec {part!r}: {exc}") from exc
     g = factors[0]
     for f in factors[1:]:
         g = direct_product(g, f)
     return g
+
+
+def _element_indices(G: FinGroup, values) -> List[int]:
+    """Element indices of G read from the command line or an input file."""
+    try:
+        S = [int(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"element indices must be integers: {exc}") from exc
+    if not all(0 <= s < G.order for s in S):
+        raise ConfigError(f"element indices {S} must lie in [0, {G.order})")
+    return S
 
 
 def _parse_window(s: str):
@@ -62,15 +73,8 @@ def _emit(data: dict, out: Optional[str]):
 
 def cmd_kazhdan(args) -> int:
     G = parse_group_spec(args.group)
-    S = (
-        [int(v) for v in args.gens.split(",")]
-        if args.gens
-        else list(G.generators)
-    )
-    if G.is_abelian:
-        br = kazhdan_abelian_exact(G, S)
-    else:
-        br = kazhdan_bracket(G, S, tol=args.tol)
+    S = _element_indices(G, args.gens.split(",")) if args.gens else list(G.generators)
+    br = kazhdan(G, S, tol=args.tol)
     _emit(
         {
             "group": args.group,
@@ -116,7 +120,7 @@ def cmd_round(args) -> int:
     with open(args.input) as f:
         raw = json.load(f)
     G = parse_group_spec(raw["group"])
-    S = [int(v) for v in raw.get("gens", G.generators)]
+    S = _element_indices(G, raw.get("gens", G.generators))
     y_size = int(raw["y_size"])
     k_gens = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["k_gens"]]
     result = rigidity_pipeline(G, S, y_size, k_gens)

@@ -46,7 +46,6 @@ DEFECT_FLOOR = Fraction(1, 126)
 class ExperimentConfig:
     primes: List[int]
     window: Tuple[Fraction, Fraction] = DEFAULT_WINDOW
-    family: str = "sl2-swap"
     seed: int = 0
     out_dir: str = "out"
 
@@ -54,8 +53,6 @@ class ExperimentConfig:
         alpha, beta = self.window
         if not (0 < alpha < beta <= Fraction(1, 2)):
             raise ConfigError("window must satisfy 0 < alpha < beta <= 1/2")
-        if self.family != "sl2-swap":
-            raise ConfigError(f"unknown family {self.family!r}")
         if any(p < 2 for p in self.primes):
             raise ConfigError("primes must be >= 2")
 
@@ -75,7 +72,6 @@ class ExperimentConfig:
                     if window
                     else DEFAULT_WINDOW
                 ),
-                family=raw.get("family", "sl2-swap"),
                 seed=int(raw.get("seed", 0)),
                 out_dir=raw.get("out_dir", "out"),
             )
@@ -89,15 +85,13 @@ def _dec(x: Fraction) -> str:
 
 def run_instance(p: int, window) -> Dict:
     """One grid point: Kazhdan data for the Λ-quotient plus the swap family."""
-    lam_quotient = cyclic(p)
-    bracket = kazhdan_abelian_exact(lam_quotient, [1]) if p > 1 else None
     inst = flagship_family(p, window=window)
     report = inst.report
     max_defect = report.max_commutator_defect
     return {
         "p": p,
         "carrier_order": inst.X.order,
-        "kappa_lambda": bracket.lower if bracket else 0.0,
+        "kappa_lambda": kazhdan_abelian_exact(cyclic(p), [1]).lower,
         "family": inst.family.to_json(),
         "report": report.to_json(),
         "b_density": inst.family.b_density,
@@ -114,7 +108,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows: List[Dict[str, str]] = []
     summary_lines: List[str] = [
-        f"family={cfg.family} window={cfg.window[0]}..{cfg.window[1]} seed={cfg.seed}",
+        f"family=sl2-swap window={cfg.window[0]}..{cfg.window[1]} seed={cfg.seed}",
         "",
     ]
     failures = 0

@@ -139,8 +139,8 @@ class FinGroup:
         return out
 
     def generates(self, seed: Sequence[int]) -> bool:
-        closed = set(seed) | {self.inv(g) for g in seed}
-        return len(self.closure(list(closed))) == self.order
+        seed = np.asarray(list(seed), dtype=np.int64)
+        return len(self.closure(np.union1d(seed, self.inv_many(seed)))) == self.order
 
     def greedy_generators(self, members: Sequence[int]) -> Tuple[List[int], np.ndarray]:
         """Generators picked from `members` in order, each outside the span so far.
@@ -573,8 +573,9 @@ class MarkedHom:
                 raise NotAHomomorphismError(
                     f"relator {rel} not satisfied by generator images", relator=rel
                 )
-        seed = set(self.gen_images) | {self.target.inv(g) for g in self.gen_images}
-        self.image_subgroup = sorted(self.target.closure(sorted(seed)))
+        images = np.asarray(self.gen_images, dtype=np.int64)
+        seed = np.union1d(images, self.target.inv_many(images))
+        self.image_subgroup = sorted(self.target.closure(seed))
         self.surjective = len(self.image_subgroup) == self.target.order
 
     def evaluate(self, word: Sequence[int]) -> int:

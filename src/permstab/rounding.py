@@ -38,13 +38,11 @@ from .groups import (
     _stabilizer,
 )
 from .perms import Perm, PartialInjection, UNDEFINED, hamming
-from .spectral import kazhdan_abelian_exact, kazhdan_bracket
+from .spectral import kazhdan
 
 
 def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
-    if G.is_abelian:
-        return kazhdan_abelian_exact(G, S).lower
-    return kazhdan_bracket(G, S).lower
+    return kazhdan(G, S).lower
 
 
 def nearest_right_translation(

@@ -1,11 +1,18 @@
 """Kazhdan constants: exact for abelian groups, certified brackets otherwise.
 
-Abelian groups get exact constants through their characters; general groups
-get a certified bracket [sqrt((λ1 - δ)/k) - tol, sqrt(λ1 + δ) + tol] from the
-smallest eigenvalue λ1 of L = 2k·I - Σ_{t∈S±} λ(t), k = |S|, on the mean-zero
-subspace of ℓ²(G).  For unit ξ orthogonal to constants,
-Σ_s ||π(s)ξ - ξ||² = <Lξ, ξ> >= λ1 forces max_s ||π(s)ξ - ξ|| >= sqrt(λ1/k),
-while the minimizing eigenvector witnesses max_s <= sqrt(λ1).
+Abelian groups get exact constants through their characters: an exponent
+row e sends generator g_i of order d_i to exp(2πi·e_i/d_i), and x along its
+BFS word, exponent vector E[x].  e is a character exactly when, L = lcm(d),
+Σ_j e_j·r_j·(L/d_j) ≡ 0 (mod L) for every r = E[x·g_i] - E[x] - 1_i, so
+integers alone decide which characters exist (the trivial one is e = 0);
+floats enter only in |χ(s) - 1|, evaluated for s ∈ S alone.
+
+General groups get a certified bracket [sqrt((λ1 - δ)/k) - tol,
+sqrt(λ1 + δ) + tol] from the smallest eigenvalue λ1 of the Laplacian
+L = 2k·I - Σ_{t∈S±} λ(t), k = |S|, on the mean-zero subspace of ℓ²(G).  For
+unit ξ orthogonal to constants, Σ_s ||π(s)ξ - ξ||² = <Lξ, ξ> >= λ1 forces
+max_s ||π(s)ξ - ξ|| >= sqrt(λ1/k), while the minimizing eigenvector
+witnesses max_s <= sqrt(λ1).
 
 L commutes with right translation by h of order m: ℓ²(G) = ⊕_j V_j,
 V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
@@ -26,7 +33,6 @@ p(N)·ε·||B||₂ (Users' Guide §4.7), p(N) = N <= P, ε = 2u and
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,17 +72,14 @@ def _require_generating(G: FinGroup, S: Sequence[int]):
         raise NonGeneratingError("S does not generate G")
 
 
-def _characters(G: FinGroup) -> np.ndarray:
-    """All |G| characters of an abelian group, rows indexed by character.
+def _characters(G: FinGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The characters of an abelian group as exponent rows, decided in ℤ/L.
 
-    Works directly from the multiplication structure: BFS words over the
-    group's generators, then a scan over root-of-unity assignments on the
-    generators, keeping the consistent ones.
+    Returns (E, d, exps): E[x] is the exponent vector of the BFS word for x
+    over the group's generators, d their orders, and each row e of exps the
+    character sending generator i to exp(2πi·e_i/d_i), in lexicographic order.
     """
     gens = list(G.generators)
-    if not gens:
-        return np.ones((1, G.order), dtype=complex)
-    # BFS exponent vector E[x][i] = net power of generator i in some word for x
     k = len(gens)
     E = np.zeros((G.order, k), dtype=np.int64)
     steps = np.concatenate([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64)])
@@ -86,34 +89,20 @@ def _characters(G: FinGroup) -> np.ndarray:
         reached += new.size
     if reached != G.order:
         raise NonGeneratingError("declared generators do not generate G")
-    orders = [G.element_order(g) for g in gens]
-    n_cand = math.prod(orders)
+    d = np.asarray([G.element_order(g) for g in gens], dtype=np.int64)
+    n_cand = math.prod(d.tolist())
     if n_cand > CHARACTER_CAP:
         raise CapacityError(f"character scan over {n_cand} candidates exceeds cap")
-    idx = np.arange(G.order)
-    shifted = [G.mul_many(idx, np.int64(g)) for g in gens]  # x ↦ x·g
-    chars = []
-    for exps in itertools.product(*[range(d) for d in orders]):
-        # χ(x) = Π_i exp(2πi e_i E[x,i] / d_i): exact on exponents, so compute
-        # the total phase as a rational multiple of 2π before exponentiating
-        phase = np.zeros(G.order)
-        for i, (e, d) in enumerate(zip(exps, orders)):
-            phase += (e * E[:, i]) % d * (2 * math.pi / d)
-        vals = np.exp(1j * phase)
-        # consistency: χ(x·g) = χ(x)χ(g) for every x and generator g
-        ok = True
-        for i, xg in enumerate(shifted):
-            gv = cmath.exp(2j * cmath.pi * exps[i] / orders[i])
-            if not np.allclose(vals[xg], vals * gv, atol=1e-9):
-                ok = False
-                break
-        if ok:
-            chars.append(vals)
-    if len(chars) != G.order:
-        raise NotAbelianError(
-            f"found {len(chars)} characters for a group of order {G.order}"
-        )
-    return np.stack(chars)
+    L = math.lcm(*d.tolist())
+    exps = np.indices(d).reshape(k, n_cand).T
+    for i, g in enumerate(gens):
+        # e_j·r_j·(L/d_j) mod L depends on r_j mod d_j alone
+        rel = (E[G.mul_many(np.arange(G.order), np.int64(g))] - E - steps[i]) % d
+        for w in np.unique(rel, axis=0) * (L // d):
+            exps = exps[exps @ w % L == 0]
+    if len(exps) != G.order:
+        raise NotAbelianError(f"found {len(exps)} characters for a group of order {G.order}")
+    return E, d, exps
 
 
 def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
@@ -121,11 +110,18 @@ def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
     if not G.is_abelian:
         raise NotAbelianError("kazhdan_abelian_exact requires an abelian group")
     _require_generating(G, S)
-    chars = _characters(G)
+    E, d, exps = _characters(G)
+    nontrivial = exps.any(axis=1)
+    if not nontrivial.any():
+        raise ValueError("the trivial group has no nontrivial character")
     s_idx = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
-    diffs = np.abs(chars[:, s_idx] - 1.0)
+    # χ(s) = Π_i exp(2πi e_i E[s,i] / d_i): exact on exponents, so compute
+    # the total phase as a rational multiple of 2π before exponentiating
+    phase = np.zeros((len(exps), s_idx.size))
+    for i in range(len(d)):
+        phase += (exps[:, i, None] * E[s_idx, i]) % d[i] * (2 * math.pi / d[i])
+    diffs = np.abs(np.exp(1j * phase) - 1.0)
     dists = diffs.max(axis=1)
-    nontrivial = dists > 1e-9
     kappa = float(dists[nontrivial].min())
     # the Laplacian diagonalizes over characters: eigenvalue Σ_s |χ(s)-1|²
     lam1 = float((diffs[nontrivial] ** 2).sum(axis=1).min())
@@ -209,3 +205,8 @@ def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> 
     lower = max(math.sqrt(max(lam1 - delta, 0.0) / k) - tol, 0.0)
     upper = min(math.sqrt(lam1 + delta) + tol, 2.0)
     return KazhdanBracket(lower=lower, upper=upper, lambda1=lam1, method="laplacian-bracket")
+
+
+def kazhdan(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
+    """The exact constant when G is abelian, the certified bracket otherwise."""
+    return kazhdan_abelian_exact(G, S) if G.is_abelian else kazhdan_bracket(G, S, tol=tol)

@@ -51,6 +51,20 @@ def test_kazhdan_bad_group(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["cyclic:abc", "cyclic:0", "sl2:1", "cyclic:2*sl2:x"])
+def test_kazhdan_malformed_group(spec, capsys):
+    # a non-integer, or an order below the kind's minimum (cyclic >= 1, sl2 >= 2)
+    assert main(["kazhdan", "--group", spec]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gens", ["1,x", "9", "5", "-1"])
+def test_kazhdan_malformed_gens(gens, capsys):
+    # element indices of cyclic:5 must be integers in [0, 5)
+    assert main(["kazhdan", "--group", "cyclic:5", f"--gens={gens}"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_defect_subcommand(tmp_path):
     out = tmp_path / "d.json"
     assert main(["defect", "--prime", "7", "--out", str(out)]) == 0
@@ -98,6 +112,16 @@ def test_round_subcommand(tmp_path):
     assert data["epsilon"] == "0" and data["set_loss"] == 0
 
 
+@pytest.mark.parametrize("gens", [[6], [-1], ["x"]])
+def test_round_malformed_gens(gens, tmp_path, capsys):
+    inp = tmp_path / "round.json"
+    inp.write_text(json.dumps(
+        {"group": "cyclic:5", "gens": gens, "y_size": 5, "k_gens": [[1, 2, 3, 4, 0]]}
+    ))
+    assert main(["round", "--input", str(inp)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     inp = tmp_path / "oracle.json"
     inp.write_text(json.dumps({
@@ -126,7 +150,7 @@ def test_run_deterministic(tmp_path):
 
 def test_run_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    # an unknown family, and an unknown key
+    # "family" is no longer a config key, and neither is "order_cap"
     bad = ({"primes": [7], "family": "unknown"}, {"primes": [7], "order_cap": 1000})
     for raw in bad:
         cfg_path.write_text(json.dumps(raw))

@@ -72,6 +72,13 @@ def test_sl2_canonical_f2_images_generate():
         assert X.generates([a, b]), p
 
 
+def test_generates_empty_and_partial_seeds():
+    assert cyclic(1).generates([]) and not cyclic(3).generates([])
+    assert cyclic(6).generates([2, 3]) and not cyclic(6).generates([2])
+    X = sl2_mod(5)
+    assert not X.generates([X.generators[0]])
+
+
 def test_sl2_cap():
     with pytest.raises(CapacityError):
         sl2_mod(97, order_cap=1000)

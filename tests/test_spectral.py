@@ -1,5 +1,7 @@
 """Kazhdan constants: exact abelian values and certified Laplacian brackets."""
 
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -12,12 +14,14 @@ import pytest
 import permstab
 from permstab import spectral
 from permstab.errors import CapacityError, NonGeneratingError, NotAbelianError
-from permstab.groups import cyclic, direct_product, sl2_mod
+from permstab.groups import TableGroup, cyclic, direct_product, sl2_mod
 from permstab.spectral import (
     _CharacterBlocks,
     kazhdan_abelian_exact,
     kazhdan_bracket,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "kazhdan_sl2.json"
 
 
 def test_cyclic_exact_closed_form():
@@ -49,6 +53,53 @@ def test_abelian_exact_pinned_values():
     Z = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
     br = kazhdan_abelian_exact(Z, [x for x in Z.elements() if x != Z.identity_index])
     assert (br.lower, br.upper, br.lambda1) == (2.0, 2.0, 16.0)
+    # the benchmark compares these with tolerance 0
+    reference = json.loads(REFERENCE.read_text())
+    for n in range(2, 25):
+        br = kazhdan_abelian_exact(cyclic(n), [1])
+        want = reference[f"cyclic:{n}"]
+        assert (br.lower, br.upper, br.lambda1) == (want["lower"], want["upper"], want["lambda1"])
+
+
+def _additive_table_group(n, gens):
+    idx = np.arange(n)
+    return TableGroup((idx[:, None] + idx[None, :]) % n, gens)
+
+
+@pytest.mark.parametrize("n, gens, pinned", [
+    (6, [1, 2], (1.7320508075688772, 1.7320508075688772, 3.999999999999999)),
+    (12, [2, 3], (1.414213562373095, 1.414213562373095, 2.999999999999999)),
+])
+def test_characters_reject_inconsistent_candidates(n, gens, pinned):
+    # generator orders (6, 3) and (6, 4) give 18 and 24 candidates, but only n characters
+    G = _additive_table_group(n, gens)
+    E, d, exps = spectral._characters(G)
+    L = math.lcm(*d.tolist())
+    idx = np.arange(n)
+
+    def is_character(e):
+        chi = E @ (np.asarray(e) * (L // d)) % L  # χ as a map into ℤ/L
+        return all(
+            np.all((chi[G.mul_many(idx, g)] - chi - e_i * (L // d_i)) % L == 0)
+            for g, e_i, d_i in zip(gens, e, d.tolist())
+        )
+
+    expected = [e for e in itertools.product(*map(range, d.tolist())) if is_character(e)]
+    assert math.prod(d.tolist()) > n == len(expected)
+    assert exps.tolist() == [list(e) for e in expected]
+    # independently of E: χ_a(x) = a·x/n sends g_i to e_i/d_i with e_i = a·g_i·d_i/n
+    closed_form = {
+        tuple(a * g * d_i // n % d_i for g, d_i in zip(gens, d.tolist())) for a in range(n)
+    }
+    assert set(map(tuple, expected)) == closed_form
+    # bit-exact values recorded before characters were selected in ℤ/L
+    br = kazhdan_abelian_exact(G, gens)
+    assert (br.lower, br.upper, br.lambda1) == pinned
+
+
+def test_trivial_group_has_no_nontrivial_character():
+    with pytest.raises(ValueError, match="no nontrivial character"):
+        kazhdan_abelian_exact(cyclic(1), [])
 
 
 def test_abelian_exact_rejects_nonabelian():
