@@ -3,6 +3,7 @@ almost-homomorphisms into symmetric groups."""
 
 from .errors import (
     CapacityError,
+    CertificateError,
     ConfigError,
     NoWitnessError,
     NonGeneratingError,

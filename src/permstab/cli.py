@@ -8,6 +8,7 @@ are strings like "cyclic:12", "sl2:7", or products joined by '*', e.g.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -53,6 +54,21 @@ def _element_indices(G: FinGroup, values) -> List[int]:
     if not all(0 <= s < G.order for s in S):
         raise ConfigError(f"element indices {S} must lie in [0, {G.order})")
     return S
+
+
+@contextlib.contextmanager
+def _input_file(path: str):
+    """Yields an input file's JSON; a missing or malformed field becomes a ConfigError."""
+    with open(path) as f:
+        text = f.read()
+    try:
+        yield json.loads(text)
+    except PermstabError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:  # not an int, not a bijection, ...
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_window(s: str):
@@ -117,33 +133,27 @@ def cmd_defect(args) -> int:
 
 
 def cmd_round(args) -> int:
-    with open(args.input) as f:
-        raw = json.load(f)
-    G = parse_group_spec(raw["group"])
-    S = _element_indices(G, raw.get("gens", G.generators))
-    y_size = int(raw["y_size"])
-    k_gens = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["k_gens"]]
+    with _input_file(args.input) as raw:
+        G = parse_group_spec(raw["group"])
+        S = _element_indices(G, raw.get("gens", G.generators))
+        y_size = int(raw["y_size"])
+        k_gens = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["k_gens"]]
     result = rigidity_pipeline(G, S, y_size, k_gens)
     _emit(result.to_json(), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    with open(args.input) as f:
-        raw = json.load(f)
-    marked = MarkedGroup(
-        int(raw["generator_count"]),
-        tuple(tuple(r) for r in raw.get("relators", [])),
-        raw.get("name", "input"),
-    )
-    images = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["images"]]
-    m = MarkedMap(marked, images)
-    res = nearest_homomorphism_bruteforce(
-        marked,
-        m,
-        exhaustive_cap=int(raw.get("exhaustive_cap", EXHAUSTIVE_CAP)),
-        seed=args.seed,
-    )
+    with _input_file(args.input) as raw:
+        marked = MarkedGroup(
+            int(raw["generator_count"]),
+            tuple(tuple(r) for r in raw.get("relators", [])),
+            raw.get("name", "input"),
+        )
+        images = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["images"]]
+        m = MarkedMap(marked, images)
+        exhaustive_cap = int(raw.get("exhaustive_cap", EXHAUSTIVE_CAP))
+    res = nearest_homomorphism_bruteforce(marked, m, exhaustive_cap=exhaustive_cap, seed=args.seed)
     _emit(res.to_json(), args.out)
     return 0
 

@@ -55,3 +55,7 @@ class OutOfRegimeError(PermstabError, ValueError):
 
 class ConfigError(PermstabError, ValueError):
     """Invalid experiment configuration."""
+
+
+class CertificateError(PermstabError):
+    """A certified bound fails on the computed output."""

@@ -12,8 +12,15 @@ Four algorithms, in increasing ambition:
     genuinely overlaps, a homomorphism δ: K₀ → G, and an equivariant partial
     bijection, with certified constants 4162/κ⁴ and 2048/κ⁴.
 
+The pipeline rounds δ over all of K₀ in one array pass: one batched
+right-translation scan handles every completed k̃ at once, gathering
+φ(gx) and g·φ(x) from one block of G's products, and every temporary of
+that scan and of the ε measurement stays within _SCAN_ENTRIES entries.
+
 All set losses and displacements are counted exactly; the Kazhdan constant
-enters only through its certified lower bound, which is conservative.
+enters only through its certified lower bound, which is conservative.  The
+right-translation bound κ²·d_H <= 4·defect is compared in exact rationals
+and raises CertificateError when it fails, under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .almost_invariant import round_to_invariant
-from .errors import CapacityError, OutOfRegimeError
+from .errors import CapacityError, CertificateError, OutOfRegimeError
 from .groups import (
     CONJUGACY_CAP,
     FinGroup,
@@ -40,9 +47,21 @@ from .groups import (
 from .perms import Perm, PartialInjection, UNDEFINED, hamming
 from .spectral import kazhdan
 
+_SCAN_ENTRIES = 1 << 14  # bounds every temporary of the δ and ε scans
+
 
 def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
     return kazhdan(G, S).lower
+
+
+def _check_kappa(kappa_lower: Optional[float]) -> None:
+    if kappa_lower is not None and not 0 < kappa_lower <= 2:
+        raise ValueError(f"kappa_lower must lie in (0, 2], got {kappa_lower!r}")
+
+
+def _rows_per_chunk(width: int) -> int:
+    """How many rows of `width` entries fit the _SCAN_ENTRIES budget (at least 1)."""
+    return max(1, _SCAN_ENTRIES // max(width, 1))
 
 
 def nearest_right_translation(
@@ -52,34 +71,53 @@ def nearest_right_translation(
 
     Scans c(x) = |{g ∈ G : φ(gx) ≠ g·φ(x)}|, takes the minimizing x (ties to
     the smallest index) and returns h = φ(x)⁻¹x with the exact distance to
-    the right translation β(h): y ↦ yh⁻¹.
+    the right translation β(h): y ↦ yh⁻¹.  Raises CertificateError when h
+    misses the bound, which a κ above the true Kazhdan constant can cause.
     """
-    n = G.order
-    if phi.n != n:
+    if phi.n != G.order:
         raise ValueError("phi must permute the group's element indices")
-    idx = np.arange(n)
-    cost = np.zeros(n, dtype=np.int64)
-    row_defect = np.empty(n, dtype=np.int64)  # row g: n·d_H(α(g)φ, φα(g))
-    chunk = max(1, 4_000_000 // n)
-    for start in range(0, n, chunk):
-        gs = idx[start : start + chunk]
-        gx = G.mul_many(gs[:, None], idx[None, :])  # rows g, cols x
-        lhs = phi.image[gx]
-        rhs = G.mul_many(gs[:, None], phi.image[None, :])
-        mismatch = lhs != rhs
-        cost += mismatch.sum(axis=0)
-        row_defect[start : start + chunk] = mismatch.sum(axis=1)
-    x_star = int(np.argmin(cost))
-    h = G.mul(G.inv(phi(x_star)), x_star)
-    beta_h = G.right_perm(G.inv(h))
-    dist = hamming(phi, beta_h)
+    _check_kappa(kappa_lower)
     if kappa_lower is None:
         kappa_lower = certified_kappa_lower(G, S)
-    max_defect = Fraction(int(row_defect[list(S)].max()), n)
-    assert kappa_lower**2 * float(dist) <= 4 * float(max_defect) + 1e-9, (
-        "right-translation bound violated"
-    )
-    return h, dist
+    h, dist, _ = _nearest_right_translations(G, S, phi.image[None, :], kappa_lower)
+    return int(h[0]), Fraction(int(dist[0]), G.order)
+
+
+def _nearest_right_translations(
+    G: FinGroup, S: Sequence[int], phis: np.ndarray, kappa_lower: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nearest_right_translation for each row of an (m, |G|) array of permutations.
+
+    Returns (h, dist, beta): h[i], the image row beta[i] of β(h[i]) and
+    dist[i] = |G|·d_H(φᵢ, β(h[i])).  Raises CertificateError unless
+    κ²·dist[i] <= 4·max_{g∈S} |{x : φᵢ(gx) ≠ g·φᵢ(x)}| for every row, exactly.
+    """
+    m, n = phis.shape
+    idx = np.arange(n)
+    cost = np.zeros((m, n), dtype=np.int64)  # [i, x]: c(x) for φᵢ
+    defect = np.zeros(m, dtype=np.int64)  # n·max_{g∈S} d_H(α(g)φᵢ, φᵢα(g))
+    in_s = np.zeros(n, dtype=bool)
+    in_s[np.asarray(S, dtype=np.int64)] = True
+    g_step = min(n, _rows_per_chunk(n))
+    r_step = _rows_per_chunk(g_step * n)
+    for g0 in range(0, n, g_step):
+        gs = idx[g0 : g0 + g_step]
+        gx = G.mul_many(gs[:, None], idx[None, :])  # rows g, cols x
+        for r0 in range(0, m, r_step):
+            block = phis[r0 : r0 + r_step]
+            mismatch = block[:, gx] != gx[:, block].transpose(1, 0, 2)  # φ(gx) ≠ g·φ(x)
+            cost[r0 : r0 + r_step] += mismatch.sum(axis=1)
+            on_s = mismatch[:, in_s[gs]].sum(axis=2).max(axis=1, initial=0)
+            np.maximum(defect[r0 : r0 + r_step], on_s, out=defect[r0 : r0 + r_step])
+    x_star = cost.argmin(axis=1)  # ties to the smallest x
+    h = G.mul_many(G.inv_many(phis[np.arange(m), x_star]), x_star)
+    beta = G.mul_many(idx[None, :], G.inv_many(h)[:, None])  # row i: y ↦ y·h[i]⁻¹
+    dist = (phis != beta).sum(axis=1)
+    k2 = Fraction(kappa_lower) ** 2
+    p, q4 = k2.numerator, 4 * k2.denominator
+    if any(p * d > q4 * e for d, e in zip(dist.tolist(), defect.tolist())):
+        raise CertificateError("right-translation bound violated")
+    return h, dist, beta
 
 
 @dataclass
@@ -307,27 +345,32 @@ def _measure_epsilon(G: FinGroup, S: Sequence[int], K, n_x: int) -> Fraction:
     worst = 0
     xs = np.arange(n_x)
     gx = G.mul_many(np.asarray(S, dtype=np.int64)[:, None], xs[None, :])  # row g: α(g)x
-    for ki in K.elements():
-        k = K.rows[ki]
-        kx = k[xs]
+    step = _rows_per_chunk(gx.size)
+    for start in range(0, K.order, step):
+        rows = K.rows[start : start + step]
+        kx = rows[:, :n_x]
         dom = kx < n_x  # x ∈ X ∩ k⁻¹X
-        lhs = gx[:, kx[dom]]  # α(g)·(kx)
-        rhs = k[gx[:, dom]]  # k·(α(g)x)
-        worst = max(worst, int((lhs != rhs).sum(axis=1).max(initial=0)))
+        lhs = gx[:, np.where(dom, kx, 0)].transpose(1, 0, 2)  # α(g)·(kx)
+        rhs = rows[:, gx]  # k·(α(g)x)
+        bad = (lhs != rhs) & dom[:, None, :]
+        worst = max(worst, int(bad.sum(axis=2).max(initial=0)))
     return Fraction(worst, n_x)
 
 
-def _complete_to_perm(k_row: np.ndarray, n_x: int) -> Perm:
-    """k̃ ∈ Sym(X): equal to k on X∩k⁻¹X, smallest-index completion elsewhere."""
-    entries = np.full(n_x, -1, dtype=np.int64)
-    kx = k_row[:n_x]
+def _complete_to_perms(k_rows: np.ndarray, n_x: int) -> np.ndarray:
+    """Row i: k̃ᵢ ∈ Sym(X), equal to kᵢ on X∩kᵢ⁻¹X, smallest-index completion elsewhere."""
+    kx = k_rows[:, :n_x]
     inside = kx < n_x
-    entries[inside] = kx[inside]
-    used = np.zeros(n_x, dtype=bool)
-    used[kx[inside]] = True
-    free_targets = np.nonzero(~used)[0]
-    entries[~inside] = free_targets  # both sides in increasing order
-    return Perm(entries)
+    out = np.where(inside, kx, -1)
+    r_in, c_in = np.nonzero(inside)
+    used = np.zeros(kx.shape, dtype=bool)
+    used[r_in, kx[r_in, c_in]] = True
+    # outside points and unused targets, both first and in increasing order
+    slots = np.argsort(inside, axis=1, kind="stable")
+    free = np.argsort(used, axis=1, kind="stable")
+    r, j = np.nonzero(~np.take_along_axis(inside, slots, axis=1))
+    out[r, slots[r, j]] = free[r, j]
+    return out
 
 
 def rigidity_pipeline(
@@ -343,6 +386,7 @@ def rigidity_pipeline(
     of K_gens.  Requires the measured defect ε < κ⁴/200 (certified κ).
     """
     n_x = G.order
+    _check_kappa(kappa_lower)
     if Y_size < n_x:
         raise ValueError("Y must contain X")
     for p in K_gens:
@@ -376,25 +420,23 @@ def rigidity_pipeline(
     K0_group.generators = K0_group.greedy_generators(K0_group.elements())[0]
     k0_rows = K.rows[k0]
 
-    # δ through right-translation rounding of each completed k̃
-    delta_img = np.empty(len(K0), dtype=np.int64)
-    for i, row in enumerate(k0_rows):
-        k_tilde = _complete_to_perm(row, n_x)
-        delta_img[i], _ = nearest_right_translation(G, S, k_tilde, kappa_lower=kappa_lower)
+    # δ through right-translation rounding of every completed k̃ at once
+    delta_img, _, beta = _nearest_right_translations(
+        G, S, _complete_to_perms(k0_rows, n_x), kappa_lower
+    )  # beta row i: β(δ(k_i))
     delta = GroupHom(K0_group, G, delta_img)
     delta.verify()  # δ(ks) = δ(k)δ(s) for every k ∈ K₀ and generator s: exact
-    xs = np.arange(n_x)
-    beta = G.mul_many(xs[None, :], G.inv_many(delta_img)[:, None])  # row i: β(δ(k_i))
     worst_unif = int((k0_rows[:, :n_x] != beta).sum(axis=1).max())
 
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
     k0_gens = [Perm(k0_rows[g], _checked=True) for g in K0_group.generators]
     X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_gens)
     # Z is sorted and holds 0..|X|−1 first, so position z ↦ z on X
-    Z = sorted(X0 | set(range(n_x)))
-    nz = len(Z)
-    z_arr = np.asarray(Z, dtype=np.int64)
-    in_x0 = np.asarray([z in X0 for z in Z])
+    x0_mask = np.zeros(Y_size, dtype=bool)
+    x0_mask[list(X0)] = True
+    z_arr = np.flatnonzero(x0_mask | (np.arange(Y_size) < n_x))
+    nz = z_arr.size
+    in_x0 = x0_mask[z_arr]
 
     alpha1 = np.tile(np.arange(nz), (len(K0), 1))
     alpha1[:, in_x0] = np.searchsorted(z_arr, k0_rows[:, z_arr[in_x0]])  # X₀ is K₀-invariant

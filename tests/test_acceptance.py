@@ -146,7 +146,7 @@ def test_criterion_5_rounding_property_suites():
         orders = lambda: int(rng.integers(6, 121))
 
         # suite A: nearest right translation (constant 4, kappa^2-scaled);
-        # the bound is asserted inside nearest_right_translation itself
+        # the bound is checked exactly inside nearest_right_translation itself
         for _ in range(200):
             n = orders()
             G = cyclic(n)

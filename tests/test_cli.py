@@ -122,6 +122,20 @@ def test_round_malformed_gens(gens, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("round", {"y_size": 5, "k_gens": [[1, 2, 3, 4, 0]]}),  # no "group"
+    ("round", {"group": "cyclic:5", "y_size": "x", "k_gens": [[1, 2, 3, 4, 0]]}),
+    ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": [[1, 1, 3, 4, 0]]}),
+    ("oracle", {"generator_count": 2, "images": [[1, 0, 2], [0, 0, 1]]}),
+])
+def test_malformed_input_file(command, data, tmp_path, capsys):
+    # a missing field, a non-integer and rows that are not bijections
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(data))
+    assert main([command, "--input", str(inp)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     inp = tmp_path / "oracle.json"
     inp.write_text(json.dumps({

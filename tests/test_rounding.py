@@ -1,14 +1,18 @@
 """Rounding algorithms: right translations, conjugacies, commuting extensions,
 and the full pipeline, cross-checked against brute-force minima."""
 
+import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permstab.errors import OutOfRegimeError
+from permstab.errors import CertificateError, OutOfRegimeError
 from permstab.groups import (
     PermAction,
     cyclic,
@@ -28,7 +32,9 @@ from permstab.perms import (
 )
 from permstab.rounding import (
     MatchMatrix,
+    _complete_to_perms,
     _measure_epsilon,
+    _nearest_right_translations,
     commuting_extension,
     extract_conjugacy,
     nearest_right_translation,
@@ -70,11 +76,56 @@ def test_nearest_translation_perturbed():
     assert h == 3 and dist == Fraction(2, 12)
 
 
+def _identity_then_cycle(n, a):
+    # identity on [0, a), one (n - a)-cycle on [a, n): defect 3/n on Z/n with S = [1]
+    image = np.arange(n)
+    image[a:] = a + (np.arange(n - a) + 1) % (n - a)
+    return Perm(image)
+
+
 def test_nearest_translation_bound_trips():
-    G = cyclic(20)
-    phi = compose(swap(20, 0, 1), _beta(G, 3))
-    with pytest.raises(AssertionError, match="right-translation bound"):
-        nearest_right_translation(G, [1], phi, kappa_lower=50.0)
+    # κ = 2 lies above κ(Z/20, {1}) = 2 sin(π/20); distance 1/2 against defect 3/20
+    with pytest.raises(CertificateError, match="right-translation bound"):
+        nearest_right_translation(cyclic(20), [1], _identity_then_cycle(20, 10), kappa_lower=2.0)
+
+
+def test_nearest_translation_bound_is_exact():
+    # κ²·dist = 4·defect exactly at κ = 1 (12/25 against 3/25); no slack above it
+    G, phi = cyclic(25), _identity_then_cycle(25, 13)
+    assert nearest_right_translation(G, [1], phi, kappa_lower=1.0) == (0, Fraction(12, 25))
+    with pytest.raises(CertificateError):
+        nearest_right_translation(G, [1], phi, kappa_lower=math.nextafter(1.0, 2.0))
+
+
+def test_nearest_translation_bound_trips_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import numpy as np\n"
+        "from permstab.errors import CertificateError\n"
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import nearest_right_translation\n"
+        "image = np.arange(20)\n"
+        "image[10:] = 10 + (np.arange(10) + 1) % 10\n"
+        "try:\n"
+        "    nearest_right_translation(cyclic(20), [1], Perm(image), kappa_lower=2.0)\n"
+        "except CertificateError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 2.5, 50.0, float("nan")])
+def test_kappa_lower_out_of_range(kappa):
+    G = cyclic(8)
+    with pytest.raises(ValueError, match="kappa_lower"):
+        nearest_right_translation(G, [1], _beta(G, 3), kappa_lower=kappa)
+    with pytest.raises(ValueError, match="kappa_lower"):
+        rigidity_pipeline(G, [1], 10, [_embed(_beta(G, 3), 10)], kappa_lower=kappa)
 
 
 @settings(max_examples=30, deadline=None)
@@ -101,6 +152,75 @@ def test_nearest_translation_nonabelian():
     phi = _beta(X, 5)
     h, dist = nearest_right_translation(X, list(X.generators), phi)
     assert h == 5 and dist == 0
+
+
+def _nearest_right_translation_loop(G, S, phi):
+    # reference: one permutation at a time, the g-rows of G in one block
+    n = G.order
+    idx = np.arange(n)
+    gx = G.mul_many(idx[:, None], idx[None, :])
+    mismatch = phi[gx] != G.mul_many(idx[:, None], phi[None, :])
+    cost = mismatch.sum(axis=0)
+    x_star = int(np.argmin(cost))
+    h = G.mul(G.inv(int(phi[x_star])), x_star)
+    dist = int((phi != G.right_perm(G.inv(h)).image).sum())
+    minimizers = np.flatnonzero(cost == cost.min())
+    tied_hs = {G.mul(G.inv(int(phi[x])), int(x)) for x in minimizers}
+    return h, dist, int(mismatch.sum(axis=1)[list(S)].max()), len(tied_hs) > 1
+
+
+@pytest.mark.parametrize("case", ["cyclic", "z2^4", "sl2(3)", "cyclic-chunked"])
+def test_batched_scan_matches_loop(case):
+    G, S, m = {
+        "cyclic": (cyclic(15), [1], 40),
+        "z2^4": (_z2k(4), list(range(1, 16)), 40),
+        "sl2(3)": (sl2_mod(3), None, 40),
+        "cyclic-chunked": (cyclic(300), [1, 7], 6),  # several g-chunks and row chunks
+    }[case]
+    S = S if S is not None else list(G.generators)
+    rng = np.random.default_rng(7)
+    n = G.order
+    phis = np.empty((m, n), dtype=np.int64)
+    for i in range(m):  # right translations carrying 0 to 3 random swaps, or random rows
+        phis[i] = G.right_perm(int(rng.integers(n))).image
+        if i % 5 == 4:
+            phis[i] = rng.permutation(n)
+        for _ in range(i % 4):
+            a, b = rng.choice(n, size=2, replace=False)
+            phis[i, [a, b]] = phis[i, [b, a]]
+    if case == "cyclic-chunked":  # x ↦ x on even x, x + 2 on odd: even and odd x* tie
+        x = np.arange(n)
+        phis[-1] = np.where(x % 2, (x + 2) % n, x)
+    kappa = 1e-3  # low enough that the certificate holds on every row
+    h, dist, beta = _nearest_right_translations(G, S, phis, kappa)
+    ties = 0
+    for i in range(m):
+        ref_h, ref_dist, ref_defect, tied = _nearest_right_translation_loop(G, S, phis[i])
+        assert (int(h[i]), int(dist[i])) == (ref_h, ref_dist)
+        assert np.array_equal(beta[i], G.right_perm(G.inv(ref_h)).image)
+        assert kappa**2 * ref_dist <= 4 * ref_defect
+        ties += tied
+    assert ties > 0  # some row has minimizers with different h: the smallest x decides
+
+
+def _complete_to_perm_loop(k_row, n_x):
+    # reference: the outside points in increasing order take the unused targets in order
+    image = [int(v) if v < n_x else None for v in k_row[:n_x]]
+    free = iter(sorted(set(range(n_x)) - {v for v in image if v is not None}))
+    return [v if v is not None else next(free) for v in image]
+
+
+def test_complete_to_perms_matches_loop():
+    n_x, y_size = 7, 16
+    rng = np.random.default_rng(3)
+    rows = [np.arange(y_size), np.roll(np.arange(y_size), -n_x)]  # none / every point outside
+    rows += [rng.permutation(y_size) for _ in range(30)]
+    rows = np.stack(rows)
+    assert (rows[0, :n_x] < n_x).all() and (rows[1, :n_x] >= n_x).all()
+    got = _complete_to_perms(rows, n_x)
+    for row, out in zip(rows, got):
+        assert out.tolist() == _complete_to_perm_loop(row, n_x)
+        assert sorted(out.tolist()) == list(range(n_x))
 
 
 # -- conjugacy extraction ------------------------------------------------------

@@ -116,6 +116,22 @@ def test_nongenerating_raises():
         kazhdan_bracket(G, [3])
 
 
+def test_generating_check_only_when_s_omits_a_generator(monkeypatch):
+    C = cyclic(6)  # (i, j) = 3i + j in G below is 3i + 4j in C
+    want = [kazhdan_abelian_exact(C, S).lower for S in ([4, 3, 5], [1])]
+    checked = []
+    real = spectral._require_generating
+    monkeypatch.setattr(spectral, "_require_generating", lambda G, S: checked.append(S) or real(G, S))
+    G = direct_product(cyclic(2), cyclic(3))  # generators (1, 0) = 3 and (0, 1) = 1
+    assert kazhdan_abelian_exact(G, [1, 3, 5]).lower == pytest.approx(want[0])
+    assert checked == []  # the BFS of _characters already reaches G from 1 and 3
+    # (1, 1) = 4 has order 6, so S = [4] omits both generators and still generates G
+    assert kazhdan_abelian_exact(G, [4]).lower == pytest.approx(want[1])
+    assert checked == [[4]]
+    with pytest.raises(NonGeneratingError):
+        kazhdan_abelian_exact(G, [2])  # (0, 2) has order 3
+
+
 def test_bracket_contains_exact_value():
     for n in (5, 12, 30, 101):
         exact = kazhdan_abelian_exact(cyclic(n), [1]).lower
