@@ -20,7 +20,7 @@ from .errors import ConfigError, PermstabError
 from .experiment import ExperimentConfig, run_experiment
 from .families import DEFAULT_WINDOW, flagship_family
 from .groups import FinGroup, MarkedGroup, MarkedMap, cyclic, direct_product, sl2_mod
-from .oracle import EXHAUSTIVE_CAP, nearest_homomorphism_bruteforce
+from .oracle import nearest_homomorphism_bruteforce
 from .perms import Perm
 from .rounding import rigidity_pipeline
 from .spectral import DEFAULT_TOL, kazhdan
@@ -137,7 +137,11 @@ def cmd_round(args) -> int:
         G = parse_group_spec(raw["group"])
         S = _element_indices(G, raw.get("gens", G.generators))
         y_size = int(raw["y_size"])
+        if y_size < G.order:
+            raise ConfigError(f"y_size {y_size} is below the group order {G.order}")
         k_gens = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["k_gens"]]
+        if any(p.n != y_size for p in k_gens):
+            raise ConfigError(f"every k_gens row must have y_size = {y_size} entries")
     result = rigidity_pipeline(G, S, y_size, k_gens)
     _emit(result.to_json(), args.out)
     return 0
@@ -145,6 +149,9 @@ def cmd_round(args) -> int:
 
 def cmd_oracle(args) -> int:
     with _input_file(args.input) as raw:
+        unknown = sorted(set(raw) - {"generator_count", "relators", "images", "name"})
+        if unknown:
+            raise ConfigError(f"unknown oracle input keys {unknown}")
         marked = MarkedGroup(
             int(raw["generator_count"]),
             tuple(tuple(r) for r in raw.get("relators", [])),
@@ -152,8 +159,7 @@ def cmd_oracle(args) -> int:
         )
         images = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["images"]]
         m = MarkedMap(marked, images)
-        exhaustive_cap = int(raw.get("exhaustive_cap", EXHAUSTIVE_CAP))
-    res = nearest_homomorphism_bruteforce(marked, m, exhaustive_cap=exhaustive_cap, seed=args.seed)
+    res = nearest_homomorphism_bruteforce(marked, m)
     _emit(res.to_json(), args.out)
     return 0
 
@@ -199,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="nearest exact homomorphism (brute force)")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

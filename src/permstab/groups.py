@@ -36,7 +36,12 @@ from .perms import Perm, compose, identity, inverse
 PRODUCT_ORDER_CAP = 10_000_000
 PERM_CLOSURE_CAP = 100_000
 CONJUGACY_CAP = 4096  # largest group whose subgroups are compared up to conjugacy
-_CHUNK_ENTRIES = 1 << 14  # bounds the permutation-row temporaries of PermGroup and its closure
+CHUNK_ENTRIES = 1 << 14  # bounds the temporaries of every chunked array scan
+
+
+def rows_per_chunk(width: int) -> int:
+    """How many rows of `width` entries fit the CHUNK_ENTRIES budget (at least 1)."""
+    return max(1, CHUNK_ENTRIES // max(width, 1))
 
 
 class FinGroup:
@@ -385,7 +390,7 @@ class PermGroup(FinGroup):
         elems = np.broadcast_arrays(*(np.asarray(e, dtype=np.int64) for e in elems))
         flat = [e.ravel() for e in elems]
         out = np.empty(flat[0].size, dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // self.points)
+        step = rows_per_chunk(self.points)
         for start in range(0, out.size, step):
             chunk = slice(start, start + step)
             out[chunk] = self._find(fn(*(self.rows[f[chunk]] for f in flat)))
@@ -434,7 +439,7 @@ def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP
     levels = [frontier]
     known = frontier  # the rows of every level so far, sorted by byte key
     size = 1
-    step = max(1, _CHUNK_ENTRIES // (m * len(gens)))
+    step = rows_per_chunk(m * len(gens))
     while frontier.size:
         fresh = []
         for start in range(0, len(frontier), step):

@@ -15,7 +15,7 @@ Four algorithms, in increasing ambition:
 The pipeline rounds δ over all of K₀ in one array pass: one batched
 right-translation scan handles every completed k̃ at once, gathering
 φ(gx) and g·φ(x) from one block of G's products, and every temporary of
-that scan and of the ε measurement stays within _SCAN_ENTRIES entries.
+that scan and of the ε measurement stays within groups.CHUNK_ENTRIES entries.
 
 All set losses and displacements are counted exactly; the Kazhdan constant
 enters only through its certified lower bound, which is conservative.  The
@@ -41,13 +41,12 @@ from .groups import (
     TableGroup,
     canonical_subgroup_key,
     group_from_perm_generators,
+    rows_per_chunk,
     _orbits,
     _stabilizer,
 )
 from .perms import Perm, PartialInjection, UNDEFINED, hamming
 from .spectral import kazhdan
-
-_SCAN_ENTRIES = 1 << 14  # bounds every temporary of the δ and ε scans
 
 
 def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
@@ -57,11 +56,6 @@ def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
 def _check_kappa(kappa_lower: Optional[float]) -> None:
     if kappa_lower is not None and not 0 < kappa_lower <= 2:
         raise ValueError(f"kappa_lower must lie in (0, 2], got {kappa_lower!r}")
-
-
-def _rows_per_chunk(width: int) -> int:
-    """How many rows of `width` entries fit the _SCAN_ENTRIES budget (at least 1)."""
-    return max(1, _SCAN_ENTRIES // max(width, 1))
 
 
 def nearest_right_translation(
@@ -98,8 +92,8 @@ def _nearest_right_translations(
     defect = np.zeros(m, dtype=np.int64)  # n·max_{g∈S} d_H(α(g)φᵢ, φᵢα(g))
     in_s = np.zeros(n, dtype=bool)
     in_s[np.asarray(S, dtype=np.int64)] = True
-    g_step = min(n, _rows_per_chunk(n))
-    r_step = _rows_per_chunk(g_step * n)
+    g_step = min(n, rows_per_chunk(n))
+    r_step = rows_per_chunk(g_step * n)
     for g0 in range(0, n, g_step):
         gs = idx[g0 : g0 + g_step]
         gx = G.mul_many(gs[:, None], idx[None, :])  # rows g, cols x
@@ -345,7 +339,7 @@ def _measure_epsilon(G: FinGroup, S: Sequence[int], K, n_x: int) -> Fraction:
     worst = 0
     xs = np.arange(n_x)
     gx = G.mul_many(np.asarray(S, dtype=np.int64)[:, None], xs[None, :])  # row g: α(g)x
-    step = _rows_per_chunk(gx.size)
+    step = rows_per_chunk(gx.size)
     for start in range(0, K.order, step):
         rows = K.rows[start : start + step]
         kx = rows[:, :n_x]

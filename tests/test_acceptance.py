@@ -221,7 +221,8 @@ def test_criterion_5_rounding_property_suites():
 
 
 def _independent_scan(marked, m):
-    """Exhaustive minimum, coded separately from the oracle module."""
+    """Exhaustive minimum and its first minimising tuple, coded separately
+    from the oracle module."""
     n = m.points
     targets = [p.image for p in m.images]
     best = None
@@ -235,8 +236,8 @@ def _independent_scan(marked, m):
         dist = max(
             Fraction(int((p.image != t).sum()), n) for p, t in zip(perms, targets)
         )
-        if best is None or dist < best:
-            best = dist
+        if best is None or dist < best[0]:
+            best = (dist, perms)
     return best
 
 
@@ -251,8 +252,9 @@ def test_criterion_6_oracle_cross_validation():
                 ]
                 m = MarkedMap(z2, images)
                 res = nearest_homomorphism_bruteforce(z2, m)
+                dist, first = _independent_scan(z2, m)
                 assert res.exhaustive
-                assert res.max_distance == _independent_scan(z2, m)
+                assert res.max_distance == dist and res.best_hom.images == first
         # conjugated-homomorphism instances: the conjugate of an exact action
         # is exact, so the oracle distance is 0 and the conjugacy displacement
         # must fit inside 16 epsilon |X|

@@ -127,9 +127,13 @@ def test_round_malformed_gens(gens, tmp_path, capsys):
     ("round", {"group": "cyclic:5", "y_size": "x", "k_gens": [[1, 2, 3, 4, 0]]}),
     ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": [[1, 1, 3, 4, 0]]}),
     ("oracle", {"generator_count": 2, "images": [[1, 0, 2], [0, 0, 1]]}),
+    ("round", {"group": "cyclic:5", "y_size": 3, "k_gens": [[1, 2, 0]]}),
+    ("round", {"group": "cyclic:5", "y_size": 6, "k_gens": [[1, 2, 3, 4, 0]]}),
+    ("oracle", {"generator_count": 2, "images": [[0, 1], [1, 0]], "exhaustive_cap": 100}),
 ])
 def test_malformed_input_file(command, data, tmp_path, capsys):
-    # a missing field, a non-integer and rows that are not bijections
+    # a missing field, a non-integer, rows that are not bijections, sizes
+    # that disagree and a key the oracle does not read
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(data))
     assert main([command, "--input", str(inp)]) == 1
@@ -147,6 +151,14 @@ def test_oracle_subcommand(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["exhaustive"] and data["search_space_size"] == 576
     assert data["max_distance"] != "0"  # the two swaps do not commute
+
+
+def test_oracle_above_cap(tmp_path, capsys):
+    # (7!)^2 image tuples: the oracle refuses rather than guessing
+    inp = tmp_path / "oracle.json"
+    inp.write_text(json.dumps({"generator_count": 2, "images": [list(range(7))] * 2}))
+    assert main(["oracle", "--input", str(inp)]) == 1
+    assert "error: CapacityError" in capsys.readouterr().err
 
 
 def test_run_deterministic(tmp_path):

@@ -1,12 +1,16 @@
-"""Brute-force nearest-homomorphism oracle, exhaustive and local-search paths."""
+"""Brute-force nearest-homomorphism oracle: the exhaustive scan and its certificate."""
 
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from permstab import oracle
 from permstab.errors import CapacityError
 from permstab.groups import MarkedGroup, MarkedMap
 from permstab.oracle import nearest_homomorphism_bruteforce
@@ -14,7 +18,8 @@ from permstab.perms import Perm, from_cycles, identity, swap
 
 
 def _independent_scan(marked, m):
-    """Re-derived exhaustive minimum, written separately from the oracle."""
+    """Re-derived exhaustive minimum and its first minimising tuple,
+    written separately from the oracle."""
     n = m.points
     targets = [p.image for p in m.images]
     best = None
@@ -31,9 +36,18 @@ def _independent_scan(marked, m):
             Fraction(int((p.image != t).sum()), n)
             for p, t in zip(perms, targets)
         )
-        if best is None or dist < best:
-            best = dist
+        if best is None or dist < best[0]:
+            best = (dist, perms)
     return best
+
+
+def _assert_matches_scan(marked, m):
+    res = nearest_homomorphism_bruteforce(marked, m)
+    dist, images = _independent_scan(marked, m)
+    assert res.exhaustive
+    assert res.max_distance == dist
+    assert res.best_hom.images == images
+    return res
 
 
 def test_already_homomorphism():
@@ -57,9 +71,8 @@ def test_exhaustive_matches_independent_scan():
     # Z^2 on 4 points with non-commuting images
     z2 = MarkedGroup.free_abelian(2)
     m = MarkedMap(z2, [swap(4, 0, 1), swap(4, 1, 2)])
-    res = nearest_homomorphism_bruteforce(z2, m)
-    assert res.exhaustive and res.search_space_size == math.factorial(4) ** 2
-    assert res.max_distance == _independent_scan(z2, m)
+    res = _assert_matches_scan(z2, m)
+    assert res.search_space_size == math.factorial(4) ** 2
     # the returned images genuinely commute
     a, b = res.best_hom.images
     assert not any(a.image[b.image] != b.image[a.image])
@@ -68,35 +81,55 @@ def test_exhaustive_matches_independent_scan():
 def test_exhaustive_z2_n3():
     z2 = MarkedGroup.free_abelian(2)
     m = MarkedMap(z2, [from_cycles(3, [(0, 1, 2)]), swap(3, 0, 1)])
-    res = nearest_homomorphism_bruteforce(z2, m)
-    assert res.max_distance == _independent_scan(z2, m)
+    _assert_matches_scan(z2, m)
 
 
-def test_capacity_without_local_search():
+def test_power_relators_z2_times_z3():
+    # Z/2 x Z/3: two power relators and a commutator, so several relators
+    # and a word with a repeated letter filter the same tuples
+    marked = MarkedGroup(2, ((1, 1), (2, 2, 2), (1, 2, -1, -2)))
+    m = MarkedMap(marked, [from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(0, 1), (2, 3)])])
+    res = _assert_matches_scan(marked, m)
+    assert res.max_distance > 0
+
+
+def test_three_generators_z3():
+    z3 = MarkedGroup.free_abelian(3)
+    m = MarkedMap(z3, [swap(3, 0, 1), swap(3, 1, 2), from_cycles(3, [(0, 1, 2)])])
+    res = _assert_matches_scan(z3, m)
+    assert res.search_space_size == math.factorial(3) ** 3
+
+
+def test_capacity_without_local_search(monkeypatch):
+    # (7!)^2 tuples exceed the default cap: an error, and nothing enumerated
+    def enumerate_anyway(*args):
+        raise AssertionError("the scan ran above the cap")
+
+    monkeypatch.setattr(oracle, "_scan", enumerate_anyway)
     z2 = MarkedGroup.free_abelian(2)
-    m = MarkedMap(z2, [identity(8), identity(8)])
+    m = MarkedMap(z2, [identity(7), identity(7)])
     with pytest.raises(CapacityError):
-        nearest_homomorphism_bruteforce(
-            z2, m, exhaustive_cap=100, allow_local_search=False
-        )
+        nearest_homomorphism_bruteforce(z2, m)
 
 
-def test_local_search_flagged_and_sound():
-    z2 = MarkedGroup.free_abelian(2)
-    m = MarkedMap(z2, [swap(4, 0, 1), swap(4, 1, 2)])
-    res = nearest_homomorphism_bruteforce(z2, m, exhaustive_cap=100, seed=0)
-    assert not res.exhaustive
-    # local search always returns a genuine homomorphism, so its distance is
-    # an upper bound on (hence >=) the exhaustive minimum
-    exact = nearest_homomorphism_bruteforce(z2, m)
-    assert res.max_distance >= exact.max_distance
-    a, b = res.best_hom.images
-    assert not any(a.image[b.image] != b.image[a.image])
-
-
-def test_local_search_deterministic():
-    z2 = MarkedGroup.free_abelian(2)
-    m = MarkedMap(z2, [swap(5, 0, 1), swap(5, 1, 2)])
-    r1 = nearest_homomorphism_bruteforce(z2, m, exhaustive_cap=100, seed=7)
-    r2 = nearest_homomorphism_bruteforce(z2, m, exhaustive_cap=100, seed=7)
-    assert r1.best_hom.images == r2.best_hom.images
+def test_violated_certificate_raises_under_optimize():
+    # a scan that returns the input's non-commuting swaps must not pass as exact
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from permstab import oracle\n"
+        "from permstab.errors import CertificateError\n"
+        "from permstab.groups import MarkedGroup, MarkedMap\n"
+        "from permstab.perms import swap\n"
+        "oracle._scan = lambda marked, targets: targets\n"
+        "z2 = MarkedGroup.free_abelian(2)\n"
+        "m = MarkedMap(z2, [swap(3, 0, 1), swap(3, 1, 2)])\n"
+        "try:\n"
+        "    oracle.nearest_homomorphism_bruteforce(z2, m)\n"
+        "except CertificateError as exc:\n"
+        "    raise SystemExit(0 if '(1, 2, -1, -2)' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
