@@ -83,7 +83,6 @@ from .families import (
 from .rounding import (
     AlmostResult,
     ConjugacyResult,
-    MatchMatrix,
     commuting_extension,
     extract_conjugacy,
     nearest_right_translation,

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import NoWitnessError, WindowEmptyError
+from .errors import NoWitnessError, WindowEmptyError, certify
 from .groups import CyclicGroup, DirectProductGroup, FinGroup, group_from_perm_generators
 from .perms import Perm
 
@@ -82,10 +82,10 @@ def round_to_invariant(y_size: int, X: Sequence[int], H: Sequence[Perm]) -> Tupl
     max_move = 2 * int((~x_mask[hx]).sum(axis=1).max())  # |X △ hX| = 2|hX ∖ X|
     x0_mask = 2 * counts >= subgroup.order  # f(y) >= 1/2
     sym_diff = int((x0_mask ^ x_mask).sum())
-    assert sym_diff <= 2 * max_move, "invariant rounding bound violated"
+    certify("invariant rounding bound violated", sym_diff, 2 * max_move)
     # exact invariance under every generator: p(X0) ⊆ X0, so p(X0) = X0
     gens = np.stack([p.image for p in H])
-    assert x0_mask[gens[:, x0_mask]].all(), "rounded set is not invariant"
+    certify("rounded set is not invariant", int((~x0_mask[gens[:, x0_mask]]).sum()), 0)
     return set(np.flatnonzero(x0_mask).tolist()), max_move
 
 
@@ -125,7 +125,9 @@ def grow_to_window(
         raise ValueError(
             f"|D|/|G| = {dens} exceeds min(beta-alpha, alpha) = {min(beta - alpha, alpha)}"
         )
-    k_cap = math.ceil(math.log(1 - float(alpha)) / math.log(1 - float(dens)))
+    k_cap, uncovered = 0, Fraction(1)  # the least k with (1 - dens)^k <= 1 - alpha
+    while uncovered > 1 - alpha:
+        k_cap, uncovered = k_cap + 1, uncovered * (1 - dens)
     d_idx = np.asarray(d_list, dtype=np.int64)
     covered = np.zeros(G.order, dtype=bool)
     translates: List[int] = []
@@ -139,9 +141,9 @@ def grow_to_window(
                 best_g, best_gain, best_mask = g, gain, shifted
         covered |= best_mask
         translates.append(best_g)
-        assert len(translates) <= k_cap, "greedy cover exceeded the translate bound"
+        certify("greedy cover exceeded the translate bound", len(translates), k_cap)
     result = almost_inv_set(G, [int(v) for v in np.nonzero(covered)[0]])
-    assert result.density < beta, "greedy cover overshot the density window"
+    certify("greedy cover overshot the density window", result.density, beta, strict=True)
     return result
 
 

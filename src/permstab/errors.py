@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one certificate check."""
+
+from fractions import Fraction
 
 
 class PermstabError(Exception):
@@ -54,8 +56,23 @@ class OutOfRegimeError(PermstabError, ValueError):
 
 
 class ConfigError(PermstabError, ValueError):
-    """Invalid experiment configuration."""
+    """Invalid configuration or input: a config or input-file field, or an argument out of range."""
 
 
 class CertificateError(PermstabError):
     """A certified bound fails on the computed output."""
+
+
+def certify(name: str, measured, bound, strict: bool = False) -> None:
+    """Raise CertificateError unless measured <= bound (measured < bound if strict).
+
+    Both sides must be ints or Fractions, so the comparison is exact and
+    holds under ``python -O`` too; a float on either side raises TypeError.
+    A consistency check certifies its count of violations against 0.  The
+    error message starts with `name`.
+    """
+    for value in (measured, bound):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{name}: certify compares ints or Fractions, got {value!r}")
+    if not (measured < bound if strict else measured <= bound):
+        raise CertificateError(f"{name}: {measured} {'<' if strict else '<='} {bound} fails")

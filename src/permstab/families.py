@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .almost_invariant import window_cardinality
-from .errors import ConfigError, NotSurjectiveError
+from .errors import ConfigError, NotSurjectiveError, certify
 from .groups import (
     FinGroup,
     GroupHom,
@@ -148,7 +148,7 @@ def _equidistribution_spot_check(
         y = rng.choice(X.order, size=y_size, replace=False)
         total = int(b_masks[:, y].sum())
         expected = Fraction(len(b_arr) * y_size * len(q_members), X.order)
-        assert Fraction(total) == expected, "equidistribution identity failed"
+        certify("equidistribution identity failed", abs(total - expected), 0)
 
 
 def build_swap_family(
@@ -183,9 +183,10 @@ def build_swap_family(
     z_arr = np.asarray(Z, dtype=np.int64)
     c_arr = np.asarray(C, dtype=np.int64)
     b_arr = np.unique(X.mul_many(z_arr[:, None], c_arr[None, :]).ravel())
-    assert b_arr.size == len(Z) * len(C), "coset translates of C overlap"
+    certify("coset translates of C overlap", len(Z) * len(C) - int(b_arr.size), 0)
     b_density = Fraction(int(b_arr.size), X.order)
-    assert alpha <= b_density <= beta
+    certify("|B|/|X| lies below the window", alpha, b_density)
+    certify("|B|/|X| lies above the window", b_density, beta)
     if len(q_members) * X.order <= 50_000_000:
         _equidistribution_spot_check(X, b_arr, q_members)
 
@@ -214,15 +215,14 @@ def build_swap_family(
     b_mask[b_arr] = True
     gb = X.mul_many(np.int64(g), b_arr)
     a_arr = b_arr[~b_mask[gb]]  # x ∈ B with gx ∉ B
-    assert a_arr.size == int(b_arr.size) - int(counts[g])
+    certify("|A| disagrees with |B ∖ g⁻¹B|", abs(a_arr.size - int(b_arr.size - counts[g])), 0)
     a_density = Fraction(int(a_arr.size), X.order)
     lower = b_density * (1 - b_density)
-    assert a_density >= lower >= Fraction(5, 42), (
-        f"|A|/|X| = {a_density} fell below the certified floor {lower}"
-    )
+    certify("|A|/|X| fell below the certified floor", lower, a_density)
+    certify("the certified floor fell below 5/42", Fraction(5, 42), lower)
 
     ga_arr = X.mul_many(np.int64(g), a_arr)
-    assert not np.isin(ga_arr, a_arr).any(), "A and gA intersect"
+    certify("A and gA intersect", int(np.isin(ga_arr, a_arr).sum()), 0)
     image = np.arange(X.order, dtype=np.int64)
     image[a_arr] = ga_arr
     image[ga_arr] = a_arr
@@ -289,7 +289,7 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
         else:
             a_loss = int((a_mask & ~ah_mask).sum())  # |A ∖ Ah|
             closed = Fraction(2 * a_loss + u_loss, X.order)
-        assert closed == direct, f"closed-form defect disagrees at h={h}"
+        certify(f"closed-form defect disagrees at h={h}", abs(closed - direct), 0)
         return direct
 
     idx = np.arange(X.order)

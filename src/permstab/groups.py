@@ -30,6 +30,7 @@ from .errors import (
     NotAHomomorphismError,
     NotAnActionError,
     NotASubgroupError,
+    certify,
 )
 from .perms import Perm, compose, identity, inverse
 
@@ -100,12 +101,27 @@ class FinGroup:
             self._abelian = ab
         return self._abelian
 
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity_index:
-            x = self.mul(x, g)
-            k += 1
-        return k
+    def element_order(self, g):
+        """The order of g; for an array of elements, the array of their orders.
+
+        Walks the powers of every element together, in blocks g^(j+1) … g^(j+b)
+        that double up to CHUNK_ENTRIES entries and then move on by g^b.
+        """
+        elems = np.asarray(g, dtype=np.int64)
+        flat = elems.ravel()
+        e = self.identity_index
+        powers = flat[None, :]  # row i: g^(i+1)
+        while 2 * powers.size <= CHUNK_ENTRIES and not (powers == e).any(axis=0).all():
+            powers = np.concatenate([powers, self.mul_many(powers[-1], powers)])
+        order, step, done = np.zeros(flat.size, dtype=np.int64), powers[-1], 0
+        while True:
+            at_e = powers == e
+            new = (order == 0) & at_e.any(axis=0)
+            order[new] = done + 1 + at_e[:, new].argmax(axis=0)
+            if order.all():
+                break
+            powers, done = self.mul_many(step, powers), done + len(powers)
+        return int(order[0]) if elems.ndim == 0 else order.reshape(elems.shape)
 
     def _spread(self, letters: Sequence[int], cap: Optional[int] = None):
         """BFS from the identity by right multiplication with `letters`.
@@ -318,7 +334,7 @@ class SL2Group(FinGroup):
         if (a * d - b * c) % n != 1:
             raise ValueError("matrix is not in SL2")
         idx = int(self._lut[((a * n + b) * n + c) * n + d])
-        assert idx >= 0
+        certify("the lookup table misses an SL2 matrix", int(idx < 0), 0)
         return idx
 
     def _lookup(self, entries) -> np.ndarray:
@@ -790,11 +806,7 @@ def canonical_subgroup_key(G: FinGroup, H: Sequence[int]) -> Tuple[int, ...]:
             f"subgroup conjugacy testing limited to order {CONJUGACY_CAP}"
         )
     h_arr = np.asarray(sorted(set(int(x) for x in H)), dtype=np.int64)
-    best: Optional[Tuple[int, ...]] = None
-    for c in G.elements():
-        conj = G.mul_many(G.mul_many(np.int64(c), h_arr), np.int64(G.inv(c)))
-        key = tuple(sorted(int(v) for v in conj))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return min(
+        tuple(sorted(G.mul_many(G.mul_many(np.int64(c), h_arr), np.int64(G.inv(c))).tolist()))
+        for c in G.elements()
+    )

@@ -18,9 +18,10 @@ right-translation scan handles every completed k̃ at once, gathering
 that scan and of the ε measurement stays within groups.CHUNK_ENTRIES entries.
 
 All set losses and displacements are counted exactly; the Kazhdan constant
-enters only through its certified lower bound, which is conservative.  The
-right-translation bound κ²·d_H <= 4·defect is compared in exact rationals
-and raises CertificateError when it fails, under ``python -O`` too.
+enters only through its certified lower bound, which is conservative.  Every
+bound and consistency check goes through errors.certify: it compares ints
+and Fractions exactly, κ as the Fraction of its float, and raises
+CertificateError when a check fails, under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .almost_invariant import round_to_invariant
-from .errors import CapacityError, CertificateError, OutOfRegimeError
+from .errors import CapacityError, ConfigError, OutOfRegimeError, certify
 from .groups import (
     CONJUGACY_CAP,
     FinGroup,
@@ -55,7 +56,7 @@ def certified_kappa_lower(G: FinGroup, S: Sequence[int]) -> float:
 
 def _check_kappa(kappa_lower: Optional[float]) -> None:
     if kappa_lower is not None and not 0 < kappa_lower <= 2:
-        raise ValueError(f"kappa_lower must lie in (0, 2], got {kappa_lower!r}")
+        raise ConfigError(f"kappa_lower must lie in (0, 2], got {kappa_lower!r}")
 
 
 def nearest_right_translation(
@@ -108,31 +109,9 @@ def _nearest_right_translations(
     beta = G.mul_many(idx[None, :], G.inv_many(h)[:, None])  # row i: y ↦ y·h[i]⁻¹
     dist = (phis != beta).sum(axis=1)
     k2 = Fraction(kappa_lower) ** 2
-    p, q4 = k2.numerator, 4 * k2.denominator
-    if any(p * d > q4 * e for d, e in zip(dist.tolist(), defect.tolist())):
-        raise CertificateError("right-translation bound violated")
+    worst = max(k2 * d - 4 * e for d, e in set(zip(dist.tolist(), defect.tolist())))
+    certify("right-translation bound violated", worst, 0)
     return h, dist, beta
-
-
-@dataclass
-class MatchMatrix:
-    """Sparse averaged matching matrix V between two actions of K."""
-
-    n: int
-    k_order: int
-    counts: Dict[Tuple[int, int], int]  # (x1, x2) -> |{k : α₁(k)x1 = α₂(k)x2}|
-
-    def weight(self, x1: int, x2: int) -> Fraction:
-        return Fraction(self.counts.get((x1, x2), 0), self.k_order)
-
-    def check_substochastic(self):
-        rows: Dict[int, int] = {}
-        cols: Dict[int, int] = {}
-        for (x1, x2), c in self.counts.items():
-            rows[x1] = rows.get(x1, 0) + c
-            cols[x2] = cols.get(x2, 0) + c
-        assert all(v <= self.k_order for v in rows.values()), "row sum exceeds 1"
-        assert all(v <= self.k_order for v in cols.values()), "column sum exceeds 1"
 
 
 @dataclass
@@ -141,7 +120,6 @@ class ConjugacyResult:
     X2: List[int]
     phi: PartialInjection  # defined exactly on X1
     epsilon: Fraction
-    match: MatchMatrix
     set_loss: int  # max(|X∖X1|, |X∖X2|)
     displacement: int  # |{x ∈ X1 : φ(x) ≠ x}|
 
@@ -156,6 +134,22 @@ def _action_rows(K: FinGroup, action) -> np.ndarray:
             raise ValueError("action does not belong to the given group")
         return action.rows
     return PermAction(K, np.stack([p.image for p in action])).rows
+
+
+def _certify_equivariance(entries: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, x1) -> None:
+    """φ∘α₁(k) = α₂(k)∘φ on X1 and α₂(k)X2 = X2, for every k at once.
+
+    rows1 and rows2 hold the image rows α₁(k) and α₂(k); φ, given by its
+    `entries`, is defined exactly on X1 and maps it onto X2.
+    """
+    phi_x1 = entries[x1]
+    image = entries[rows1[:, x1]]
+    certify("X1 is not invariant", int((image == UNDEFINED).sum()), 0)
+    mismatches = int((image != rows2[:, phi_x1]).sum())
+    certify("equivariance φ∘α₁(k) = α₂(k)∘φ fails on X1", mismatches, 0)
+    in_x2 = np.zeros(rows2.shape[1], dtype=bool)
+    in_x2[phi_x1] = True
+    certify("X2 is not invariant", int((~in_x2[rows2[:, phi_x1]]).sum()), 0)
 
 
 def extract_conjugacy(
@@ -177,42 +171,32 @@ def extract_conjugacy(
         PermAction(K, r2).verify()
     eps = Fraction(int((r1 != r2).sum(axis=1).max()), n)  # max_k d_H(α₁(k), α₂(k))
 
-    # counts[x1*n + x2] over the pairs (x1, α₂(k)⁻¹α₁(k)x1) actually hit
+    # cnt[i] = |K|·V[x1, x2] = |{k : α₁(k)x1 = α₂(k)x2}| for each key x1·n + x2 hit
     keys = np.arange(n) * n + np.take_along_axis(np.argsort(r2, axis=1), r1, axis=1)
     uniq, cnt = np.unique(keys, return_counts=True)
-    counts = {
-        (int(u) // n, int(u) % n): int(c) for u, c in zip(uniq.tolist(), cnt.tolist())
-    }
-    match = MatchMatrix(n=n, k_order=K.order, counts=counts)
-    match.check_substochastic()
+    # integer sums of at most |K|·n, so exact in the float64 that bincount returns
+    certify("row sum exceeds 1", int(np.bincount(uniq // n, weights=cnt).max()), K.order)
+    certify("column sum exceeds 1", int(np.bincount(uniq % n, weights=cnt).max()), K.order)
 
     # weights above 1/2: substochastic, so at most one per row and per column
     x1_arr, phi_x1 = np.divmod(uniq[2 * cnt > K.order], n)  # x1 increasing
     entries = np.full(n, UNDEFINED, dtype=np.int64)
     entries[x1_arr] = phi_x1
     phi = PartialInjection(entries)
-    x2_arr = np.sort(phi_x1)
-    X1, X2 = x1_arr.tolist(), x2_arr.tolist()
+    X1, X2 = x1_arr.tolist(), np.sort(phi_x1).tolist()
 
     set_loss = max(n - len(X1), n - len(X2))
     displacement = int((phi_x1 != x1_arr).sum())
-    assert Fraction(set_loss) <= 16 * eps * n, "conjugacy set-loss bound violated"
-    assert Fraction(displacement) <= 16 * eps * n, "displacement bound violated"
-    # exact equivariance on X1 and invariance of X2, for every k at once
-    kx1 = r1[:, x1_arr]
-    assert (entries[kx1] != UNDEFINED).all()  # φ is defined exactly on X1
-    assert np.array_equal(entries[kx1], r2[:, phi_x1])
-    in_x2 = np.zeros(n, dtype=bool)
-    in_x2[x2_arr] = True
-    assert in_x2[r2[:, x2_arr]].all()
+    certify("conjugacy set-loss bound violated", set_loss, 16 * eps * n)
+    certify("displacement bound violated", displacement, 16 * eps * n)
+    _certify_equivariance(entries, r1, r2, x1_arr)
     if eps < Fraction(1, 16) and len(_orbits(PermAction(K, r1))) == 1:
-        assert len(X1) == n, "transitive small-defect actions must fully match"
+        certify("transitive small-defect actions must fully match", n - len(X1), 0)
     return ConjugacyResult(
         X1=X1,
         X2=X2,
         phi=phi,
         epsilon=eps,
-        match=match,
         set_loss=set_loss,
         displacement=displacement,
     )
@@ -237,11 +221,11 @@ def _equivariant_orbit_bijection(
         if np.array_equal(np.sort(G.mul_many(G.mul_many(np.int64(c), h1), invs[c])), h2):
             conjugator = c
             break
-    assert conjugator is not None, "orbit stabilizers are not conjugate"
+    certify("orbit stabilizers are not conjugate", int(conjugator is None), 0)
     reached, transport = np.unique(action.rows[:, a1], return_index=True)  # smallest g per point
-    assert np.array_equal(reached, o1)
+    certify("the orbit of a1 is not o1", int(not np.array_equal(reached, o1)), 0)
     out = action.rows[G.mul_many(transport, invs[conjugator]), a2]
-    assert np.array_equal(np.sort(out), o2)
+    certify("the transported orbit is not o2", int(not np.array_equal(np.sort(out), o2)), 0)
     return out
 
 
@@ -280,18 +264,16 @@ def commuting_extension(G: FinGroup, action: PermAction, phi: Perm) -> Tuple[Per
         return sorted(out, key=lambda t: (t[0], t[1]))
 
     k1, k3 = keyed(orbs1), keyed(orbs3)
-    assert [t[0] for t in k1] == [t[0] for t in k3], (
-        "orbit-type censuses of the leftover parts disagree"
-    )
+    census_differs = int([t[0] for t in k1] != [t[0] for t in k3])
+    certify("orbit-type censuses of the leftover parts disagree", census_differs, 0)
     for (key1, _, o1), (_, _, o3) in zip(k1, k3):
         image[o1] = _equivariant_orbit_bijection(action, o1, o3)
     psi = Perm(image)
     gens = action.rows[G.generators]  # they generate G: action.verify() checked it
-    assert np.array_equal(psi.image[gens], gens[:, psi.image]), (
-        "extension fails to commute with the action"
-    )
+    mismatches = int((psi.image[gens] != gens[:, psi.image]).sum())
+    certify("extension fails to commute with the action", mismatches, 0)
     dist = hamming(phi, psi)
-    assert dist <= 32 * eps, "commuting-extension distance bound violated"
+    certify("commuting-extension distance bound violated", dist, 32 * eps)
     return psi, dist
 
 
@@ -382,18 +364,17 @@ def rigidity_pipeline(
     n_x = G.order
     _check_kappa(kappa_lower)
     if Y_size < n_x:
-        raise ValueError("Y must contain X")
-    for p in K_gens:
-        if p.n != Y_size:
-            raise ValueError("K generators must permute Y")
+        raise ConfigError(f"Y must contain X: Y_size {Y_size} is below |G| = {n_x}")
+    if any(p.n != Y_size for p in K_gens):
+        raise ConfigError(f"K generators must permute Y: each needs Y_size = {Y_size} points")
     K = group_from_perm_generators(list(K_gens))
     eps = _measure_epsilon(G, S, K, n_x)
     if kappa_lower is None:
         kappa_lower = certified_kappa_lower(G, S)
-    regime = kappa_lower**4 / 200
-    if eps > 0 and float(eps) >= regime:
+    k4 = Fraction(kappa_lower) ** 4
+    if eps > 0 and 200 * eps >= k4:
         raise OutOfRegimeError(
-            f"measured defect {float(eps):.6g} is not below κ⁴/200 = {regime:.6g}"
+            f"measured defect {float(eps):.6g} is not below κ⁴/200 = {kappa_lower**4 / 200:.6g}"
         )
 
     # K₀ = {k : |X ∩ kX| >= |X|/2}, with closure verified explicitly
@@ -402,9 +383,8 @@ def rigidity_pipeline(
     prods = K.mul_many(k0[:, None], k0[None, :])
     in_k0 = np.zeros(K.order, dtype=bool)
     in_k0[k0] = True
-    assert in_k0[K.inv_many(k0)].all() and in_k0[prods].all(), (
-        "K₀ failed to close into a subgroup"
-    )
+    outside = int((~in_k0[K.inv_many(k0)]).sum() + (~in_k0[prods]).sum())
+    certify("K₀ failed to close into a subgroup", outside, 0)
     K0_group = TableGroup(
         np.searchsorted(k0, prods),
         generators=[],
@@ -446,33 +426,20 @@ def rigidity_pipeline(
     keep = in_x0[z1] & (phi_z1 < n_x)
     x1_arr = z_arr[z1[keep]]  # increasing
     phi_x1 = phi_z1[keep]  # in X, where position z is point z
-    x2_arr = np.sort(phi_x1)
-    X1, X2 = x1_arr.tolist(), x2_arr.tolist()
+    X1, X2 = x1_arr.tolist(), np.sort(phi_x1).tolist()
     entries = np.full(Y_size, UNDEFINED, dtype=np.int64)
     entries[x1_arr] = phi_x1
     phi = PartialInjection(entries)
 
-    # exact invariance and equivariance checks, for every k ∈ K₀ at once
-    kx = k0_rows[:, x1_arr]
-    assert (entries[kx] != UNDEFINED).all(), "X1 is not K₀-invariant"  # φ is defined on X1 only
-    assert np.array_equal(entries[kx], beta[:, phi_x1]), (
-        "equivariance φ∘k = β(δ(k))∘φ fails on X1"
-    )
-    in_x2 = np.zeros(n_x, dtype=bool)
-    in_x2[x2_arr] = True
-    assert in_x2[beta[:, x2_arr]].all(), "X2 is not β(δ(K₀))-invariant"
+    _certify_equivariance(entries, k0_rows, beta, x1_arr)  # α₁(k) = k, α₂(k) = β(δ(k))
 
     set_loss = max(n_x - int((x1_arr < n_x).sum()), n_x - len(X2))
     displacement = int((phi_x1 != x1_arr).sum())
-    bound1 = 4162 * float(eps) * n_x / kappa_lower**4
-    bound2 = 2048 * float(eps) * n_x / kappa_lower**4
     if eps == 0:
-        assert set_loss == 0 and displacement == 0, (
-            "zero-defect instance must be recovered exactly"
-        )
+        certify("zero-defect instance must be recovered exactly", set_loss + displacement, 0)
     else:
-        assert set_loss < bound1, "set-loss bound (4162/κ⁴) violated"
-        assert displacement <= bound2, "displacement bound (2048/κ⁴) violated"
+        certify("set-loss bound (4162/κ⁴) violated", set_loss * k4, 4162 * eps * n_x, strict=True)
+        certify("displacement bound (2048/κ⁴) violated", displacement * k4, 2048 * eps * n_x)
 
     return AlmostResult(
         K0=K0,
@@ -485,8 +452,8 @@ def rigidity_pipeline(
         kappa_lower=kappa_lower,
         set_loss=set_loss,
         displacement=displacement,
-        bound_set_loss=bound1,
-        bound_displacement=bound2,
+        bound_set_loss=4162 * float(eps) * n_x / kappa_lower**4,
+        bound_displacement=2048 * float(eps) * n_x / kappa_lower**4,
         intermediates={
             "max_translation_mismatch": worst_unif / n_x,
             "invariant_rounding_move": max_move / n_x,

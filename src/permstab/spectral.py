@@ -33,7 +33,6 @@ p(N)·ε·||B||₂ (Users' Guide §4.7), p(N) = N <= P, ε = 2u and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -89,7 +88,7 @@ def _characters(G: FinGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         reached += new.size
     if reached != G.order:
         raise NonGeneratingError("declared generators do not generate G")
-    d = np.asarray([G.element_order(g) for g in gens], dtype=np.int64)
+    d = G.element_order(gens)
     n_cand = math.prod(d.tolist())
     if n_cand > CHARACTER_CAP:
         raise CapacityError(f"character scan over {n_cand} candidates exceeds cap")
@@ -144,12 +143,7 @@ class _CharacterBlocks:
         idx = np.arange(G.order)
         central = np.logical_and.reduce([G.mul_many(idx, s) == G.mul_many(s, idx) for s in gens])
         cand = G.mul_many(gens[:, None], idx[central][None, :]).ravel()
-        order, cur = np.zeros(cand.size, dtype=np.int64), cand.copy()
-        for r in itertools.count(1):  # order: the first power of a candidate at e
-            order[(order == 0) & (cur == G.identity_index)] = r
-            if order.all():
-                break
-            cur = G.mul_many(cur, cand)
+        order = G.element_order(cand)
         m = int(order.max())
         h = int(cand[order == m].min())
         if G.order // m > DENSE_DIM_CAP:

@@ -1,0 +1,87 @@
+"""errors.certify is the package's one certificate check.
+
+It compares ints and Fractions exactly and raises CertificateError, so a
+check holds under ``python -O`` too; src/permstab holds no `assert` that
+could vanish there instead.
+"""
+
+import ast
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from permstab.errors import CertificateError, certify
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "permstab").glob("*.py"))
+
+
+def test_certify_compares_exactly():
+    certify("at the bound", Fraction(1, 3), Fraction(2, 6))
+    certify("below a strict bound", 0, Fraction(1, 10**30), strict=True)
+    with pytest.raises(CertificateError, match=r"^at a strict bound: 1/3 < 1/3 fails$"):
+        certify("at a strict bound", Fraction(1, 3), Fraction(1, 3), strict=True)
+    with pytest.raises(CertificateError, match=r"^one violation: 1 <= 0 fails$"):
+        certify("one violation", 1, 0)
+
+
+@pytest.mark.parametrize("measured, bound", [(0.5, 1), (0, 1.0), (np.float64(0), 1)])
+def test_certify_refuses_inexact_values(measured, bound):
+    with pytest.raises(TypeError, match="^a float"):
+        certify("a float", measured, bound)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_in_src(path):
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at lines {lines}; use errors.certify"
+
+
+# Each case injects one fault into a module under python -O and expects the
+# certificate that catches it.
+FAULTS = {
+    "families": (
+        "from permstab import families\n"
+        "families.window_cardinality = lambda order, alpha, beta: 2\n"
+        "families.flagship_family(7)\n",  # |C| = 2 of 7: |B|/|X| = 2/7 > 1/6
+        "|B|/|X| lies above the window",
+    ),
+    "almost_invariant": (
+        "import types\n"
+        "import numpy as np\n"
+        "from permstab import almost_invariant\n"
+        "from permstab.perms import Perm\n"
+        "almost_invariant.group_from_perm_generators = lambda gens: types.SimpleNamespace(\n"
+        "    order=2, rows=np.stack([np.arange(3), gens[0].image]))  # {e, c}: not closed\n"
+        "almost_invariant.round_to_invariant(3, [0], [Perm(np.array([1, 2, 0]))])\n",
+        "rounded set is not invariant",
+    ),
+    "groups": (
+        "from permstab.groups import sl2_mod\n"
+        "X = sl2_mod(5)\n"
+        "X._lut[((1 * 5 + 1) * 5 + 0) * 5 + 1] = -1  # [[1, 1], [0, 1]]\n"
+        "X.index_of(1, 1, 0, 1)\n",
+        "the lookup table misses an SL2 matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(FAULTS))
+def test_injected_fault_raises_under_optimize(module):
+    body, name = FAULTS[module]
+    code = (
+        "from permstab.errors import CertificateError\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + "except CertificateError as exc:\n"
+        f"    raise SystemExit(0 if str(exc).startswith({name!r}) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = {"PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,5 +1,6 @@
 """CLI subcommands and experiment artifacts: exit codes, schemas, determinism."""
 
+import csv
 import json
 import os
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from permstab import families
 from permstab.cli import main, parse_group_spec
 from permstab.errors import ConfigError
 from permstab.experiment import CSV_COLUMNS, ExperimentConfig, run_experiment
@@ -198,3 +200,22 @@ def test_run_experiment_returns_out_dir(tmp_path):
     cfg = ExperimentConfig(primes=[7], out_dir=out)
     assert run_experiment(cfg) == out
     assert os.path.exists(os.path.join(out, "grid.csv"))
+
+
+def test_grid_row_records_violated_certificate(tmp_path, monkeypatch):
+    # p = 13 gets |C| = 6 of 13, so |B|/|X| = 6/13 leaves the window [1/7, 1/6]
+    cardinality = families.window_cardinality
+    monkeypatch.setattr(
+        families,
+        "window_cardinality",
+        lambda order, a, b: 6 if order == 13 else cardinality(order, a, b),
+    )
+    out = tmp_path / "grid"
+    run_experiment(ExperimentConfig(primes=[7, 13, 19], out_dir=str(out)))
+    with open(out / "grid.csv", newline="") as f:
+        rows = {row["p"]: row for row in csv.DictReader(f)}
+    assert rows["13"]["error"].startswith("CertificateError: |B|/|X| lies above the window")
+    assert rows["13"]["carrier_order"] == "" and not (out / "instance_p13.json").exists()
+    for p in ("7", "19"):
+        assert rows[p]["error"] == "" and all(rows[p][c] for c in CSV_COLUMNS if c != "error")
+        assert (out / f"instance_p{p}.json").exists()

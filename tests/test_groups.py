@@ -1,6 +1,7 @@
 """Group engine: enumeration, closure, homs, actions, cosets, subgroup keys."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,34 @@ def test_cyclic_basics():
     assert G.order == 6 and G.mul(4, 5) == 3 and G.inv(2) == 4
     assert G.is_abelian
     assert G.element_order(2) == 3
+
+
+def _scalar_order(G, g):
+    k, x = 1, g
+    while x != G.identity_index:
+        x, k = G.mul(x, g), k + 1
+    return k
+
+
+@pytest.mark.parametrize("spec", ["sl2_mod(5)", "table of sl2_mod(3)", "cyclic(2000)"])
+def test_element_order_array(spec):
+    if spec == "cyclic(2000)":  # blocks stop doubling at 8 rows, then move on by g^8
+        G = cyclic(2000)
+        want = [2000 // math.gcd(g, 2000) for g in range(2000)]
+    else:
+        G = sl2_mod(5) if spec == "sl2_mod(5)" else _table_of(sl2_mod(3))
+        want = [_scalar_order(G, g) for g in range(G.order)]
+    idx = np.arange(G.order)
+    assert G.element_order(idx).tolist() == want
+    assert G.element_order(idx.reshape(-1, 2)).tolist() == np.reshape(want, (-1, 2)).tolist()
+    some = range(0, G.order, G.order // 100 + 1)
+    assert [G.element_order(g) for g in some] == [want[g] for g in some]
+    assert all(type(G.element_order(g)) is int for g in some)
+
+
+def _table_of(G):
+    idx = np.arange(G.order)
+    return TableGroup(G.mul_many(idx[:, None], idx[None, :]), generators=list(G.generators))
 
 
 def test_sl2_orders():
