@@ -12,9 +12,14 @@ orbits and coset representatives share one min-label propagation.
 `SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
 or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
 longer fits int16.  Its kernel multiplies and reduces mod n in that width,
-then looks the product up by the key ((a·n + b)·n + c)·n + d in an int32
-table of n⁴ entries (13.7 MB at n = 43).  The same key serves every
-modulus; index arrays come back as int64.
+then finds the product's index as first[(a·n + b)·n + c] + off[d, a].  The
+elements with one prefix (a, b, c) are a contiguous run in lexicographic
+order, and `first`, an int32 table of n³ entries (318 KB at n = 43), holds
+where each run starts.  The d of a run solve a·d ≡ 1 + bc (mod n), a coset
+of the multiples of n/gcd(a, n) whose least member is below n/gcd(a, n),
+so d's place in its run is off[d, a] = d // (n/gcd(a, n)) for every
+modulus, prime or not.  Construction certifies that the tables send every
+element's entries back to its index; index arrays come back as int64.
 """
 
 from __future__ import annotations
@@ -289,7 +294,7 @@ class SL2Group(FinGroup):
     def __init__(self, n: int, order_cap: int = 200_000):
         if n < 2:
             raise ValueError("modulus must be >= 2")
-        if n**4 > np.iinfo(np.int32).max:
+        if n**3 > np.iinfo(np.int32).max:
             raise CapacityError(f"modulus {n} overflows the int32 lookup key")
         self.modulus = n
         rows = []
@@ -312,10 +317,15 @@ class SL2Group(FinGroup):
         self.order = int(elems.shape[0])
         width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
         self.entries = np.ascontiguousarray(elems.T, dtype=width)  # rows a, b, c, d
-        keys = ((elems[:, 0] * n + elems[:, 1]) * n + elems[:, 2]) * n + elems[:, 3]
-        lut = np.full(n**4, -1, dtype=np.int32)
-        lut[keys] = np.arange(self.order)
-        self._lut = lut
+        prefix = (elems[:, 0] * n + elems[:, 1]) * n + elems[:, 2]
+        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+        self._first = np.full(n**3, -1, dtype=np.int32)
+        self._first[prefix[starts]] = starts
+        ints = np.arange(n)
+        self._off = (ints[:, None] // (n // np.gcd(ints, n))).ravel()  # at d·n + a
+        decoded = self._lookup(self.entries[[3, 0, 1, 2]])
+        misses = int(np.count_nonzero(decoded != np.arange(self.order)))
+        certify("the lookup table misses an SL2 matrix", misses, 0)
         self.identity_index = self.index_of(1, 0, 0, 1)
         self.generators = [self.index_of(1, 1, 0, 1), self.index_of(1, 0, 1, 1)]
         self.name = f"sl2({n})"
@@ -333,33 +343,43 @@ class SL2Group(FinGroup):
         a, b, c, d = a % n, b % n, c % n, d % n
         if (a * d - b * c) % n != 1:
             raise ValueError("matrix is not in SL2")
-        idx = int(self._lut[((a * n + b) * n + c) * n + d])
-        certify("the lookup table misses an SL2 matrix", int(idx < 0), 0)
+        idx = int(self._first[(a * n + b) * n + c] + self._off[d * n + a])
+        found = 0 <= idx < self.order and self.entries[:, idx].tolist() == [a, b, c, d]
+        certify("the lookup table misses an SL2 matrix", int(not found), 0)
         return idx
 
     def _lookup(self, entries) -> np.ndarray:
-        """int64 indices of the matrices whose reduced a, b, c, d `entries` yields."""
+        """int64 indices of the matrices whose reduced d, a, b, c `entries` yields.
+
+        One int32 key is built in place: d·n + a reads off[d, a], the key is
+        reduced to a and grown to (a·n + b)·n + c, which reads first.
+        """
         n = self.modulus
         entries = iter(entries)
         key = next(entries).astype(np.int32)
+        key *= n
+        key += next(entries)
+        out = self._off[key]
+        key %= n
         for e in entries:
             key *= n
             key += e
-        return self._lut[key].astype(np.int64)
+        out += self._first[key]
+        return out
 
     def mul_many(self, a, b) -> np.ndarray:
         n = self.modulus
         A = self.entries[:, np.asarray(a)]
         B = self.entries[:, np.asarray(b)]
-        return self._lookup(  # row i/2 of A times column j of B, for a, b, c, d
-            (A[i] * B[j] + A[i + 1] * B[j + 2]) % n for i in (0, 2) for j in (0, 1)
+        return self._lookup(  # row i/2 of A times column j of B, for d, a, b, c
+            (A[i] * B[j] + A[i + 1] * B[j + 2]) % n for i, j in ((2, 1), (0, 0), (0, 1), (2, 0))
         )
 
     def inv_many(self, a) -> np.ndarray:
         n = self.modulus
         A = self.entries[:, np.asarray(a)]
         # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
-        return self._lookup((A[3], (n - A[1]) % n, (n - A[2]) % n, A[0]))
+        return self._lookup((A[0], A[3], (n - A[1]) % n, (n - A[2]) % n))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ chunks, in the order of `itertools.product` over that list.  Each chunk
 evaluates every relator by row gathers, keeps the tuples on which all of
 them are the identity, and scores each survivor by max_i d_H to the input
 images.  Ties go to the first minimum in that lexicographic order.  Above
-EXHAUSTIVE_CAP tuples it raises CapacityError before enumerating anything.
+EXHAUSTIVE_CAP tuples, or EXHAUSTIVE_CAP entries n!·n in the S_n table, it
+raises CapacityError before enumerating anything.
 
 The chosen images are re-checked against every relator through
 `MarkedMap.evaluate`, which the scan does not use, and a violated relator
@@ -54,8 +55,8 @@ def nearest_homomorphism_bruteforce(marked: MarkedGroup, m: MarkedMap) -> Oracle
     """Exact homomorphism minimizing max_i d_H to the input generator images.
 
     Scans all (n!)^k image tuples; ties go to the first tuple in
-    lexicographic enumeration order.  Raises CapacityError when (n!)^k
-    exceeds EXHAUSTIVE_CAP.
+    lexicographic enumeration order.  Raises CapacityError when (n!)^k or
+    n!·n exceeds EXHAUSTIVE_CAP.
     """
     if marked.generator_count != m.marked.generator_count:
         raise ValueError("marked presentation does not match the input map")
@@ -63,6 +64,9 @@ def nearest_homomorphism_bruteforce(marked: MarkedGroup, m: MarkedMap) -> Oracle
     space = math.factorial(n) ** marked.generator_count
     if space > EXHAUSTIVE_CAP:
         raise CapacityError(f"search space (n!)^k = {space} exceeds cap {EXHAUSTIVE_CAP}")
+    table = math.factorial(n) * n
+    if table > EXHAUSTIVE_CAP:
+        raise CapacityError(f"S_n table of n!·n = {table} entries exceeds cap {EXHAUSTIVE_CAP}")
     targets = np.stack([p.image for p in m.images])
     hom = MarkedMap(marked, [Perm(row) for row in _scan(marked, targets)])
     for rel in marked.relators:

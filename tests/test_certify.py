@@ -64,9 +64,19 @@ FAULTS = {
     "groups": (
         "from permstab.groups import sl2_mod\n"
         "X = sl2_mod(5)\n"
-        "X._lut[((1 * 5 + 1) * 5 + 0) * 5 + 1] = -1  # [[1, 1], [0, 1]]\n"
+        "X._first[(1 * 5 + 1) * 5 + 0] = -1  # the run of [[1, 1], [0, d]]\n"
         "X.index_of(1, 1, 0, 1)\n",
         "the lookup table misses an SL2 matrix",
+    ),
+    "spectral": (
+        "import numpy as np\n"
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "eigvalsh = np.linalg.eigvalsh\n"
+        "np.linalg.eigvalsh = lambda a: eigvalsh(a) + 1e-6  # mu 1e-6 above lambda1\n"
+        "X = sl2_mod(13)\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "the Cholesky certificate refuses a block",
     ),
 }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from permstab.errors import (
     CapacityError,
+    CertificateError,
     NotAHomomorphismError,
     NotAnActionError,
     NotASubgroupError,
@@ -113,32 +114,48 @@ def test_sl2_cap():
         sl2_mod(97, order_cap=1000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 12, 13])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 13])
 def test_sl2_kernel_matches_matrix_product(n):
+    # composite moduli give runs of several d per (a, b, c) prefix
     X = sl2_mod(n)
     mats = np.array(
         [m for m in itertools.product(range(n), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % n == 1],
         dtype=np.int64,
     ).reshape(-1, 2, 2)
     assert len(mats) == X.order
+    lex = {tuple(m): i for i, m in enumerate(mats.reshape(-1, 4).tolist())}
 
     def index(m):
-        return X.index_of(*(int(v) for v in m.ravel()))
+        return lex[tuple(int(v) for v in (m % n).ravel())]
 
-    assert [index(m) for m in mats] == list(X.elements())  # lexicographic order
+    assert [X.index_of(*m.ravel().tolist()) for m in mats] == list(X.elements())
     rng = np.random.default_rng(n)
     xs = rng.integers(0, X.order, 40)
     ys = rng.integers(0, X.order, 30)
-    expected = np.array([[index(mats[x] @ mats[y] % n) for y in ys] for x in xs])
+    expected = np.array([[index(mats[x] @ mats[y]) for y in ys] for x in xs])
+    every = np.arange(X.order)
     for got, want in [
         (X.mul_many(xs[:, None], ys[None, :]), expected),
         (X.mul_many(np.int64(xs[0]), ys), expected[0]),
         (X.mul_many(xs, np.int64(ys[0])), expected[:, 0]),
-        (X.inv_many(xs), [index(np.array([[d, -b], [-c, a]]) % n) for (a, b), (c, d) in mats[xs]]),
+        (X.inv_many(every), [index(np.array([[d, -b], [-c, a]])) for (a, b), (c, d) in mats]),
     ]:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
     assert X.mul(int(xs[0]), int(ys[0])) == expected[0, 0]
+
+
+def test_sl2_tables_certified_at_construction(monkeypatch):
+    # with every gcd(a, n) taken as 1, a non-unit a finds the wrong d in its run
+    monkeypatch.setattr(np, "gcd", lambda a, n: np.ones_like(a))
+    with pytest.raises(CertificateError, match="^the lookup table misses an SL2 matrix"):
+        sl2_mod(4)
+
+
+def test_sl2_key_capacity():
+    # (a·n + b)·n + c must fit int32: refused before anything is enumerated
+    with pytest.raises(CapacityError, match="int32"):
+        sl2_mod(1291)
 
 
 def test_direct_product():

@@ -112,6 +112,20 @@ def test_capacity_without_local_search(monkeypatch):
         nearest_homomorphism_bruteforce(z2, m)
 
 
+def test_capacity_on_the_sn_table(monkeypatch):
+    # one generator: 10! tuples fit the cap, the 10!·10 entries of the S_10 table do not
+    scanned = []
+    monkeypatch.setattr(
+        oracle, "_scan", lambda marked, targets: scanned.append(targets.shape) or targets
+    )
+    z3 = MarkedGroup(1, ((1, 1, 1),))
+    with pytest.raises(CapacityError, match="n!·n"):
+        nearest_homomorphism_bruteforce(z3, MarkedMap(z3, [identity(10)]))
+    assert scanned == []
+    nearest_homomorphism_bruteforce(z3, MarkedMap(z3, [identity(9)]))  # 9!·9 entries fit
+    assert scanned == [(1, 9)]
+
+
 def test_violated_certificate_raises_under_optimize():
     # a scan that returns the input's non-commuting swaps must not pass as exact
     src = Path(__file__).resolve().parents[1] / "src"

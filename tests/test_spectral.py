@@ -13,8 +13,9 @@ import pytest
 
 import permstab
 from permstab import spectral
-from permstab.errors import CapacityError, NonGeneratingError, NotAbelianError
-from permstab.groups import TableGroup, cyclic, direct_product, sl2_mod
+from permstab.errors import CapacityError, CertificateError, NonGeneratingError, NotAbelianError
+from permstab.groups import TableGroup, cyclic, direct_product, group_from_perm_generators, sl2_mod
+from permstab.perms import Perm
 from permstab.spectral import (
     _CharacterBlocks,
     kazhdan_abelian_exact,
@@ -158,7 +159,12 @@ def _dense_laplacian(G, S):
     return L
 
 
-BLOCK_GROUPS = [sl2_mod(5), sl2_mod(7), direct_product(sl2_mod(5), cyclic(4))]
+def _dihedral(n):
+    return group_from_perm_generators([Perm(np.roll(np.arange(n), 1)), Perm(np.arange(n)[::-1].copy())])
+
+
+# the dihedral group's λ1 lies outside block 0, so its certificate takes the fallback
+BLOCK_GROUPS = [sl2_mod(5), sl2_mod(7), direct_product(sl2_mod(5), cyclic(4)), _dihedral(12)]
 
 
 @pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
@@ -187,6 +193,107 @@ def test_orbit_blocks_isospectral(G):
             for ja in (j * a % m, -j * a % m):
                 other = np.linalg.eigvalsh(blocks.block(int(ja)))
                 np.testing.assert_allclose(other, vals, rtol=0, atol=1e-10)
+
+
+def _blocks_reference(G, S):
+    """(m, cols, exps, powers) by the scan of every candidate and m rounds along x ↦ x·h."""
+    gens = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
+    idx = np.arange(G.order)
+    central = np.logical_and.reduce([G.mul_many(idx, s) == G.mul_many(s, idx) for s in gens])
+    cand = G.mul_many(gens[:, None], idx[central][None, :]).ravel()
+    order = G.element_order(cand)
+    m = int(order.max())
+    h = int(cand[order == m].min())
+    right_h = G.mul_many(idx, np.int64(h))
+    cur, rep, back = idx, idx.copy(), np.zeros(G.order, dtype=np.int64)
+    for r in range(1, m):
+        cur = right_h[cur]
+        better = cur < rep
+        rep[better], back[better] = cur[better], r
+    reps, coset = np.unique(rep, return_inverse=True)
+    steps = np.asarray([t for s in gens for t in (s, G.inv(s))], dtype=np.int64)
+    moved = G.mul_many(steps[:, None], reps[None, :])
+    conj = G.mul_many(right_h, G.inv_many(idx))
+    in_h = conj[coset[conj] == coset[G.identity_index]]
+    a = (back[G.identity_index] - back[in_h]) % m
+    return m, coset[moved], -back[moved] % m, np.unique(a)
+
+
+@pytest.mark.parametrize(
+    "G", BLOCK_GROUPS + [sl2_mod(11), sl2_mod(13), sl2_mod(43), cyclic(2000)], ids=str
+)
+def test_blocks_match_round_by_round_reference(G):
+    blocks = _CharacterBlocks.of(G, G.generators)
+    m, cols, exps, powers = _blocks_reference(G, G.generators)
+    assert blocks.m == m
+    for got, want in ((blocks.cols, cols), (blocks.exps, exps), (blocks.powers, powers)):
+        assert np.array_equal(got, want)
+
+
+def _count_lapack(monkeypatch):
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(a, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("G, eigensolves, retries", [
+    (sl2_mod(13), 1, 0), (sl2_mod(19), 1, 0), (_dihedral(12), 2, 1), (cyclic(20000), 0, 0),
+], ids=["sl2_13", "sl2_19", "dihedral_12", "cyclic_20000"])
+def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, eigensolves, retries):
+    # one eigvalsh chooses μ and each orbit block gets one Cholesky; N = 1 blocks need neither
+    blocks = _CharacterBlocks.of(G, G.generators)
+    calls = _count_lapack(monkeypatch)
+    lam, solved = spectral._lambda1(G, G.generators)
+    assert solved == len(blocks.orbit_reps())
+    cholesky = 0 if blocks.cols.shape[1] == 1 else solved + retries
+    assert calls == {"eigvalsh": eigensolves, "cholesky": cholesky}
+    if G.is_abelian:
+        exact = kazhdan_abelian_exact(G, G.generators)
+        br = kazhdan_bracket(G, G.generators)
+        assert br.lower <= exact.lower <= br.upper
+        assert abs(br.lambda1 - exact.lambda1) < 1e-12
+
+
+def test_certificate_refuses_a_level_above_the_block():
+    # sl2_mod(13) has real and complex orbit blocks; each is certified at its own
+    # least eigenvalue and refused 1e-6 above it
+    X = sl2_mod(13)
+    blocks = _CharacterBlocks.of(X, X.generators)
+    kinds = set()
+    for j in blocks.orbit_reps().tolist():
+        kinds.add(blocks.block(j).dtype.kind)
+        least = spectral._smallest(blocks, j)
+        assert 0 < least - spectral._certified_level(blocks, j, least) < 1e-9
+        assert spectral._certified_level(blocks, j, least + 1e-6) is None
+    assert kinds == {"f", "c"}
+
+
+def test_bracket_refuses_mu_above_lambda1(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-6)
+    X = sl2_mod(13)
+    with pytest.raises(CertificateError, match="^the Cholesky certificate refuses a block"):
+        kazhdan_bracket(X, X.generators)
+
+
+def test_bracket_matches_reference_file():
+    # the benchmark accepts these within KAZHDAN_TOL = 1e-8; a margin that moved
+    # `lower` further would fail here first
+    reference = json.loads(REFERENCE.read_text())
+    for p in (11, 13, 43):
+        X = sl2_mod(p)
+        want = reference[f"sl2:{p}"]
+        br = kazhdan_bracket(X, X.generators)
+        assert br.method == want["method"]
+        for key in ("lambda1", "lower", "upper"):
+            assert abs(getattr(br, key) - want[key]) <= 1e-8, key
 
 
 def test_bracket_matches_reference_lambda1():
