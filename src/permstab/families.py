@@ -208,6 +208,7 @@ def build_swap_family(
         for start in range(0, len(Z), chunk):
             prods = X.mul_many(zu[:, None], inv_z[None, start : start + chunk])
             f += np.bincount(prods.ravel(), minlength=X.order)
+            del prods  # freed before the next chunk's products are made
         counts += w * (f if u_inv == u else f + f[inv_all])
     g = int(np.argmin(counts))  # first minimum = smallest index
 

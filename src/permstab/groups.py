@@ -11,8 +11,13 @@ orbits and coset representatives share one min-label propagation.
 
 `SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
 or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
-longer fits int16.  Its kernel multiplies and reduces mod n in that width,
-then finds the product's index as first[(a·n + b)·n + c] + off[d, a].  The
+longer fits int16.  Its kernel multiplies in that width and reduces mod n
+in place as x - (x // n)·n, since numpy's `//` by a scalar is a SIMD loop
+and its `%` is not.  It then finds the product's index as
+first[(a·n + b)·n + c] + off[d, a], into one int64 output.  A broadcast is
+done in blocks of about 4·CHUNK_ENTRIES products along its leading axis,
+so each block's narrow temporaries stay in cache; operands whose leading
+axis is 1 are not sliced but broadcast inside the arithmetic.  The
 elements with one prefix (a, b, c) are a contiguous run in lexicographic
 order, and `first`, an int32 table of n³ entries (318 KB at n = 43), holds
 where each run starts.  The d of a run solve a·d ≡ 1 + bc (mod n), a coset
@@ -25,6 +30,7 @@ element's entries back to its index; index arrays come back as int64.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -323,7 +329,7 @@ class SL2Group(FinGroup):
         self._first[prefix[starts]] = starts
         ints = np.arange(n)
         self._off = (ints[:, None] // (n // np.gcd(ints, n))).ravel()  # at d·n + a
-        decoded = self._lookup(self.entries[[3, 0, 1, 2]])
+        decoded = self._lookup(self.entries[[3, 0, 1, 2]], np.empty(self.order, dtype=np.int64))
         misses = int(np.count_nonzero(decoded != np.arange(self.order)))
         certify("the lookup table misses an SL2 matrix", misses, 0)
         self.identity_index = self.index_of(1, 0, 0, 1)
@@ -348,38 +354,66 @@ class SL2Group(FinGroup):
         certify("the lookup table misses an SL2 matrix", int(not found), 0)
         return idx
 
-    def _lookup(self, entries) -> np.ndarray:
-        """int64 indices of the matrices whose reduced d, a, b, c `entries` yields.
+    def _lookup(self, entries, out: np.ndarray) -> np.ndarray:
+        """Fill `out` with the indices of the matrices whose reduced d, a, b, c
+        `entries` yields, and return it.
 
-        One int32 key is built in place: d·n + a reads off[d, a], the key is
-        reduced to a and grown to (a·n + b)·n + c, which reads first.
+        An int32 key d·n + a reads off[d, a]; a second key, rebuilt from a and
+        grown in place to (a·n + b)·n + c, reads first.
         """
-        n = self.modulus
+        n = np.int32(self.modulus)  # a typed scalar makes int16 products int32
         entries = iter(entries)
-        key = next(entries).astype(np.int32)
+        d, a = next(entries), next(entries)
+        key = d * n
+        key += a
+        self._off.take(key, out=out, mode="clip")  # keys are in range; "raise" would buffer
+        key = a * n
+        key += next(entries)
         key *= n
         key += next(entries)
-        out = self._off[key]
-        key %= n
-        for e in entries:
-            key *= n
-            key += e
-        out += self._first[key]
+        out += self._first.take(key)
+        return out
+
+    def _blockwise(self, kernel, *ops) -> np.ndarray:
+        """int64 indices of the d, a, b, c that `kernel` yields from the operands' entries.
+
+        The broadcast of `ops` is cut along its leading axis into blocks of
+        about 4·CHUNK_ENTRIES products; an operand whose leading axis is 1 is
+        not sliced, so broadcasting still happens inside the kernel.
+        """
+        ops = [np.asarray(x) for x in ops]
+        out = np.empty(np.broadcast(*ops).shape, dtype=np.int64)
+        if out.ndim == 0:
+            return self._lookup(kernel(*(self.entries[:, x] for x in ops)), out)[()]
+        ops = [x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in ops]
+        rows = max(1, 4 * CHUNK_ENTRIES // max(1, math.prod(out.shape[1:])))
+        for start in range(0, len(out), rows):
+            part = slice(start, start + rows)
+            entries = (self.entries[:, x[part] if len(x) > 1 else x] for x in ops)
+            self._lookup(kernel(*entries), out[part])
         return out
 
     def mul_many(self, a, b) -> np.ndarray:
         n = self.modulus
-        A = self.entries[:, np.asarray(a)]
-        B = self.entries[:, np.asarray(b)]
-        return self._lookup(  # row i/2 of A times column j of B, for d, a, b, c
-            (A[i] * B[j] + A[i + 1] * B[j + 2]) % n for i, j in ((2, 1), (0, 0), (0, 1), (2, 0))
+        pairs = ((2, 1), (0, 0), (0, 1), (2, 0))  # row i/2 of A times column j of B: d, a, b, c
+        return self._blockwise(
+            lambda A, B: (_reduce(A[i] * B[j] + A[i + 1] * B[j + 2], n) for i, j in pairs), a, b
         )
 
     def inv_many(self, a) -> np.ndarray:
         n = self.modulus
-        A = self.entries[:, np.asarray(a)]
         # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
-        return self._lookup((A[0], A[3], (n - A[1]) % n, (n - A[2]) % n))
+        return self._blockwise(
+            lambda A: (A[0], A[3], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
+        )
+
+
+def _reduce(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place, as x - (x // n)·n: numpy's `//` by a scalar is SIMD, `%` is not."""
+    q = x // n
+    q *= n
+    x -= q
+    return x
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from permstab.errors import (
     NotASubgroupError,
 )
 from permstab.groups import (
+    CHUNK_ENTRIES,
     GroupHom,
     MarkedGroup,
     MarkedHom,
@@ -114,35 +116,76 @@ def test_sl2_cap():
         sl2_mod(97, order_cap=1000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 13])
+def _sl2_matrices(n):
+    """Every matrix of SL2(Z/n) in lexicographic (a, b, c, d) order, as (N, 2, 2) int64."""
+    b, c, d = np.indices((n, n, n)).reshape(3, -1)
+    rows = [np.stack([np.full_like(b, a), b, c, d], 1)[(a * d - b * c) % n == 1] for a in range(n)]
+    return np.concatenate(rows).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 13, 43])
 def test_sl2_kernel_matches_matrix_product(n):
-    # composite moduli give runs of several d per (a, b, c) prefix
+    # composite moduli give runs of several d per (a, b, c) prefix; the swap search runs at 43
     X = sl2_mod(n)
-    mats = np.array(
-        [m for m in itertools.product(range(n), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % n == 1],
-        dtype=np.int64,
-    ).reshape(-1, 2, 2)
+    mats = _sl2_matrices(n)
     assert len(mats) == X.order
-    lex = {tuple(m): i for i, m in enumerate(mats.reshape(-1, 4).tolist())}
+    if n <= 13:
+        brute = itertools.product(range(n), repeat=4)
+        brute = [m for m in brute if (m[0] * m[3] - m[1] * m[2]) % n == 1]
+        assert brute == list(map(tuple, mats.reshape(-1, 4).tolist()))
+    place = n ** np.arange(3, -1, -1)
+    codes = mats.reshape(-1, 4) @ place  # increasing, since mats is lexicographic
 
-    def index(m):
-        return lex[tuple(int(v) for v in (m % n).ravel())]
+    def index(m):  # indices of integer matrices (..., 2, 2), reduced mod n explicitly
+        key = (m % n).reshape(*m.shape[:-2], 4) @ place
+        found = np.searchsorted(codes, key)
+        assert np.array_equal(codes[found], key)
+        return found
 
-    assert [X.index_of(*m.ravel().tolist()) for m in mats] == list(X.elements())
+    assert np.array_equal(X.entries.T, mats.reshape(-1, 4))
+    assert [X.index_of(*m) for m in mats.reshape(-1, 4).tolist()] == list(X.elements())
     rng = np.random.default_rng(n)
     xs = rng.integers(0, X.order, 40)
     ys = rng.integers(0, X.order, 30)
-    expected = np.array([[index(mats[x] @ mats[y]) for y in ys] for x in xs])
+    expected = index(mats[xs, None] @ mats[None, ys])
+    # broadcasts larger than one kernel block of 4·CHUNK_ENTRIES products: 301 rows of 513
+    # columns make blocks of 127 rows and a ragged last one; `long` spans two 1-D blocks
+    rows = rng.integers(0, X.order, 301)
+    cols = rng.integers(0, X.order, 4 * CHUNK_ENTRIES // 128 + 1)
+    long = rng.integers(0, X.order, 4 * CHUNK_ENTRIES + 1001)
+    g = rng.integers(0, X.order)
     every = np.arange(X.order)
+    adjugate = np.swapaxes(mats[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]  # [[d, -b], [-c, a]]
     for got, want in [
         (X.mul_many(xs[:, None], ys[None, :]), expected),
         (X.mul_many(np.int64(xs[0]), ys), expected[0]),
         (X.mul_many(xs, np.int64(ys[0])), expected[:, 0]),
-        (X.inv_many(every), [index(np.array([[d, -b], [-c, a]])) for (a, b), (c, d) in mats]),
+        (X.mul_many(rows[:, None], cols[None, :]), index(mats[rows, None] @ mats[None, cols])),
+        (X.mul_many(cols[None, :], rows[:, None]), index(mats[None, cols] @ mats[rows, None])),
+        (X.mul_many(long, np.int64(g)), index(mats[long] @ mats[g])),
+        (X.mul_many(np.int64(g), long), index(mats[g] @ mats[long])),
+        (X.inv_many(every), index(adjugate)),
+        (X.inv_many(long), index(adjugate[long])),
     ]:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+    assert np.ndim(X.mul_many(np.int64(xs[0]), np.int64(ys[0]))) == 0
     assert X.mul(int(xs[0]), int(ys[0])) == expected[0, 0]
+    assert X.inv(int(g)) == index(adjugate[g])
+
+
+def test_sl2_kernel_memory_is_its_output():
+    # the kernel works in blocks, so a large broadcast adds little beyond its int64 output
+    X = sl2_mod(43)
+    rng = np.random.default_rng(43)
+    a, b = rng.integers(0, X.order, 1848), rng.integers(0, X.order, 1082)
+    tracemalloc.start()
+    try:
+        out = X.mul_many(a[:, None], b[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * 2**20
 
 
 def test_sl2_tables_certified_at_construction(monkeypatch):

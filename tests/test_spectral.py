@@ -306,12 +306,17 @@ def test_bracket_matches_reference_lambda1():
 
 
 def test_bracket_lower_end_keeps_margin():
+    down = spectral._down
     for G in (sl2_mod(5), direct_product(sl2_mod(3), cyclic(2))):
         tol = 1e-8
         br = kazhdan_bracket(G, G.generators, tol=tol)
+        gap = spectral._lambda1(G, G.generators)
         k = len(set(G.generators))
-        # the rounding margin pushes the lower end strictly below sqrt(λ1/k) - tol
-        assert math.sqrt(br.lambda1 / k) - tol - br.lower > 1e-13
+        eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the spectral module docstring
+        # the lower end stands on the certified level μ, strictly below λ̃, less ε:
+        # sqrt((μ - ε)/k) - tol with every step rounded down
+        assert gap.mu < gap[0] == br.lambda1
+        assert br.lower == down(down(math.sqrt(down(down(gap.mu - eps) / k))) - tol)
         assert br.upper >= math.sqrt(br.lambda1) + tol
 
 
