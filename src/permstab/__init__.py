@@ -5,7 +5,6 @@ from .errors import (
     CapacityError,
     CertificateError,
     ConfigError,
-    NoWitnessError,
     NonGeneratingError,
     NotAbelianError,
     NotAHomomorphismError,
@@ -55,29 +54,17 @@ from .groups import (
     sl2_mod,
 )
 from .spectral import KazhdanBracket, kazhdan, kazhdan_abelian_exact, kazhdan_bracket
-from .almost_invariant import (
-    AlmostInvSet,
-    almost_inv_set,
-    grow_to_window,
-    round_to_invariant,
-    shrink_step,
-    window_cardinality,
-    window_set_cyclic,
-)
+from .almost_invariant import round_to_invariant, window_cardinality
 from .families import (
     BiTranslationAction,
-    CosetStructure,
     DefectReport,
     FlagshipInstance,
     SwapFamily,
     build_bitranslation,
     build_swap_family,
-    commuting_distance_floor,
     defect_report,
     family_on_marked,
     flagship_family,
-    induce_finite_index,
-    product_lift,
     relator_defects,
 )
 from .rounding import (

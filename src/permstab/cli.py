@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigError, PermstabError
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, check_grid, read_json, run_experiment
 from .families import DEFAULT_WINDOW, flagship_family
 from .groups import FinGroup, MarkedGroup, MarkedMap, cyclic, direct_product, sl2_mod
 from .oracle import nearest_homomorphism_bruteforce
@@ -58,11 +58,9 @@ def _element_indices(G: FinGroup, values) -> List[int]:
 
 @contextlib.contextmanager
 def _input_file(path: str):
-    """Yields an input file's JSON; a missing or malformed field becomes a ConfigError."""
-    with open(path) as f:
-        text = f.read()
+    """Yields an input file's JSON; a bad file or a missing or malformed field is a ConfigError."""
     try:
-        yield json.loads(text)
+        yield read_json(path)
     except PermstabError:
         raise
     except KeyError as exc:
@@ -71,11 +69,15 @@ def _input_file(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_window(s: str):
+def _parse_window(s: Optional[str]):
+    """The --window argument as two Fractions, DEFAULT_WINDOW when it is absent."""
+    if s is None:
+        return DEFAULT_WINDOW
     a, _, b = s.partition(":")
-    if not b:
-        raise ConfigError("window must look like 1/7:1/6")
-    return (Fraction(a), Fraction(b))
+    try:
+        return (Fraction(a), Fraction(b))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"window {s!r} must look like 1/7:1/6: {exc}") from exc
 
 
 def _emit(data: dict, out: Optional[str]):
@@ -106,20 +108,19 @@ def cmd_kazhdan(args) -> int:
 
 
 def cmd_build_family(args) -> int:
-    cfg = ExperimentConfig(
-        primes=[int(p) for p in args.prime_list.split(",")],
-        window=_parse_window(args.window) if args.window else DEFAULT_WINDOW,
-        out_dir=args.out,
-    )
+    try:
+        primes = [int(p) for p in args.prime_list.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"primes must be integers: {exc}") from exc
+    cfg = ExperimentConfig(primes=primes, window=_parse_window(args.window), out_dir=args.out)
     run_experiment(cfg)
     return 0
 
 
 def cmd_defect(args) -> int:
-    inst = flagship_family(
-        args.prime,
-        window=_parse_window(args.window) if args.window else DEFAULT_WINDOW,
-    )
+    window = _parse_window(args.window)
+    check_grid([args.prime], window)
+    inst = flagship_family(args.prime, window=window)
     _emit(
         {
             "p": args.prime,

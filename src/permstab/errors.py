@@ -47,10 +47,6 @@ class WindowEmptyError(PermstabError, ValueError):
     """No integer cardinality fits inside the requested density window."""
 
 
-class NoWitnessError(PermstabError, ValueError):
-    """No group element satisfies the required shrink inequalities at this size."""
-
-
 class OutOfRegimeError(PermstabError, ValueError):
     """Measured defect is too large for the certified rounding regime."""
 

@@ -42,6 +42,24 @@ CSV_COLUMNS = [
 DEFECT_FLOOR = Fraction(1, 126)
 
 
+def read_json(path: str):
+    """The JSON value in `path`; a missing, unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def check_grid(primes: List[int], window: Tuple[Fraction, Fraction]) -> None:
+    """Raise ConfigError unless every p >= 2 and 0 < alpha < beta <= 1/2."""
+    alpha, beta = window
+    if not (0 < alpha < beta <= Fraction(1, 2)):
+        raise ConfigError("window must satisfy 0 < alpha < beta <= 1/2")
+    if any(p < 2 for p in primes):
+        raise ConfigError("primes must be >= 2")
+
+
 @dataclass
 class ExperimentConfig:
     primes: List[int]
@@ -50,32 +68,27 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        alpha, beta = self.window
-        if not (0 < alpha < beta <= Fraction(1, 2)):
-            raise ConfigError("window must satisfy 0 < alpha < beta <= 1/2")
-        if any(p < 2 for p in self.primes):
-            raise ConfigError("primes must be >= 2")
+        check_grid(self.primes, self.window)
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
-        with open(path) as f:
-            raw = json.load(f)
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"experiment config must be a JSON object, got {raw!r}")
         try:
             unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
             if unknown:
                 raise ConfigError(f"unknown config keys {unknown}")
-            window = raw.get("window")
-            return ExperimentConfig(
+            out_dir = raw.get("out_dir", "out")
+            if not isinstance(out_dir, str):
+                raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+            return ExperimentConfig(  # check_grid unpacks exactly two window ends
                 primes=[int(p) for p in raw["primes"]],
-                window=(
-                    (Fraction(window[0]), Fraction(window[1]))
-                    if window
-                    else DEFAULT_WINDOW
-                ),
+                window=tuple(Fraction(w) for w in raw.get("window") or DEFAULT_WINDOW),
                 seed=int(raw.get("seed", 0)),
-                out_dir=raw.get("out_dir", "out"),
+                out_dir=out_dir,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 

@@ -321,92 +321,6 @@ def defect_report(m: MarkedMap, fam: Optional[SwapFamily] = None) -> DefectRepor
     )
 
 
-def commuting_distance_floor(fam: SwapFamily) -> Fraction:
-    """Lower bound on d_H(θ, ψ) over ψ commuting exactly with all right translations.
-
-    For such ψ the commutator defect of ψ vanishes, and the defect of θ obeys
-    defect(θ) <= 2 d_H(θ, ψ), so half the measured curve maximum is a floor.
-    """
-    curve = _commutator_curve(fam)
-    return max(curve.values(), default=Fraction(0)) / 2
-
-
-def product_lift(
-    m: MarkedMap, extra: FinGroup, p_extra: HomLike, gamma_count: Optional[int] = None
-) -> MarkedMap:
-    """Diagonal lift to extra × X: Γ-generators also translate the extra factor.
-
-    The first `gamma_count` marked generators are the Γ-generators (default:
-    the generator count of p_extra's source presentation); t and the
-    Λ-generators act trivially on the extra coordinate.
-    """
-    if not p_extra.surjective:
-        raise NotSurjectiveError("the extra-factor map must be onto")
-    extra_gens = p_extra.gen_images
-    if gamma_count is None:
-        gamma_count = len(extra_gens)
-    if gamma_count > m.marked.generator_count:
-        raise ConfigError("more Γ-generators than the presentation has")
-    n = m.points
-    new_images = []
-    for i, p in enumerate(m.images):
-        if i < gamma_count:
-            extra_perm = extra.left_perm(extra_gens[i])
-        else:
-            extra_perm = identity(extra.order)
-        # (a, x) -> (extra_perm(a), p(x)) under index (a, x) = a·n + x
-        img = (extra_perm.image[:, None] * n + p.image[None, :]).ravel()
-        new_images.append(Perm(img, _checked=True))
-    return MarkedMap(m.marked, new_images)
-
-
-@dataclass
-class CosetStructure:
-    """Action of Γ on the cosets Γ/Γ₀ with a cocycle rewritten into Γ₀'s generators.
-
-    Coset 0 is the trivial coset Γ₀ (the section is normalized there);
-    `gen_action[i]` is how the (i+1)-st Γ-generator permutes cosets, and
-    `cocycle_words[(i, c)]` is the word, over Γ₀'s marked generators, equal
-    to s(g_i·c)⁻¹ g_i s(c).
-    """
-
-    marked: MarkedGroup  # presentation of Γ
-    index: int
-    gen_action: List[Perm]
-    cocycle_words: Dict[Tuple[int, int], Tuple[int, ...]]
-
-    def __post_init__(self):
-        if len(self.gen_action) != self.marked.generator_count:
-            raise ConfigError("one coset permutation per Γ-generator required")
-        for p in self.gen_action:
-            if p.n != self.index:
-                raise ConfigError("coset permutations must act on `index` points")
-        for i in range(self.marked.generator_count):
-            for c in range(self.index):
-                if (i, c) not in self.cocycle_words:
-                    raise ConfigError(f"missing cocycle rewriting for ({i},{c})")
-
-
-def induce_finite_index(m: MarkedMap, cosets: CosetStructure) -> MarkedMap:
-    """Induce a map on Γ₀ up to Γ along the coset action.
-
-    The induced generator image sends (c, x) to (g_i·c, σ(w_{i,c}) x) where
-    w_{i,c} is the supplied cocycle word; an exact homomorphism stays exact,
-    and relator defects of the induced map average the constituent defects
-    over cosets.
-    """
-    n = m.points
-    new_images = []
-    for i, coset_perm in enumerate(cosets.gen_action):
-        img = np.empty(cosets.index * n, dtype=np.int64)
-        for c in range(cosets.index):
-            w = cosets.cocycle_words[(i, c)]
-            block = m.evaluate(w).image
-            img[c * n : (c + 1) * n] = coset_perm(c) * n + block
-        new_images.append(Perm(img))
-    return MarkedMap(cosets.marked, new_images)
-
-
 # ---------------------------------------------------------------------------
 # Flagship instances over SL2(Z/pZ)
 # ---------------------------------------------------------------------------
@@ -453,5 +367,7 @@ def flagship_family(
         marked=marked,
         map=mmap,
         report=report,
+        # a ψ commuting with every right translation has defect 0, and
+        # defect(θ) <= 2·d_H(θ, ψ): half the curve's maximum floors d_H(θ, ψ)
         floor=report.max_commutator_defect / 2,
     )

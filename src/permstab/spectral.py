@@ -76,6 +76,7 @@ import numpy as np
 
 from .errors import (
     CapacityError,
+    ConfigError,
     NotAbelianError,
     NonGeneratingError,
     certify,
@@ -335,4 +336,6 @@ def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> 
 
 def kazhdan(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
     """The exact constant when G is abelian, the certified bracket otherwise."""
+    if not 0 <= tol < math.inf:  # nan fails both comparisons
+        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
     return kazhdan_abelian_exact(G, S) if G.is_abelian else kazhdan_bracket(G, S, tol=tol)

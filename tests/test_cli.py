@@ -67,6 +67,14 @@ def test_kazhdan_malformed_gens(gens, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group", ["sl2:5", "cyclic:12"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_kazhdan_malformed_tol(group, tol, capsys):
+    # the bracket and the abelian-exact path refuse the same tolerances
+    assert main(["kazhdan", "--group", group, f"--tol={tol}"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_defect_subcommand(tmp_path):
     out = tmp_path / "d.json"
     assert main(["defect", "--prime", "7", "--out", str(out)]) == 0
@@ -78,6 +86,18 @@ def test_defect_subcommand(tmp_path):
 def test_defect_window_empty(capsys):
     assert main(["defect", "--prime", "5"]) == 1
     assert "WindowEmptyError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--prime", "7", "--window", "x:y"],  # not fractions
+    ["--prime", "7", "--window", "1/0:1"],
+    ["--prime", "1"],  # below 2, as in a run's primes
+    ["--prime", "7", "--window", "1/2:1"],  # beta above 1/2
+    ["--prime", "7", "--window", "0:1"],  # alpha = 0
+])
+def test_defect_malformed_arguments(args, capsys):
+    assert main(["defect", *args]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_build_family_artifacts(tmp_path):
@@ -96,6 +116,8 @@ def test_build_family_artifacts(tmp_path):
 def test_build_family_bad_window(capsys):
     assert main(["build-family", "--prime-list", "7", "--window", "1/2:1/3",
                  "--out", "unused"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert main(["build-family", "--prime-list", "7,x", "--out", "unused"]) == 1
     assert "config error" in capsys.readouterr().err
 
 
@@ -142,6 +164,15 @@ def test_malformed_input_file(command, data, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["round", "oracle"])
+def test_unreadable_input_file(command, tmp_path, capsys):
+    inp = tmp_path / "input.json"
+    assert main([command, "--input", str(inp)]) == 1  # missing
+    inp.write_text("{")  # not JSON
+    assert main([command, "--input", str(inp)]) == 1
+    assert capsys.readouterr().err.count("config error") == 2
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     inp = tmp_path / "oracle.json"
     inp.write_text(json.dumps({
@@ -179,11 +210,20 @@ def test_run_deterministic(tmp_path):
 def test_run_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     # "family" is no longer a config key, and neither is "order_cap"
-    bad = ({"primes": [7], "family": "unknown"}, {"primes": [7], "order_cap": 1000})
-    for raw in bad:
-        cfg_path.write_text(json.dumps(raw))
+    bad = [
+        json.dumps({"primes": [7], "family": "unknown"}),
+        json.dumps({"primes": [7], "order_cap": 1000}),
+        "[]",  # not an object
+        json.dumps({"primes": [7], "window": [0.1]}),  # one end of a window
+        json.dumps({"primes": [7], "out_dir": 5}),
+        "{",  # not JSON
+    ]
+    for text in bad:
+        cfg_path.write_text(text)
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_experiment_config_validation():

@@ -1,4 +1,4 @@
-"""Swap families: bi-translation actions, defect reports, lifts, inductions."""
+"""Swap families: bi-translation actions, defect reports, flagship instances."""
 
 from fractions import Fraction
 
@@ -8,26 +8,15 @@ import pytest
 from permstab.errors import ConfigError, NotSurjectiveError, WindowEmptyError
 from permstab.families import (
     DEFAULT_WINDOW,
-    CosetStructure,
     build_bitranslation,
     build_swap_family,
-    commuting_distance_floor,
     defect_report,
     family_on_marked,
     flagship_family,
-    induce_finite_index,
-    product_lift,
     relator_defects,
 )
-from permstab.groups import (
-    MarkedGroup,
-    MarkedHom,
-    MarkedMap,
-    cyclic,
-    product_with_free_z,
-    sl2_mod,
-)
-from permstab.perms import compose, from_cycles, hamming, identity
+from permstab.groups import MarkedGroup, MarkedHom, product_with_free_z, sl2_mod
+from permstab.perms import compose, hamming
 
 
 def _sl2_base(p, gamma_gens=((1, 2, 0, 1), (1, 0, 2, 1)), lam_gen=(1, 2, 0, 1)):
@@ -203,8 +192,8 @@ def test_flagship_window_empty_primes():
 def test_commuting_distance_floor_vs_samples():
     inst = flagship_family(7)
     X = inst.X
-    floor = commuting_distance_floor(inst.family)
-    assert floor == inst.floor > 0
+    floor = inst.floor  # half the commutator curve's maximum
+    assert floor > 0
     # every left translation commutes with all right translations exactly
     theta = inst.family.t_image
     for x in [X.identity_index, 1, 17, X.generators[0]]:
@@ -213,82 +202,3 @@ def test_commuting_distance_floor_vs_samples():
             rho = inst.family.base.right_translation(h)
             assert compose(psi, rho) == compose(rho, psi)
         assert hamming(theta, psi) >= floor
-
-
-def test_product_lift_trivial_factor():
-    inst = flagship_family(7)
-    one = cyclic(1)
-    p_extra = MarkedHom(MarkedGroup.free(2), one, [0, 0])
-    lifted = product_lift(inst.map, one, p_extra)
-    assert lifted.images == inst.map.images
-
-
-def test_product_lift_diagonal():
-    inst = flagship_family(7)
-    two = cyclic(2)
-    p_extra = MarkedHom(MarkedGroup.free(2), two, [1, 1])
-    lifted = product_lift(inst.map, two, p_extra)
-    n = inst.map.points
-    assert lifted.points == 2 * n
-    # Gamma-generators now displace every point (the extra coordinate flips)
-    for i in range(2):
-        assert hamming(lifted.images[i], identity(2 * n)) == 1
-    # t and the Lambda-generator act trivially on the extra coordinate, so the
-    # [t, lambda] relator defect is preserved
-    old = relator_defects(inst.map)
-    new = relator_defects(lifted)
-    for rel in old:
-        if abs(rel[0]) == 3:
-            assert new[rel] == old[rel]
-
-
-def test_product_lift_requires_surjective():
-    inst = flagship_family(7)
-    two = cyclic(2)
-    with pytest.raises(NotSurjectiveError):
-        product_lift(inst.map, two, MarkedHom(MarkedGroup.free(2), two, [0, 0]))
-
-
-def test_induce_index_one_is_identity():
-    marked = MarkedGroup.free(1)
-    m = MarkedMap(marked, [from_cycles(5, [(0, 1, 2, 3, 4)])])
-    cosets = CosetStructure(
-        marked=marked,
-        index=1,
-        gen_action=[identity(1)],
-        cocycle_words={(0, 0): (1,)},
-    )
-    out = induce_finite_index(m, cosets)
-    assert out.images == m.images
-
-
-def test_induce_index_two_exactness_and_averaging():
-    # Gamma = <a | a^2>, cosets swapped by a; cocycle: a*s(0) = s(1),
-    # a*s(1) = s(0)*b with b the generator of Gamma0 = <a^2>
-    sub = MarkedGroup.free(1, name="Gamma0")
-    top = MarkedGroup(1, ((1, 1),), name="Gamma")
-    cosets = CosetStructure(
-        marked=top,
-        index=2,
-        gen_action=[from_cycles(2, [(0, 1)])],
-        cocycle_words={(0, 0): (), (0, 1): (1,)},
-    )
-    P = from_cycles(4, [(0, 1, 2)])
-    m = MarkedMap(sub, [P])
-    out = induce_finite_index(m, cosets)
-    assert out.points == 8
-    # the induced relator a^2 evaluates blockwise to sigma(b) on each coset,
-    # so its defect is the average of the two (equal) constituent defects
-    d = relator_defects(out)[(1, 1)]
-    assert d == hamming(P, identity(4))
-    # an exact constituent homomorphism stays exact
-    exact = MarkedMap(sub, [identity(4)])
-    assert relator_defects(induce_finite_index(exact, cosets))[(1, 1)] == 0
-
-
-def test_coset_structure_validation():
-    top = MarkedGroup(1, ((1, 1),))
-    with pytest.raises(ConfigError):
-        CosetStructure(top, 2, [from_cycles(2, [(0, 1)])], {(0, 0): ()})
-    with pytest.raises(ConfigError):
-        CosetStructure(top, 2, [identity(3)], {(0, 0): (), (0, 1): ()})
