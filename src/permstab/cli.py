@@ -83,8 +83,11 @@ def _parse_window(s: Optional[str]):
 def _emit(data: dict, out: Optional[str]):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -51,11 +51,18 @@ def read_json(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """A Python int that is not a bool: 7.9 and true are not primes or seeds."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_grid(primes: List[int], window: Tuple[Fraction, Fraction]) -> None:
-    """Raise ConfigError unless every p >= 2 and 0 < alpha < beta <= 1/2."""
+    """Raise ConfigError unless every p is an integer >= 2 and 0 < alpha < beta <= 1/2."""
     alpha, beta = window
     if not (0 < alpha < beta <= Fraction(1, 2)):
         raise ConfigError("window must satisfy 0 < alpha < beta <= 1/2")
+    if not all(_is_int(p) for p in primes):
+        raise ConfigError(f"primes must be integers, got {primes!r}")
     if any(p < 2 for p in primes):
         raise ConfigError("primes must be >= 2")
 
@@ -69,6 +76,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_grid(self.primes, self.window)
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -82,10 +91,13 @@ class ExperimentConfig:
             out_dir = raw.get("out_dir", "out")
             if not isinstance(out_dir, str):
                 raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+            primes = raw["primes"]
+            if not isinstance(primes, list):
+                raise ConfigError(f"primes must be a list of integers, got {primes!r}")
             return ExperimentConfig(  # check_grid unpacks exactly two window ends
-                primes=[int(p) for p in raw["primes"]],
+                primes=primes,
                 window=tuple(Fraction(w) for w in raw.get("window") or DEFAULT_WINDOW),
-                seed=int(raw.get("seed", 0)),
+                seed=raw.get("seed", 0),
                 out_dir=out_dir,
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -118,7 +130,10 @@ def run_instance(p: int, window) -> Dict:
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the grid; returns the artifact directory path."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:  # out_dir names a file, or cannot be created
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     rows: List[Dict[str, str]] = []
     summary_lines: List[str] = [
         f"family=sl2-swap window={cfg.window[0]}..{cfg.window[1]} seed={cfg.seed}",

@@ -134,23 +134,6 @@ def build_bitranslation(X: FinGroup, p: HomLike, q: HomLike) -> BiTranslationAct
     return BiTranslationAction(X, p, q)
 
 
-def _equidistribution_spot_check(
-    X: FinGroup, b_arr: np.ndarray, q_members: List[int], n_checks: int = 3
-):
-    """Σ_h |Bh ∩ Y| = |B||Y||q(Λ)| / |X| exactly, for random test sets Y."""
-    rng = np.random.default_rng(0)
-    q_arr = np.asarray(q_members, dtype=np.int64)
-    b_masks = np.zeros((len(q_members), X.order), dtype=bool)
-    for j, h in enumerate(q_members):
-        b_masks[j, X.mul_many(b_arr, np.int64(h))] = True
-    for _ in range(n_checks):
-        y_size = int(rng.integers(1, X.order + 1))
-        y = rng.choice(X.order, size=y_size, replace=False)
-        total = int(b_masks[:, y].sum())
-        expected = Fraction(len(b_arr) * y_size * len(q_members), X.order)
-        certify("equidistribution identity failed", abs(total - expected), 0)
-
-
 def build_swap_family(
     base: BiTranslationAction,
     window: Tuple[Fraction, Fraction] = DEFAULT_WINDOW,
@@ -171,8 +154,15 @@ def build_swap_family(
 
     Swapping (c₁, c₂) and (z₁, z₂) gives w(u⁻¹) = w(u) and
     F_{u⁻¹}(g) = F_u(g⁻¹), so one |Z|² sweep serves the pair {u, u⁻¹};
-    an involution u = u⁻¹ is counted once.  Neither identity needs q(Λ)
-    to be abelian, and the integer counts equal the |B|² ones exactly.
+    an involution u = u⁻¹ is counted once.  The sweeps are two fused
+    histograms, `X.product_counts` of the rows Z·u against Z⁻¹ weighted by
+    w(u): S over the self-inverse u, P over the u < u⁻¹, and
+    counts = S + P + P∘inv.  Neither identity needs q(Λ) to be abelian,
+    and the integer counts equal the |B|² ones exactly.
+
+    Z is certified a left transversal of q(Λ) exactly, in integers: every
+    x ∈ X is z·h for one (z, h) ∈ Z × q(Λ) and no more, i.e.
+    `X.product_counts(Z, q(Λ))` is 1 at every element.
     """
     X = base.X
     alpha, beta = window
@@ -187,29 +177,24 @@ def build_swap_family(
     b_density = Fraction(int(b_arr.size), X.order)
     certify("|B|/|X| lies below the window", alpha, b_density)
     certify("|B|/|X| lies above the window", b_density, beta)
-    if len(q_members) * X.order <= 50_000_000:
-        _equidistribution_spot_check(X, b_arr, q_members)
+    misplaced = X.product_counts(z_arr, np.asarray(q_members, dtype=np.int64)) != 1
+    certify("coset representatives are not a left transversal", int(np.count_nonzero(misplaced)), 0)
 
     # counts[g] = |B ∩ g^{-1}B| = #{(y,x) ∈ B²: g = y·x^{-1}};
     # maximizing |B ∖ g^{-1}B| = |B| - counts[g] means minimizing counts.
     # Summed as Σ_u w(u)·F_u over the difference multiset of C (docstring).
-    counts = np.zeros(X.order, dtype=np.int64)
     inv_all = X.inv_many(np.arange(X.order))
-    inv_z = inv_all[z_arr]
     diffs = X.mul_many(c_arr[:, None], inv_all[c_arr][None, :]).ravel()
     u_arr, w_arr = np.unique(diffs, return_counts=True)
-    chunk = max(1, 2_000_000 // len(Z))
-    for u, w in zip(u_arr.tolist(), w_arr.tolist()):
-        u_inv = int(inv_all[u])
-        if u_inv < u:
-            continue  # already swept as the partner of u⁻¹
-        zu = X.mul_many(z_arr, np.int64(u))
-        f = np.zeros(X.order, dtype=np.int64)
-        for start in range(0, len(Z), chunk):
-            prods = X.mul_many(zu[:, None], inv_z[None, start : start + chunk])
-            f += np.bincount(prods.ravel(), minlength=X.order)
-            del prods  # freed before the next chunk's products are made
-        counts += w * (f if u_inv == u else f + f[inv_all])
+    inv_z = inv_all[z_arr]
+
+    def sweep(mask):  # Σ w(u)·F_u(g) over the u in mask, from the products z₁u·z₂⁻¹
+        zu = X.mul_many(z_arr[None, :], u_arr[mask, None])
+        return X.product_counts(zu, inv_z, w_arr[mask])
+
+    counts = sweep(inv_all[u_arr] == u_arr)
+    pairs = sweep(u_arr < inv_all[u_arr])  # u⁻¹ > u is swept as u's partner
+    counts += pairs + pairs[inv_all]
     g = int(np.argmin(counts))  # first minimum = smallest index
 
     b_mask = np.zeros(X.order, dtype=bool)

@@ -25,6 +25,11 @@ of the multiples of n/gcd(a, n) whose least member is below n/gcd(a, n),
 so d's place in its run is off[d, a] = d // (n/gcd(a, n)) for every
 modulus, prime or not.  Construction certifies that the tables send every
 element's entries back to its index; index arrays come back as int64.
+
+`FinGroup.product_counts` tallies the products of K rows of elements with
+one set of columns.  `SL2Group` forms no product array for it: per block of
+columns V it tabulates the row action r ↦ r·V on all n² row vectors, and
+reads every product's `first`/`off` keys from those tables.
 """
 
 from __future__ import annotations
@@ -134,24 +139,48 @@ class FinGroup:
             powers, done = self.mul_many(step, powers), done + len(powers)
         return int(order[0]) if elems.ndim == 0 else order.reshape(elems.shape)
 
+    def product_counts(self, a, b, weights=None) -> np.ndarray:
+        """Σₖ wₖ·#{(i, j): a[k, i]·b[j] = x} at every x, as one int64 array over G.
+
+        `a` is one row of elements or a (K, m) array of K rows, `weights` one
+        integer per row (default 1).  The products of each row with a chunk
+        of `b` columns, about 2M of them, are made by `mul_many` and tallied
+        by `bincount`.
+        """
+        a, b, weights = _count_operands(a, b, weights)
+        counts = np.zeros(self.order, dtype=np.int64)
+        chunk = max(1, 2_000_000 // max(1, a.shape[1]))
+        for row, w in zip(a, weights.tolist()):
+            for start in range(0, len(b), chunk):
+                prods = self.mul_many(row[:, None], b[None, start : start + chunk])
+                counts += w * np.bincount(prods.ravel(), minlength=self.order)
+                del prods  # freed before the next chunk's products are made
+        return counts
+
     def _spread(self, letters: Sequence[int], cap: Optional[int] = None):
         """BFS from the identity by right multiplication with `letters`.
 
         Yields one (new, parent, letter) triple of arrays per level, with
         new = parent·letters[letter].  An element reached more than once is
         credited to its first product in frontier order, then letter order,
-        so every element gets the same spanning word on every run.
+        so every element gets the same spanning word on every run.  No sort:
+        `owner` takes the least position of each unseen product by
+        `np.minimum.at`, and an element is a candidate on one level only, so
+        `owner` is never reset.
         """
         cap = cap if cap is not None else self.order
         letters = np.asarray(letters, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity_index] = True
+        owner = np.full(self.order, np.iinfo(np.int64).max)
         reached = 1
         frontier = np.array([self.identity_index], dtype=np.int64)
         while frontier.size and letters.size:
             prods = self.mul_many(frontier[:, None], letters[None, :]).ravel()
-            uniq, first = np.unique(prods, return_index=True)
-            first = np.sort(first[~seen[uniq]])
+            fresh = np.flatnonzero(~seen[prods])
+            cand = prods[fresh]
+            np.minimum.at(owner, cand, fresh)
+            first = fresh[owner[cand] == fresh]
             new = prods[first]
             reached += new.size
             if reached > cap:
@@ -406,6 +435,54 @@ class SL2Group(FinGroup):
         return self._blockwise(
             lambda A: (A[0], A[3], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
         )
+
+    def product_counts(self, a, b, weights=None) -> np.ndarray:
+        """`FinGroup.product_counts` from row tables, with no int64 product array.
+
+        Row i of A·V is (row i of A)·V.  For each block of at most 64 columns
+        V = [[e, f], [g, h]] of `b` (fewer past 8·CHUNK_ENTRIES products per
+        row of `a`) the tables left = x·e + y·g and right = x·f + y·h mod n
+        are built once, in the entries' width, for all n² rows r = (x, y).
+        At A's row codes top = a·n + b and bottom = c·n + d, four row gathers
+        give key₁ = (a′n + b′)n + c′ = lead[top] + left[bottom], with
+        lead = (left·n + right)·n, and key₂ = d′n + a′ = right[bottom]·n +
+        left[top]; first[key₁] + off[key₂] indexes the product, as in
+        `_lookup`, and one `bincount` per (row, block) tallies them.
+        """
+        a, b, weights = _count_operands(a, b, weights)
+        n, entries = self.modulus, self.entries
+        x, y = (v.astype(entries.dtype)[:, None] for v in np.divmod(np.arange(n * n), n))
+        top = (entries[0, a] * np.int32(n) + entries[1, a]).astype(np.intp)
+        bottom = (entries[2, a] * np.int32(n) + entries[3, a]).astype(np.intp)
+        cols = min(64, max(1, 8 * CHUNK_ENTRIES // max(1, a.shape[1])))
+        counts = np.zeros(self.order, dtype=np.int64)
+        for start in range(0, len(b), cols):
+            e, f, g, h = entries[:, b[start : start + cols]]
+            left = _reduce(x * e + y * g, n)
+            right = _reduce(x * f + y * h, n)
+            lead = left * np.int32(n)  # a typed scalar makes int16 products int32
+            lead += right
+            lead *= n
+            right_n = right * np.int32(n)
+            idx = np.empty((a.shape[1], len(e)), dtype=np.int64)
+            for t, u, w in zip(top, bottom, weights.tolist()):
+                key1 = lead.take(t, axis=0)
+                key1 += left.take(u, axis=0)
+                key2 = right_n.take(u, axis=0)
+                key2 += left.take(t, axis=0)
+                self._off.take(key2, out=idx, mode="clip")  # keys are in range
+                idx += self._first.take(key1, mode="clip")
+                counts += w * np.bincount(idx.ravel(), minlength=self.order)
+        return counts
+
+
+def _count_operands(a, b, weights):
+    """`product_counts` operands: a as (K, m) int64 rows, b flat, one int64 weight per row."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    weights = np.ones(len(a), dtype=np.int64) if weights is None else np.asarray(weights)
+    if weights.shape != (len(a),) or weights.dtype.kind not in "iu":
+        raise ValueError(f"need one integer weight per row of a, got {weights!r}")
+    return a, np.asarray(b, dtype=np.int64).ravel(), weights.astype(np.int64)
 
 
 def _reduce(x: np.ndarray, n: int) -> np.ndarray:

@@ -51,6 +51,17 @@ FAULTS = {
         "families.flagship_family(7)\n",  # |C| = 2 of 7: |B|/|X| = 2/7 > 1/6
         "|B|/|X| lies above the window",
     ),
+    "families_transversal": (
+        "from permstab import families\n"
+        "reps = families.left_coset_reps\n"
+        "def moved(X, H):  # Z[1] moves into Z[0]'s coset: Z[0]·u\n"
+        "    Z = reps(X, H)\n"
+        "    u = sorted(H)[1]  # at p = 7, C = {e}, so uC and C are disjoint\n"
+        "    return [Z[0], X.mul(Z[0], u)] + Z[2:]\n"
+        "families.left_coset_reps = moved  # B = Z·C has no overlap and keeps its size\n"
+        "families.flagship_family(7)\n",
+        "coset representatives are not a left transversal",
+    ),
     "almost_invariant": (
         "import types\n"
         "import numpy as np\n"

@@ -226,6 +226,37 @@ def test_run_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("config", [
+    {"primes": [7.9]},  # would run as p = 7
+    {"primes": [7], "seed": 7.9},
+    {"primes": [True]},  # a bool is not a prime
+    {"primes": [7], "seed": False},
+    {"primes": 7},  # not a list
+])
+def test_run_rejects_non_integers(config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_dir_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"primes": [7], "out_dir": str(taken)}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "k.json"
+    assert main(["kazhdan", "--group", "cyclic:4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(primes=[1])

@@ -18,6 +18,7 @@ from permstab.errors import (
 )
 from permstab.groups import (
     CHUNK_ENTRIES,
+    FinGroup,
     GroupHom,
     MarkedGroup,
     MarkedHom,
@@ -291,6 +292,88 @@ def test_closure_cap():
     X = sl2_mod(5)
     with pytest.raises(CapacityError):
         X.closure(X.generators, cap=10)
+
+
+
+def _python_bfs(G, letters):
+    """Each BFS level as ([new], [parent], [letter]), from scalar products in a Python loop."""
+    seen, frontier, levels = {G.identity_index}, [G.identity_index], []
+    while frontier:
+        level = ([], [], [])
+        for x in frontier:
+            for k, s in enumerate(letters):
+                y = G.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    for part, v in zip(level, (y, x, k)):
+                        part.append(v)
+        levels.append(level)
+        frontier = level[0]
+    return levels
+
+
+@pytest.mark.parametrize("name", ["sl2:7", "sl2:12", "cyclic:30", "sl2:5 x cyclic:4", "table"])
+def test_spread_levels_match_python_bfs(name):
+    if name == "table":  # SL2(Z/3) through its multiplication table
+        X = sl2_mod(3)
+        idx = np.arange(X.order)
+        G = TableGroup(X.mul_many(idx[:, None], idx[None, :]), X.generators)
+    elif name == "sl2:5 x cyclic:4":
+        G = direct_product(sl2_mod(5), cyclic(4))
+    else:
+        kind, n = name.split(":")
+        G = sl2_mod(int(n)) if kind == "sl2" else cyclic(int(n))
+    gens = list(G.generators)
+    letter_sets = [gens + [G.inv(g) for g in gens], gens[::-1] + gens]  # a repeated letter
+    if name == "cyclic:30":
+        letter_sets.append([12, 20, 18])  # spans the subgroup of order 15
+    for letters in letter_sets:
+        got = [
+            tuple(part.tolist() for part in level)
+            for level in G._spread(np.asarray(letters, dtype=np.int64))
+        ]
+        assert got == _python_bfs(G, letters)
+
+
+def _bincount_reference(G, a, b, weights):
+    return sum(
+        w * np.bincount(G.mul_many(row[:, None], b[None, :]).ravel(), minlength=G.order)
+        for row, w in zip(a, weights)
+    )
+
+
+@pytest.mark.parametrize("n", [13, 12, 25])
+def test_sl2_product_counts_matches_default(n):
+    # 12 and 25 are composite: runs of several d per prefix, so off[d, a] is nonzero
+    X = sl2_mod(n)
+    rng = np.random.default_rng(n)
+    cases = [
+        (rng.integers(0, X.order, (3, 40)), rng.integers(0, X.order, 130), [2, 1, 5]),  # 64, 64, 2
+        (rng.integers(0, X.order, (2, 30)), rng.integers(0, X.order, 1), [1, 7]),
+        (rng.integers(0, X.order, 1), rng.integers(0, X.order, 1), None),
+        (rng.integers(0, X.order, 3000), rng.integers(0, X.order, 100), None),  # 43-column blocks
+    ]
+    for a, b, weights in cases:
+        rows = np.atleast_2d(a)
+        w = np.ones(len(rows), dtype=np.int64) if weights is None else weights
+        got = X.product_counts(a, b, weights)
+        assert got.dtype == np.int64 and got.shape == (X.order,)
+        assert np.array_equal(got, FinGroup.product_counts(X, a, b, weights))
+        assert np.array_equal(got, _bincount_reference(X, rows, b, w))
+
+
+def test_product_counts_default_path():
+    X = sl2_mod(3)
+    idx = np.arange(X.order)
+    table = TableGroup(X.mul_many(idx[:, None], idx[None, :]), X.generators)
+    rng = np.random.default_rng(0)
+    for G in (cyclic(30), direct_product(sl2_mod(5), cyclic(4)), table):
+        a, b, w = rng.integers(0, G.order, (3, 17)), rng.integers(0, G.order, 11), [1, 4, 2]
+        got = G.product_counts(a, b, w)
+        assert got.dtype == np.int64 and int(got.sum()) == 7 * 17 * 11
+        assert np.array_equal(got, _bincount_reference(G, a, b, w))
+    with pytest.raises(ValueError, match="one integer weight per row"):
+        cyclic(5).product_counts([[1, 2], [3, 4]], [0], [1])
 
 
 def test_hom_from_generator_images():
