@@ -19,14 +19,11 @@ from .errors import (
 from .perms import (
     PartialInjection,
     Perm,
-    commutator_defect,
     compose,
     from_cycles,
     hamming,
-    hs_distance,
     identity,
     inverse,
-    random_perm,
     swap,
 )
 from .groups import (
@@ -41,12 +38,10 @@ from .groups import (
     PermGroup,
     SL2Group,
     TableGroup,
-    action_from_generator_images,
     canonical_subgroup_key,
     cyclic,
     direct_product,
     group_from_perm_generators,
-    hom_from_generator_images,
     left_coset_reps,
     left_regular,
     product_with_free_z,

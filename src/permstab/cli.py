@@ -14,10 +14,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from .errors import ConfigError, PermstabError
-from .experiment import ExperimentConfig, check_grid, read_json, run_experiment
+from .experiment import ExperimentConfig, _is_int, check_grid, read_json, run_experiment
 from .families import DEFAULT_WINDOW, flagship_family
 from .groups import FinGroup, MarkedGroup, MarkedMap, cyclic, direct_product, sl2_mod
 from .oracle import nearest_homomorphism_bruteforce
@@ -54,6 +52,20 @@ def _element_indices(G: FinGroup, values) -> List[int]:
     if not all(0 <= s < G.order for s in S):
         raise ConfigError(f"element indices {S} must lie in [0, {G.order})")
     return S
+
+
+def _int(field: str, value) -> int:
+    """An input file's integer field; a float such as 5.9 or a boolean is a ConfigError."""
+    if not _is_int(value):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(field: str, values) -> List[int]:
+    """An input file's list of integers, checked entry by entry."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{field} must be a list of integers, got {values!r}")
+    return [_int(f"each entry of {field}", v) for v in values]
 
 
 @contextlib.contextmanager
@@ -139,9 +151,9 @@ def cmd_defect(args) -> int:
 def cmd_round(args) -> int:
     with _input_file(args.input) as raw:
         G = parse_group_spec(raw["group"])
-        S = _element_indices(G, raw.get("gens", G.generators))
-        y_size = int(raw["y_size"])
-        k_gens = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["k_gens"]]
+        S = _element_indices(G, _ints("gens", raw.get("gens", G.generators)))
+        y_size = _int("y_size", raw["y_size"])
+        k_gens = [Perm(_ints("k_gens", p)) for p in raw["k_gens"]]
     result = rigidity_pipeline(G, S, y_size, k_gens)
     _emit(result.to_json(), args.out)
     return 0
@@ -153,11 +165,11 @@ def cmd_oracle(args) -> int:
         if unknown:
             raise ConfigError(f"unknown oracle input keys {unknown}")
         marked = MarkedGroup(
-            int(raw["generator_count"]),
-            tuple(tuple(r) for r in raw.get("relators", [])),
+            _int("generator_count", raw["generator_count"]),
+            tuple(tuple(_ints("relators", r)) for r in raw.get("relators", [])),
             raw.get("name", "input"),
         )
-        images = [Perm(np.asarray(p, dtype=np.int64)) for p in raw["images"]]
+        images = [Perm(_ints("images", p)) for p in raw["images"]]
         m = MarkedMap(marked, images)
     res = nearest_homomorphism_bruteforce(marked, m)
     _emit(res.to_json(), args.out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .almost_invariant import window_cardinality
 from .errors import ConfigError, NotSurjectiveError, certify
 from .groups import (
     FinGroup,
-    GroupHom,
     MarkedGroup,
     MarkedHom,
     MarkedMap,
@@ -33,8 +32,6 @@ from .groups import (
 )
 from .perms import Perm, compose, hamming, identity, inverse
 
-HomLike = Union[GroupHom, MarkedHom]
-
 DEFAULT_WINDOW = (Fraction(1, 7), Fraction(1, 6))
 
 
@@ -43,8 +40,8 @@ class BiTranslationAction:
     """Left translations for p(Γ)-generators, right translations for q(Λ)."""
 
     X: FinGroup
-    p: HomLike
-    q: HomLike
+    p: MarkedHom
+    q: MarkedHom
     gamma_perms: List[Perm] = field(init=False)
     lambda_perms: List[Perm] = field(init=False)
 
@@ -63,10 +60,6 @@ class BiTranslationAction:
 
     def lambda_image(self) -> List[int]:
         return self.q.image_subgroup
-
-    def right_translation(self, h: int) -> Perm:
-        """x -> x·h^{-1} for an element index h of the carrier."""
-        return self.X.right_perm(self.X.inv(h))
 
 
 @dataclass
@@ -130,7 +123,7 @@ class DefectReport:
         }
 
 
-def build_bitranslation(X: FinGroup, p: HomLike, q: HomLike) -> BiTranslationAction:
+def build_bitranslation(X: FinGroup, p: MarkedHom, q: MarkedHom) -> BiTranslationAction:
     return BiTranslationAction(X, p, q)
 
 

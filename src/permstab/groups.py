@@ -5,9 +5,11 @@ the only currency.  `TableGroup` looks products up in a flat multiplication
 table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
 vectorized arithmetic; `PermGroup` composes its stored permutation rows
 in chunks and finds each product by one `searchsorted` over the rows' sorted
-byte keys.  Closures and the generator-image builders share one BFS,
-`FinGroup._spread`.  An action is one (|G|, n) array of image rows, and
-orbits and coset representatives share one min-label propagation.
+byte keys.  Closures, the abelian characters and the commutator curve
+share one BFS, `FinGroup._spread`.  An action is one (|G|, n) array of
+image rows, and orbits and coset representatives share one min-label
+propagation.  `GroupHom.verify` and `PermAction.verify` are one
+generator-wise check, `_verify_on_generators`.
 
 `SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
 or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -299,9 +301,6 @@ class DirectProductGroup(FinGroup):
     def label(self, g: int) -> str:
         i, j = self.decode(g)
         return f"({self.left.label(i)},{self.right.label(j)})"
-
-    def encode(self, i: int, j: int) -> int:
-        return i * self.right.order + j
 
     def decode(self, x: int) -> Tuple[int, int]:
         return divmod(int(x), self.right.order)
@@ -613,6 +612,29 @@ def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP
 # ---------------------------------------------------------------------------
 
 
+def _verify_on_generators(G: FinGroup, f: np.ndarray, times, identity_ok: bool, error) -> None:
+    """Raise `error` unless f(e) is the identity and f(x·s) = f(x)·f(s) for
+    every x and generator s of G.
+
+    `f` holds one value per element of G (an element index, or an image
+    row), `times(s)` gives f(x)·f(s) for every x at once and `identity_ok`
+    says whether f(e) is the identity.  The generators must generate G; then
+    induction on word length makes this an exact check, at |G|·|S| lookups.
+    With a generator s, f(s) = f(e)·f(s) already forces f(e) to be the
+    identity, so that test decides only on a group with no generators.
+    """
+    if not G.generates(G.generators):
+        raise error("generators do not generate the group")
+    if not identity_ok:
+        raise error("the identity does not map to the identity")
+    xs = np.arange(G.order)
+    for s in G.generators:
+        bad = f[G.mul_many(xs, np.int64(s))] != times(s)
+        bad = np.nonzero(bad.any(axis=1) if bad.ndim == 2 else bad)[0]
+        if bad.size:
+            raise error(f"not multiplicative at pair ({bad[0]},{s})")
+
+
 @dataclass
 class GroupHom:
     """Element-wise homomorphism between enumerated groups."""
@@ -620,45 +642,19 @@ class GroupHom:
     source: FinGroup
     target: FinGroup
     image: np.ndarray
-    surjective: bool = field(init=False)
 
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.int64)
         if self.image.shape != (self.source.order,):
             raise ValueError("image array has wrong length")
-        self.surjective = len(set(self.image.tolist())) == self.target.order
-
-    def __call__(self, g: int) -> int:
-        return int(self.image[g])
-
-    @property
-    def gen_images(self) -> List[int]:
-        return [int(self.image[g]) for g in self.source.generators]
-
-    @property
-    def image_subgroup(self) -> List[int]:
-        return sorted(set(self.image.tolist()))
 
     def verify(self):
-        """Check f(e) = e and f(x·s) = f(x)·f(s) for every x and generator s.
-
-        The generators must generate the source; then induction on word
-        length makes this an exact homomorphism check, at |G|·|S| lookups.
-        """
-        G, H = self.source, self.target
-        if not G.generates(G.generators):
-            raise NotAHomomorphismError("generators do not generate the source group")
-        if self.image[G.identity_index] != H.identity_index:
-            raise NotAHomomorphismError("identity does not map to the identity")
-        xs = np.arange(G.order)
-        for s in G.generators:
-            lhs = self.image[G.mul_many(xs, np.int64(s))]
-            rhs = H.mul_many(self.image, self.image[s])
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                raise NotAHomomorphismError(
-                    f"map is not multiplicative at pair ({bad[0]},{s})"
-                )
+        """Check f(e) = e and f(x·s) = f(x)·f(s) for every x and generator s."""
+        f, H = self.image, self.target
+        identity_ok = f[self.source.identity_index] == H.identity_index
+        _verify_on_generators(
+            self.source, f, lambda s: H.mul_many(f, f[s]), identity_ok, NotAHomomorphismError
+        )
 
 
 @dataclass(frozen=True)
@@ -769,37 +765,6 @@ class MarkedMap:
         return out
 
 
-def hom_from_generator_images(src, tgt: FinGroup, images: Sequence[int]):
-    """Build a GroupHom (FinGroup source) or MarkedHom (MarkedGroup source).
-
-    Raises NotAHomomorphismError when images violate a relator or the
-    multiplication structure.
-    """
-    if isinstance(src, MarkedGroup):
-        return MarkedHom(src, tgt, list(images))
-    if not isinstance(src, FinGroup):
-        raise TypeError("src must be a FinGroup or MarkedGroup")
-    gens = src.generators
-    if len(images) != len(gens):
-        raise ValueError("one image per source generator required")
-    # propagate images over a BFS spanning of the source
-    gens = np.asarray(gens, dtype=np.int64)
-    ims = np.asarray(images, dtype=np.int64)
-    img = np.full(src.order, -1, dtype=np.int64)
-    img[src.identity_index] = tgt.identity_index
-    letters = np.concatenate([gens, src.inv_many(gens)])
-    steps = np.concatenate([ims, tgt.inv_many(ims)])
-    for new, parent, letter in src._spread(letters):
-        img[new] = tgt.mul_many(img[parent], steps[letter])
-    hom = GroupHom(src, tgt, img)
-    if hom.gen_images != [int(im) for im in images]:  # a repeated or identity generator
-        raise NotAHomomorphismError(
-            "generator images are inconsistent on the source group"
-        )
-    hom.verify()
-    return hom
-
-
 @dataclass(eq=False)
 class PermAction:
     """An action of a FinGroup: row g of `rows` is the image array of α(g)."""
@@ -821,21 +786,10 @@ class PermAction:
         return [Perm(r, _checked=True) for r in self.rows]
 
     def verify(self):
-        """Check α(e) = id and α(x·s) = α(x)∘α(s) for every x and generator s.
-
-        Exact for the same reason as GroupHom.verify.
-        """
+        """Check α(e) = id and α(x·s) = α(x)∘α(s) for every x and generator s."""
         G, rows = self.group, self.rows
-        if not G.generates(G.generators):
-            raise NotAnActionError("generator images do not span the group")
-        if not np.array_equal(rows[G.identity_index], np.arange(self.points)):
-            raise NotAnActionError("identity element does not act trivially")
-        xs = np.arange(G.order)
-        for s in G.generators:
-            lhs = rows[G.mul_many(xs, np.int64(s))]
-            bad = np.nonzero((lhs != rows[:, rows[s]]).any(axis=1))[0]
-            if bad.size:
-                raise NotAnActionError(f"action fails at pair ({bad[0]},{s})")
+        identity_ok = np.array_equal(rows[G.identity_index], np.arange(self.points))
+        _verify_on_generators(G, rows, lambda s: rows[:, rows[s]], identity_ok, NotAnActionError)
 
 
 def left_regular(G: FinGroup) -> PermAction:
@@ -848,29 +802,6 @@ def right_regular(G: FinGroup) -> PermAction:
     """β(g)x = x g^{-1} on the group itself (a genuine left action)."""
     idx = np.arange(G.order)
     return PermAction(G, G.mul_many(idx[None, :], G.inv_many(idx)[:, None]))
-
-
-def action_from_generator_images(G: FinGroup, images: Dict[int, Perm]) -> PermAction:
-    """Extend generator -> Perm images to all of G along a BFS spanning."""
-    if len({p.n for p in images.values()}) != 1:
-        raise NotAnActionError("permutations act on different point counts")
-    gens = np.asarray(list(images), dtype=np.int64)
-    fwd = np.stack([p.image for p in images.values()])
-    steps = np.concatenate([fwd, np.argsort(fwd, axis=1)])  # the images, then their inverses
-    rows = np.full((G.order, fwd.shape[1]), -1, dtype=np.int64)
-    rows[G.identity_index] = np.arange(fwd.shape[1])
-    reached = 1
-    for new, parent, letter in G._spread(np.concatenate([gens, G.inv_many(gens)])):
-        rows[new] = np.take_along_axis(rows[parent], steps[letter], axis=1)  # α(x)∘p
-        reached += new.size
-    if reached != G.order:
-        raise NotAnActionError("generator images do not span the group")
-    for g, p in images.items():  # a key reached earlier by another word
-        if not np.array_equal(rows[g], p.image):
-            raise NotAnActionError(f"declared image of {g} disagrees with the spanned action")
-    action = PermAction(G, rows)
-    action.verify()
-    return action
 
 
 def _min_labels(steps: Sequence[np.ndarray], size: int) -> np.ndarray:

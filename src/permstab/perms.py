@@ -7,7 +7,6 @@ only appears when a caller converts for reporting.  Ground sets are always
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -91,9 +90,6 @@ class PartialInjection:
     def n(self) -> int:
         return int(self.entries.shape[0])
 
-    def defined_count(self) -> int:
-        return int(np.count_nonzero(self.entries != UNDEFINED))
-
     def to_json(self) -> list:
         return [int(v) if v != UNDEFINED else None for v in self.entries]
 
@@ -147,17 +143,3 @@ def hamming(a: MapLike, b: MapLike) -> Fraction:
         raise SizeMismatchError(f"sizes differ: {a.n} vs {b.n}")
     ea, eb = _entries_of(a), _entries_of(b)
     return Fraction(int(np.count_nonzero(ea != eb)), a.n)
-
-
-def hs_distance(a: Perm, b: Perm) -> float:
-    """Hilbert-Schmidt distance of the permutation unitaries: sqrt(2 d_H)."""
-    return math.sqrt(2 * hamming(a, b))
-
-
-def commutator_defect(a: Perm, b: Perm) -> Fraction:
-    """d_H(a∘b, b∘a)."""
-    return hamming(compose(a, b), compose(b, a))
-
-
-def random_perm(n: int, rng: np.random.Generator) -> Perm:
-    return Perm(rng.permutation(n).astype(np.int64), _checked=True)

@@ -123,9 +123,6 @@ class ConjugacyResult:
     set_loss: int  # max(|X∖X1|, |X∖X2|)
     displacement: int  # |{x ∈ X1 : φ(x) ≠ x}|
 
-    def phi_of(self, x: int) -> int:
-        return int(self.phi.entries[x])
-
 
 def _action_rows(K: FinGroup, action) -> np.ndarray:
     """The (|K|, n) image rows of a PermAction of K, or of one Perm per element."""

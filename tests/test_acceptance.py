@@ -101,7 +101,7 @@ def test_criterion_3_flagship_families():
             X = inst.X
             theta = fam.t_image
             for h, d in inst.report.commutator_curve.items():
-                rho = fam.base.right_translation(h)
+                rho = X.right_perm(X.inv(h))
                 assert d == hamming(compose(theta, rho), compose(rho, theta))
 
     _criterion(3, "flagship p in {7,13,19,43}: densities, >=1/126, closed form", 60.0, body)
@@ -164,9 +164,10 @@ def test_criterion_5_rounding_property_suites():
             res = extract_conjugacy(K, list(act.perms), conj, verify_actions=False)
             assert Fraction(res.set_loss) <= 16 * res.epsilon * n
             assert Fraction(res.displacement) <= 16 * res.epsilon * n
+            phi = res.phi.entries
             for k in (1, n - 1):  # equivariance spot check (full check is internal)
                 for x in res.X1:
-                    assert res.phi_of(act.rows[k, x]) == conj[k](res.phi_of(x))
+                    assert int(phi[act.rows[k, x]]) == conj[k](int(phi[x]))
 
         # suite C: commuting extension (constant 32, exact commutation)
         for _ in range(200):
@@ -284,10 +285,7 @@ def test_criterion_7_distance_floor():
             assert inst.floor >= Fraction(1, 252)
             X = inst.X
             theta = inst.family.t_image
-            rhos = [
-                inst.family.base.right_translation(h)
-                for h in inst.family.base.lambda_image()
-            ]
+            rhos = [X.right_perm(X.inv(h)) for h in inst.family.base.lambda_image()]
             # sampled permutations commuting exactly with every right
             # translation: left translations (and the identity)
             samples = [X.identity_index, 1, X.generators[0], X.order // 2]

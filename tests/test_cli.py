@@ -136,7 +136,7 @@ def test_round_subcommand(tmp_path):
     assert data["epsilon"] == "0" and data["set_loss"] == 0
 
 
-@pytest.mark.parametrize("gens", [[6], [-1], ["x"]])
+@pytest.mark.parametrize("gens", [[6], [-1], ["x"], [1.7], [True]])
 def test_round_malformed_gens(gens, tmp_path, capsys):
     inp = tmp_path / "round.json"
     inp.write_text(json.dumps(
@@ -154,10 +154,18 @@ def test_round_malformed_gens(gens, tmp_path, capsys):
     ("round", {"group": "cyclic:5", "y_size": 3, "k_gens": [[1, 2, 0]]}),
     ("round", {"group": "cyclic:5", "y_size": 6, "k_gens": [[1, 2, 3, 4, 0]]}),
     ("oracle", {"generator_count": 2, "images": [[0, 1], [1, 0]], "exhaustive_cap": 100}),
+    ("round", {"group": "cyclic:5", "y_size": 5.9, "k_gens": [[1, 2, 3, 4, 0]]}),
+    ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": [[1.9, 2, 3, 4, 0]]}),
+    ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": [[1, 2.2, 3, 4, 0]]}),
+    ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": [[True, 2, 3, 4, 0]]}),
+    ("oracle", {"generator_count": 2.5, "images": [[1, 0, 2], [0, 2, 1]]}),
+    ("oracle", {"generator_count": 2, "images": [[1.5, 0, 2], [0, 2, 1]]}),
+    ("oracle", {"generator_count": 2, "relators": [[1.5, 2, -1, -2]], "images": [[1, 0, 2], [0, 2, 1]]}),
 ])
 def test_malformed_input_file(command, data, tmp_path, capsys):
     # a missing field, a non-integer, rows that are not bijections, sizes
-    # that disagree and a key the oracle does not read
+    # that disagree, a key the oracle does not read, and floats or booleans
+    # where integers belong, which int() or an int64 array would truncate
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(data))
     assert main([command, "--input", str(inp)]) == 1

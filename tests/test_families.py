@@ -145,7 +145,7 @@ def test_commutator_curve_matches_direct(p):
     base, theta = inst.family.base, inst.family.t_image
     direct = {}
     for h in base.lambda_image():
-        rho = base.right_translation(h)
+        rho = base.X.right_perm(base.X.inv(h))
         direct[h] = hamming(compose(theta, rho), compose(rho, theta))
     assert len(direct) == p
     assert inst.report.commutator_curve == direct
@@ -199,6 +199,6 @@ def test_commuting_distance_floor_vs_samples():
     for x in [X.identity_index, 1, 17, X.generators[0]]:
         psi = X.left_perm(x)
         for h in inst.family.base.lambda_image():
-            rho = inst.family.base.right_translation(h)
+            rho = X.right_perm(X.inv(h))
             assert compose(psi, rho) == compose(rho, psi)
         assert hamming(theta, psi) >= floor

@@ -26,19 +26,17 @@ from permstab.groups import (
     TableGroup,
     _orbits,
     _stabilizer,
-    action_from_generator_images,
     canonical_subgroup_key,
     cyclic,
     direct_product,
     group_from_perm_generators,
-    hom_from_generator_images,
     left_coset_reps,
     left_regular,
     product_with_free_z,
     right_regular,
     sl2_mod,
 )
-from permstab.perms import Perm, compose, from_cycles, identity, inverse, random_perm, swap
+from permstab.perms import Perm, compose, from_cycles, identity, inverse, swap
 
 
 def test_cyclic_basics():
@@ -205,13 +203,13 @@ def test_sl2_key_capacity():
 def test_direct_product():
     G = direct_product(cyclic(3), cyclic(4))
     assert G.order == 12 and G.is_abelian
-    a = G.encode(1, 2)
-    b = G.encode(2, 3)
+    a = 1 * G.right.order + 2
+    b = 2 * G.right.order + 3
     assert G.decode(G.mul(a, b)) == (0, 1)
     # labels are formed per element from the factors' labels
     assert G.labels is None and G.label(a) == "(1,2)"
     P = direct_product(sl2_mod(2), cyclic(2))
-    assert P.label(P.encode(P.left.identity_index, 1)) == "([[1,0],[0,1]],1)"
+    assert P.label(P.left.identity_index * P.right.order + 1) == "([[1,0],[0,1]],1)"
 
 
 def test_group_from_perm_generators():
@@ -247,7 +245,7 @@ def _perm_group_cases():
     return {
         "sym3": [from_cycles(3, [(0, 1, 2)]), swap(3, 0, 1)],
         "sl2_5_regular": [X.left_perm(g) for g in X.generators],
-        "random_7": [random_perm(7, rng), random_perm(7, rng)],
+        "random_7": [Perm(rng.permutation(7)), Perm(rng.permutation(7))],
         "identity_and_repeat": [identity(5), five_cycle, five_cycle],
     }
 
@@ -376,34 +374,6 @@ def test_product_counts_default_path():
         cyclic(5).product_counts([[1, 2], [3, 4]], [0], [1])
 
 
-def test_hom_from_generator_images():
-    G, H = cyclic(6), cyclic(3)
-    h = hom_from_generator_images(G, H, [1])  # 1 mod 6 -> 1 mod 3
-    assert h(4) == 1 and h.surjective
-    h.verify()
-    with pytest.raises(TypeError):  # surjectivity is computed, never passed in
-        GroupHom(G, H, h.image, surjective=True)
-    with pytest.raises(NotAHomomorphismError):
-        hom_from_generator_images(cyclic(4), cyclic(3), [1])
-    z4 = TableGroup(_z4_table(), generators=[0, 1])  # the identity is a generator
-    with pytest.raises(NotAHomomorphismError):
-        hom_from_generator_images(z4, cyclic(4), [1, 1])
-
-
-def test_hom_from_generator_images_two_generators():
-    # (a, b) -> a + b mod 2 on Z/4 x Z/6; the BFS reaches (3, 0) and (0, 5)
-    # through the inverse letters first
-    G = direct_product(cyclic(4), cyclic(6))
-    h = hom_from_generator_images(G, cyclic(2), [1, 1])
-    assert [h(G.encode(a, b)) for a in range(4) for b in range(6)] == [
-        (a + b) % 2 for a in range(4) for b in range(6)
-    ]
-    assert h.surjective
-    with pytest.raises(NotAHomomorphismError):
-        # the order-3 generator of Z/3 x Z/4 cannot map to 1 in Z/2
-        hom_from_generator_images(direct_product(cyclic(3), cyclic(4)), cyclic(2), [1, 0])
-
-
 def _z4_table():
     idx = np.arange(4)
     return (idx[:, None] + idx[None, :]) % 4
@@ -450,6 +420,12 @@ def test_verify_requires_generating_set():
         GroupHom(z4, cyclic(4), np.arange(4)).verify()
     with pytest.raises(NotAnActionError):
         left_regular(z4).verify()
+    # with no generator to force f(e) = e, only the identity test can fail
+    trivial = TableGroup(np.zeros((1, 1), dtype=np.int64), generators=[])
+    with pytest.raises(NotAHomomorphismError, match="identity"):
+        GroupHom(trivial, cyclic(2), [1]).verify()
+    with pytest.raises(NotAnActionError, match="identity"):
+        PermAction(trivial, [[1, 0]]).verify()
 
 
 def test_perm_action_rejects_non_actions():
@@ -493,15 +469,22 @@ def _orbit_cases():
     z6 = cyclic(6)
     z2_z3 = direct_product(cyclic(2), cyclic(3))  # generators 3 = (1,0) and 1 = (0,1)
     trivial = TableGroup(np.zeros((1, 1), dtype=np.int64), generators=[])
+    c = from_cycles(9, [(0, 1), (2, 3, 4), (6, 8)]).image
+    c_pow = [np.arange(9)]
+    for _ in range(5):
+        c_pow.append(c[c_pow[-1]])  # x ↦ c^x on Z/6
+    u = from_cycles(7, [(0, 1), (5, 6)]).image
+    v = from_cycles(7, [(2, 3, 4)]).image
+    u_pow, v_pow = [np.arange(7), u], [np.arange(7), v, v[v]]
+    z6_act = PermAction(z6, c_pow)
+    z2_z3_act = PermAction(z2_z3, [ua[vb] for ua in u_pow for vb in v_pow])  # 3a + b ↦ u^a∘v^b
+    z6_act.verify()
+    z2_z3_act.verify()
     return {
         "regular_z12": left_regular(cyclic(12)),
         "regular_sl2_3": right_regular(sl2_mod(3)),
-        "z6_three_orbits": action_from_generator_images(
-            z6, {1: from_cycles(9, [(0, 1), (2, 3, 4), (6, 8)])}
-        ),
-        "z2_z3_two_generators": action_from_generator_images(
-            z2_z3, {3: from_cycles(7, [(0, 1), (5, 6)]), 1: from_cycles(7, [(2, 3, 4)])}
-        ),
+        "z6_three_orbits": z6_act,
+        "z2_z3_two_generators": z2_z3_act,
         "no_generators": PermAction(trivial, np.arange(4)[None, :]),
     }
 
@@ -555,21 +538,6 @@ def test_regular_actions_commute():
         for h in G.generators:
             a, b = alpha.rows[g], beta.rows[h]
             assert np.array_equal(a[b], b[a])  # α(g)∘β(h) = β(h)∘α(g)
-
-
-def test_action_from_generator_images():
-    G = cyclic(4)
-    act = action_from_generator_images(G, {1: from_cycles(4, [(0, 1, 2, 3)])})
-    assert act.perms[2] == from_cycles(4, [(0, 2), (1, 3)])
-    # a non-faithful but consistent image is still a genuine action
-    act2 = action_from_generator_images(G, {1: swap(4, 0, 1)})
-    assert act2.perms[2].is_identity()
-    with pytest.raises(NotAnActionError):
-        # order-2 image of an order-3 generator cannot extend
-        action_from_generator_images(cyclic(3), {1: swap(4, 0, 1)})
-    with pytest.raises(NotAnActionError):
-        # the identity is reached before its declared image is read
-        action_from_generator_images(G, {0: swap(4, 0, 1), 1: from_cycles(4, [(0, 1, 2, 3)])})
 
 
 def _brute_force_reps(G, H):

@@ -1,6 +1,5 @@
-"""Metric layer: permutations, partial injections, Hamming / HS distances."""
+"""Metric layer: permutations, partial injections, the Hamming distance."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,14 +11,11 @@ from permstab.errors import SizeMismatchError
 from permstab.perms import (
     PartialInjection,
     Perm,
-    commutator_defect,
     compose,
     from_cycles,
     hamming,
-    hs_distance,
     identity,
     inverse,
-    random_perm,
     swap,
 )
 
@@ -63,12 +59,6 @@ def test_hamming_examples():
     assert hamming(identity(2), swap(2, 0, 1)) == 1
 
 
-def test_hs_identity_formula():
-    a, b = from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4)])
-    d = hamming(a, b)
-    assert hs_distance(a, b) == pytest.approx(math.sqrt(2 * d))
-
-
 @settings(max_examples=60)
 @given(perms(6), perms(6), perms(6))
 def test_metric_axioms(a, b, c):
@@ -92,20 +82,11 @@ def test_inverse(p):
     assert compose(inverse(p), p).is_identity()
 
 
-def test_commutator_defect():
-    a = from_cycles(4, [(0, 1)])
-    b = from_cycles(4, [(2, 3)])
-    assert commutator_defect(a, b) == 0  # disjoint supports commute
-    c = from_cycles(4, [(1, 2)])
-    assert commutator_defect(a, c) > 0
-
-
 def test_partial_injection_conventions():
     # undefined vs defined = mismatch; undefined vs undefined = match
     p = PartialInjection([0, -1, 2])
     q = PartialInjection([0, -1, -1])
     assert hamming(p, q) == Fraction(1, 3)
-    assert p.defined_count() == 2
     with pytest.raises(ValueError):
         PartialInjection([0, 0, -1])  # repeated target
 
@@ -115,9 +96,3 @@ def test_partial_injection_from_restriction():
     r = PartialInjection([1, -1, 3, -1])  # p restricted to {0, 2}
     assert r.to_json() == [1, None, 3, None]
     assert hamming(r, p) == Fraction(2, 4)
-
-
-def test_random_perm_deterministic():
-    a = random_perm(8, np.random.default_rng(42))
-    b = random_perm(8, np.random.default_rng(42))
-    assert a == b

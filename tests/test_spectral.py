@@ -37,7 +37,7 @@ def test_cyclic_exact_closed_form():
 
 def test_abelian_exact_product():
     G = direct_product(cyclic(3), cyclic(4))
-    S = [G.encode(1, 0), G.encode(0, 1)]
+    S = [G.right.order, 1]  # (1, 0) and (0, 1), at index a·|B| + b
     br = kazhdan_abelian_exact(G, S)
     # the worst character is trivial on the larger factor
     assert br.lower == pytest.approx(2 * math.sin(math.pi / 4), abs=1e-12)
