@@ -38,7 +38,6 @@ from .groups import (
     PermGroup,
     SL2Group,
     TableGroup,
-    canonical_subgroup_key,
     cyclic,
     direct_product,
     group_from_perm_generators,

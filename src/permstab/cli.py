@@ -25,6 +25,8 @@ from .spectral import DEFAULT_TOL, kazhdan
 
 
 def parse_group_spec(spec: str) -> FinGroup:
+    if not isinstance(spec, str):
+        raise ConfigError(f"group spec must be a string such as cyclic:12, got {spec!r}")
     builders = {"cyclic": cyclic, "sl2": sl2_mod}
     factors = []
     for part in spec.split("*"):

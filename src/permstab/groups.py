@@ -54,6 +54,7 @@ from .perms import Perm, compose, identity, inverse
 
 PRODUCT_ORDER_CAP = 10_000_000
 PERM_CLOSURE_CAP = 100_000
+SL2_ORDER_CAP = 200_000
 CONJUGACY_CAP = 4096  # largest group whose subgroups are compared up to conjugacy
 CHUNK_ENTRIES = 1 << 14  # bounds the temporaries of every chunked array scan
 
@@ -159,7 +160,7 @@ class FinGroup:
                 del prods  # freed before the next chunk's products are made
         return counts
 
-    def _spread(self, letters: Sequence[int], cap: Optional[int] = None):
+    def _spread(self, letters: Sequence[int]):
         """BFS from the identity by right multiplication with `letters`.
 
         Yields one (new, parent, letter) triple of arrays per level, with
@@ -170,12 +171,10 @@ class FinGroup:
         `np.minimum.at`, and an element is a candidate on one level only, so
         `owner` is never reset.
         """
-        cap = cap if cap is not None else self.order
         letters = np.asarray(letters, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity_index] = True
         owner = np.full(self.order, np.iinfo(np.int64).max)
-        reached = 1
         frontier = np.array([self.identity_index], dtype=np.int64)
         while frontier.size and letters.size:
             prods = self.mul_many(frontier[:, None], letters[None, :]).ravel()
@@ -184,20 +183,15 @@ class FinGroup:
             np.minimum.at(owner, cand, fresh)
             first = fresh[owner[cand] == fresh]
             new = prods[first]
-            reached += new.size
-            if reached > cap:
-                raise CapacityError(
-                    f"closure exceeds cap {cap} in group of order {self.order}"
-                )
             seen[new] = True
             parent, letter = np.divmod(first, letters.size)
             yield new, frontier[parent], letter
             frontier = new
 
-    def closure(self, seed: Sequence[int], cap: Optional[int] = None) -> List[int]:
+    def closure(self, seed: Sequence[int]) -> List[int]:
         """BFS product closure of a set of element indices, discovery order."""
         out = [self.identity_index]
-        for new, _, _ in self._spread(seed, cap):
+        for new, _, _ in self._spread(seed):
             out.extend(new.tolist())
         return out
 
@@ -325,7 +319,7 @@ _SL2_LABEL = "[[{},{}],[{},{}]]"
 class SL2Group(FinGroup):
     """SL2(Z/nZ), elements enumerated in lexicographic (a,b,c,d) order."""
 
-    def __init__(self, n: int, order_cap: int = 200_000):
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("modulus must be >= 2")
         if n**3 > np.iinfo(np.int32).max:
@@ -345,8 +339,8 @@ class SL2Group(FinGroup):
             block[:, 2] = c[sel]
             block[:, 3] = d[sel]
             rows.append(block)
-            if sum(len(r) for r in rows) > order_cap:
-                raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {order_cap}")
+            if sum(len(r) for r in rows) > SL2_ORDER_CAP:
+                raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {SL2_ORDER_CAP}")
         elems = np.concatenate(rows)
         self.order = int(elems.shape[0])
         width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
@@ -561,11 +555,11 @@ def direct_product(a: FinGroup, b: FinGroup) -> DirectProductGroup:
     return DirectProductGroup(a, b)
 
 
-def sl2_mod(n: int, order_cap: int = 200_000) -> SL2Group:
-    return SL2Group(n, order_cap=order_cap)
+def sl2_mod(n: int) -> SL2Group:
+    return SL2Group(n)
 
 
-def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP) -> PermGroup:
+def group_from_perm_generators(gens: Sequence[Perm]) -> PermGroup:
     """BFS closure of permutation generators; identity has index 0.
 
     Elements are numbered level by level, within a level by parent in
@@ -597,8 +591,8 @@ def group_from_perm_generators(gens: Sequence[Perm], cap: int = PERM_CLOSURE_CAP
         _, first = np.unique(_row_keys(fresh), return_index=True)
         frontier = fresh[np.sort(first)]
         size += len(frontier)
-        if size > cap:
-            raise CapacityError(f"perm closure exceeds cap {cap}")
+        if size > PERM_CLOSURE_CAP:
+            raise CapacityError(f"perm closure exceeds cap {PERM_CLOSURE_CAP}")
         levels.append(frontier)
         known = np.concatenate([known, frontier])
         known = known[np.argsort(_row_keys(known))]
@@ -843,7 +837,7 @@ def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Orbits, stabilizers and subgroups up to conjugacy
+# Orbits
 # ---------------------------------------------------------------------------
 
 
@@ -854,21 +848,3 @@ def _orbits(action: PermAction) -> List[List[int]]:
     points = np.argsort(label, kind="stable")  # by orbit minimum, then by point
     ends = np.flatnonzero(np.diff(label[points])) + 1
     return [o.tolist() for o in np.split(points, ends)]
-
-
-def _stabilizer(action: PermAction, point: int) -> np.ndarray:
-    """The elements fixing `point`, in increasing order."""
-    return np.flatnonzero(action.rows[:, point] == point)
-
-
-def canonical_subgroup_key(G: FinGroup, H: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically-smallest conjugate of H, as a sorted index tuple."""
-    if G.order > CONJUGACY_CAP:
-        raise CapacityError(
-            f"subgroup conjugacy testing limited to order {CONJUGACY_CAP}"
-        )
-    h_arr = np.asarray(sorted(set(int(x) for x in H)), dtype=np.int64)
-    return min(
-        tuple(sorted(G.mul_many(G.mul_many(np.int64(c), h_arr), np.int64(G.inv(c))).tolist()))
-        for c in G.elements()
-    )

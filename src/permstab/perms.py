@@ -8,7 +8,7 @@ only appears when a caller converts for reporting.  Ground sets are always
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -86,20 +86,6 @@ class PartialInjection:
             raise ValueError("defined targets are not pairwise distinct")
         self.entries = arr
 
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
-
-    def to_json(self) -> list:
-        return [int(v) if v != UNDEFINED else None for v in self.entries]
-
-
-MapLike = Union[Perm, PartialInjection]
-
-
-def _entries_of(m: MapLike) -> np.ndarray:
-    return m.image if isinstance(m, Perm) else m.entries
-
 
 def identity(n: int) -> Perm:
     if n <= 0:
@@ -133,13 +119,8 @@ def inverse(a: Perm) -> Perm:
     return Perm(inv, _checked=True)
 
 
-def hamming(a: MapLike, b: MapLike) -> Fraction:
-    """Normalized Hamming distance, exact.
-
-    For partial injections an undefined entry mismatches any defined entry
-    and matches another undefined entry.
-    """
+def hamming(a: Perm, b: Perm) -> Fraction:
+    """Normalized Hamming distance, exact."""
     if a.n != b.n:
         raise SizeMismatchError(f"sizes differ: {a.n} vs {b.n}")
-    ea, eb = _entries_of(a), _entries_of(b)
-    return Fraction(int(np.count_nonzero(ea != eb)), a.n)
+    return Fraction(int(np.count_nonzero(a.image != b.image)), a.n)

@@ -12,10 +12,12 @@ Four algorithms, in increasing ambition:
     genuinely overlaps, a homomorphism δ: K₀ → G, and an equivariant partial
     bijection, with certified constants 4162/κ⁴ and 2048/κ⁴.
 
-The pipeline rounds δ over all of K₀ in one array pass: one batched
-right-translation scan handles every completed k̃ at once, gathering
-φ(gx) and g·φ(x) from one block of G's products, and every temporary of
-that scan and of the ε measurement stays within groups.CHUNK_ENTRIES entries.
+The pipeline closes K once and reads K₀'s rows from it for δ, the invariant
+rounding of X and both K₀-actions.  It rounds δ over all of K₀ in one
+batched right-translation scan, gathering φ(gx) and g·φ(x) from one block
+of G's products; every temporary of that scan and of the ε measurement
+stays within groups.CHUNK_ENTRIES entries.  commuting_extension reads every
+stabilizer from one fixed-point matrix, action.rows == arange(n).
 
 All set losses and displacements are counted exactly; the Kazhdan constant
 enters only through its certified lower bound, which is conservative.  Every
@@ -40,11 +42,9 @@ from .groups import (
     GroupHom,
     PermAction,
     TableGroup,
-    canonical_subgroup_key,
     group_from_perm_generators,
     rows_per_chunk,
     _orbits,
-    _stabilizer,
 )
 from .perms import Perm, PartialInjection, UNDEFINED, hamming
 from .spectral import kazhdan
@@ -199,8 +199,26 @@ def extract_conjugacy(
     )
 
 
+def _orbit_type(fixes: np.ndarray, orbit: List[int]) -> Tuple[int, ...]:
+    """The least Stab(y), y in the orbit, as a sorted tuple; fixes[g, y] says g·y = y.
+
+    An orbit's stabilizers are exactly the conjugates of any one of them, so
+    two orbits get the same key when their stabilizers are conjugate.
+    """
+    return min(tuple(np.flatnonzero(fixes[:, y]).tolist()) for y in orbit)
+
+
+def _conjugator(action: PermAction, fixes: np.ndarray, o1: List[int], a2: int) -> int:
+    """The least c with c·Stab(a1)·c⁻¹ = Stab(c·a1) = Stab(a2), where a1 = o1[0]."""
+    same = np.zeros(action.points, dtype=bool)
+    same[o1] = (fixes[:, o1] == fixes[:, [a2]]).all(axis=0)
+    hits = np.flatnonzero(same[action.rows[:, o1[0]]])
+    certify("orbit stabilizers are not conjugate", int(hits.size == 0), 0)
+    return int(hits[0])
+
+
 def _equivariant_orbit_bijection(
-    action: PermAction, o1: List[int], o2: List[int]
+    action: PermAction, fixes: np.ndarray, o1: List[int], o2: List[int]
 ) -> np.ndarray:
     """Deterministic G-equivariant bijection between two same-type orbits.
 
@@ -210,18 +228,10 @@ def _equivariant_orbit_bijection(
     """
     G = action.group
     a1, a2 = o1[0], o2[0]
-    h1 = _stabilizer(action, a1)
-    h2 = _stabilizer(action, a2)  # sorted
-    invs = G.inv_many(np.arange(G.order))
-    conjugator = None
-    for c in G.elements():
-        if np.array_equal(np.sort(G.mul_many(G.mul_many(np.int64(c), h1), invs[c])), h2):
-            conjugator = c
-            break
-    certify("orbit stabilizers are not conjugate", int(conjugator is None), 0)
+    conjugator = _conjugator(action, fixes, o1, a2)
     reached, transport = np.unique(action.rows[:, a1], return_index=True)  # smallest g per point
     certify("the orbit of a1 is not o1", int(not np.array_equal(reached, o1)), 0)
-    out = action.rows[G.mul_many(transport, invs[conjugator]), a2]
+    out = action.rows[G.mul_many(transport, G.inv(conjugator)), a2]
     certify("the transported orbit is not o2", int(not np.array_equal(np.sort(out), o2)), 0)
     return out
 
@@ -250,21 +260,16 @@ def commuting_extension(G: FinGroup, action: PermAction, phi: Perm) -> Tuple[Per
     done3 = np.zeros(n, dtype=bool)
     done3[image[x1]] = True
     orbits = _orbits(action)  # X1 and X3 are invariant: an orbit lies in or out
-    orbs1 = [o for o in orbits if not done1[o[0]]]
-    orbs3 = [o for o in orbits if not done3[o[0]]]
+    fixes = action.rows == np.arange(n)  # [g, y]: g ∈ Stab(y)
 
-    def keyed(orbs):
-        out = []
-        for o in orbs:
-            stab = _stabilizer(action, o[0])
-            out.append((canonical_subgroup_key(G, stab), o[0], o))
-        return sorted(out, key=lambda t: (t[0], t[1]))
+    def keyed(done):
+        return sorted((_orbit_type(fixes, o), o[0], o) for o in orbits if not done[o[0]])
 
-    k1, k3 = keyed(orbs1), keyed(orbs3)
+    k1, k3 = keyed(done1), keyed(done3)
     census_differs = int([t[0] for t in k1] != [t[0] for t in k3])
     certify("orbit-type censuses of the leftover parts disagree", census_differs, 0)
-    for (key1, _, o1), (_, _, o3) in zip(k1, k3):
-        image[o1] = _equivariant_orbit_bijection(action, o1, o3)
+    for (_, _, o1), (_, _, o3) in zip(k1, k3):
+        image[o1] = _equivariant_orbit_bijection(action, fixes, o1, o3)
     psi = Perm(image)
     gens = action.rows[G.generators]  # they generate G: action.verify() checked it
     mismatches = int((psi.image[gens] != gens[:, psi.image]).sum())
@@ -400,12 +405,10 @@ def rigidity_pipeline(
     worst_unif = int((k0_rows[:, :n_x] != beta).sum(axis=1).max())
 
     # invariant rounding of X inside Y, then the two K₀-actions on Z = X₀ ∪ X
-    k0_gens = [Perm(k0_rows[g], _checked=True) for g in K0_group.generators]
-    X0, max_move = round_to_invariant(Y_size, list(range(n_x)), k0_gens)
+    x_mask = np.arange(Y_size) < n_x
+    x0_mask, max_move = round_to_invariant(x_mask, k0_rows)
     # Z is sorted and holds 0..|X|−1 first, so position z ↦ z on X
-    x0_mask = np.zeros(Y_size, dtype=bool)
-    x0_mask[list(X0)] = True
-    z_arr = np.flatnonzero(x0_mask | (np.arange(Y_size) < n_x))
+    z_arr = np.flatnonzero(x0_mask | x_mask)
     nz = z_arr.size
     in_x0 = x0_mask[z_arr]
 

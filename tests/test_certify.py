@@ -63,13 +63,10 @@ FAULTS = {
         "coset representatives are not a left transversal",
     ),
     "almost_invariant": (
-        "import types\n"
         "import numpy as np\n"
         "from permstab import almost_invariant\n"
-        "from permstab.perms import Perm\n"
-        "almost_invariant.group_from_perm_generators = lambda gens: types.SimpleNamespace(\n"
-        "    order=2, rows=np.stack([np.arange(3), gens[0].image]))  # {e, c}: not closed\n"
-        "almost_invariant.round_to_invariant(3, [0], [Perm(np.array([1, 2, 0]))])\n",
+        "rows = np.array([[0, 1, 2], [1, 2, 0]])  # {e, (0 1 2)}: not closed\n"
+        "almost_invariant.round_to_invariant(np.array([True, False, False]), rows)\n",
         "rounded set is not invariant",
     ),
     "groups": (

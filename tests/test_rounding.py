@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permstab import groups, rounding
 from permstab.errors import CertificateError, OutOfRegimeError
 from permstab.groups import (
     PermAction,
+    _orbits,
     cyclic,
     direct_product,
     group_from_perm_generators,
@@ -317,6 +319,110 @@ def test_commuting_extension_nonregular_action():
     assert dist == 0 and psi == phi
 
 
+def _canonical_subgroup_key_loop(G, H):
+    """Reference: the least conjugate c·H·c⁻¹ over every c ∈ G, as a sorted tuple."""
+    return min(tuple(sorted(G.mul(G.mul(c, h), G.inv(c)) for h in H)) for c in G.elements())
+
+
+def _stabilizer_loop(action, point):
+    return [g for g in action.group.elements() if action.rows[g, point] == point]
+
+
+def _conjugator_loop(action, a1, a2):
+    """Reference: the least c with c·Stab(a1)·c⁻¹ = Stab(a2), None when there is none."""
+    G = action.group
+    h1, h2 = _stabilizer_loop(action, a1), _stabilizer_loop(action, a2)
+    for c in G.elements():
+        if sorted(G.mul(G.mul(c, h), G.inv(c)) for h in h1) == h2:
+            return c
+    return None
+
+
+def _coset_action_rows(G, H_gens):
+    """Image rows of G's left multiplication on the left cosets of <H_gens>."""
+    idx = np.arange(G.order)
+    H = np.asarray(G.closure(sorted(set(H_gens) | {G.inv(h) for h in H_gens})))
+    _, coset = np.unique(G.mul_many(idx[:, None], H[None, :]).min(axis=1), return_inverse=True)
+    rows = np.empty((G.order, coset.max() + 1), dtype=np.int64)
+    rows[:, coset] = coset[G.mul_many(idx[:, None], idx[None, :])]  # g·xH = (g·x)H
+    return rows
+
+
+def _mixed_actions():
+    """Disjoint unions of coset actions with several orbit types, some repeated."""
+    sym4 = group_from_perm_generators([from_cycles(4, [(0, 1, 2, 3)]), swap(4, 0, 1)])
+    element = {tuple(sym4.rows[g]): g for g in sym4.elements()}
+
+    def s4(*cycles):
+        return element[tuple(from_cycles(4, cycles).image)]
+
+    natural = [s4((1, 2, 3)), s4((1, 2))]  # Stab(0) = Sym({1, 2, 3})
+    pairs = [s4((0, 1)), s4((2, 3))]  # Stab({0, 1}) has order 4
+    sign = [s4((0, 1, 2)), s4((0, 1), (2, 3))]  # A4
+    z4 = [s4((0, 1, 2, 3))]  # order 4 too, but not conjugate to Stab({0, 1})
+    sl2 = sl2_mod(3)
+    minus = sl2.index_of(2, 0, 0, 2)
+    upper = sl2.index_of(1, 1, 0, 1)
+    cases = {  # [] is the regular action
+        "sym4": (sym4, [natural, pairs, sign, [], natural, z4, pairs, sign]),
+        "sl2_3": (sl2, [[minus], [upper], [], [upper], [minus, upper], [minus]]),
+    }
+    out = {}
+    for name, (G, subgroups) in cases.items():
+        blocks, at = [], 0
+        for H in subgroups:
+            rows = _coset_action_rows(G, H)
+            blocks.append(rows + at)
+            at += rows.shape[1]
+        out[name] = PermAction(G, np.hstack(blocks))
+        out[name].verify()
+    return out
+
+
+def _orbits_by_type(action):
+    """Orbits grouped by their reference key, each orbit as an array of its points."""
+    by_type = {}
+    for o in _orbits(action):
+        key = _canonical_subgroup_key_loop(action.group, _stabilizer_loop(action, o[0]))
+        by_type.setdefault(key, []).append(np.asarray(o))
+    return by_type
+
+
+@pytest.mark.parametrize("name", ["sym4", "sl2_3"])
+def test_commuting_extension_orbit_types_match_scalar_reference(name, monkeypatch):
+    # every orbit key and conjugator commuting_extension uses equals the scalar
+    # loops over G, for φ that sends each orbit onto a same-type orbit,
+    # equivariantly or scrambled
+    act = _mixed_actions()[name]
+    G, n = act.group, act.points
+    orbit_type, conjugator = rounding._orbit_type, rounding._conjugator
+    keys, conjugators = [], []
+
+    def record_type(fixes, orbit):
+        keys.append((orbit, orbit_type(fixes, orbit)))
+        return keys[-1][1]
+
+    def record_conjugator(action, fixes, o1, a2):
+        conjugators.append((o1[0], a2, conjugator(action, fixes, o1, a2)))
+        return conjugators[-1][2]
+
+    monkeypatch.setattr(rounding, "_orbit_type", record_type)
+    monkeypatch.setattr(rounding, "_conjugator", record_conjugator)
+    rng = np.random.default_rng(len(name))
+    for _ in range(12):
+        phi = np.arange(n)
+        for same_type in _orbits_by_type(act).values():
+            for i, src in zip(rng.permutation(len(same_type)), same_type):
+                dst = same_type[i]
+                phi[src] = rng.permutation(dst) if rng.random() < 0.5 else dst
+        commuting_extension(G, act, Perm(phi))
+    assert keys and any(a1 != a2 for a1, a2, _ in conjugators)
+    for orbit, key in keys:
+        assert key == _canonical_subgroup_key_loop(G, _stabilizer_loop(act, orbit[0]))
+    for a1, a2, c in conjugators:
+        assert c == _conjugator_loop(act, a1, a2)
+
+
 # -- full pipeline ---------------------------------------------------------------
 
 
@@ -373,6 +479,26 @@ def test_pipeline_input_validation():
         rigidity_pipeline(G, [1], 2, [identity(2)])  # Y smaller than X
     with pytest.raises(ValueError):
         rigidity_pipeline(G, [1], 6, [identity(5)])  # wrong point count
+
+
+def test_pipeline_closes_permutation_generators_once(monkeypatch):
+    # K₀'s rows come from K's closure: the invariant rounding builds no second one
+    calls = []
+    closure = groups.group_from_perm_generators
+
+    def counted(gens):
+        calls.append(len(gens))
+        return closure(gens)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("permstab") and hasattr(module, "group_from_perm_generators"):
+            monkeypatch.setattr(module, "group_from_perm_generators", counted)
+    G = _z2k(6)
+    y_size = G.order + 4
+    tau = swap(y_size, G.order - 1, G.order)
+    k_gens = [compose(tau, compose(_embed(_beta(G, g), y_size), tau)) for g in G.generators]
+    res = rigidity_pipeline(G, list(range(1, G.order)), y_size, k_gens, kappa_lower=2.0)
+    assert len(res.K0) > 1 and calls == [len(k_gens)]
 
 
 def _measure_epsilon_loop(G, S, K, n_x):
