@@ -26,8 +26,10 @@ from .groups import (
     MarkedHom,
     MarkedMap,
     SL2Group,
+    _min_labels,
     left_coset_reps,
     product_with_free_z,
+    rows_per_chunk,
     sl2_mod,
 )
 from .perms import Perm, compose, hamming, identity, inverse
@@ -137,25 +139,28 @@ def build_swap_family(
     B = Z·C over the left coset representatives Z, so |B|/|X| = |C|/|q(Λ)|;
     g maximizes |B ∖ g⁻¹B| (ties to the smallest index) and A = B ∖ g⁻¹B.
 
-    The counts |B ∩ g⁻¹B| come from the difference multiset of C rather
-    than from all |B|² quotients y·x⁻¹: since B = Z·C is a disjoint union,
-    y·x⁻¹ = z₁·u·z₂⁻¹ with u = c₁c₂⁻¹, so
+    The counts are summed over Z rather than over all |B|² quotients y·x⁻¹.
+    Every x ∈ X is z·h(x) for exactly one z ∈ Z and h(x) ∈ q(Λ), so for
+    b = z·c ∈ B, g·b = z′·h(g·z)·c lies in B exactly when h(g·z)·c ∈ C:
 
-        |B ∩ g⁻¹B| = Σ_u w(u)·F_u(g),
-        w(u) = #{(c₁, c₂) ∈ C²: c₁c₂⁻¹ = u},
-        F_u(g) = #{(z₁, z₂) ∈ Z²: z₁·u·z₂⁻¹ = g}.
+        counts[g] = |B ∩ g⁻¹B| = Σ_{z∈Z} W[g·z],  W[x] = #{c ∈ C: h(x)·c ∈ C}.
 
-    Swapping (c₁, c₂) and (z₁, z₂) gives w(u⁻¹) = w(u) and
-    F_{u⁻¹}(g) = F_u(g⁻¹), so one |Z|² sweep serves the pair {u, u⁻¹};
-    an involution u = u⁻¹ is counted once.  The sweeps are two fused
-    histograms, `X.product_counts` of the rows Z·u against Z⁻¹ weighted by
-    w(u): S over the self-inverse u, P over the u < u⁻¹, and
-    counts = S + P + P∘inv.  Neither identity needs q(Λ) to be abelian,
-    and the integer counts equal the |B|² ones exactly.
+    Neither step needs q(Λ) to be abelian.  Let K = {k: kB = B}.  For
+    k₁, k₂ ∈ K, using k₁⁻¹B = B and k₂B = B,
 
-    Z is certified a left transversal of q(Λ) exactly, in integers: every
-    x ∈ X is z·h for one (z, h) ∈ Z × q(Λ) and no more, i.e.
-    `X.product_counts(Z, q(Λ))` is 1 at every element.
+        |B ∩ (k₁gk₂)⁻¹B| = |B ∩ k₂⁻¹g⁻¹B| = |k₂B ∩ g⁻¹B| = |B ∩ g⁻¹B|,
+
+    so counts is constant on each double coset KgK.  The sum is taken once
+    per double coset, at its least element, and spread over the class by
+    one gather: R·|Z| products for R double cosets.  At p = 43, K is the
+    diagonal torus and R·|Z| = 92 · 1,848; a trivial K, as at the composite
+    moduli measured, leaves R = |X|.
+
+    Certified exactly, in integers: the products Z·q(Λ), which also give h,
+    meet every x ∈ X exactly once (Z is a left transversal); every
+    generator of K maps B into B, so each labelled class lies inside one
+    double coset; and Σ_g counts[g] = |B|², the number of pairs (y, x) ∈ B²,
+    each with one quotient y·x⁻¹.
     """
     X = base.X
     alpha, beta = window
@@ -170,24 +175,9 @@ def build_swap_family(
     b_density = Fraction(int(b_arr.size), X.order)
     certify("|B|/|X| lies below the window", alpha, b_density)
     certify("|B|/|X| lies above the window", b_density, beta)
-    misplaced = X.product_counts(z_arr, np.asarray(q_members, dtype=np.int64)) != 1
-    certify("coset representatives are not a left transversal", int(np.count_nonzero(misplaced)), 0)
 
-    # counts[g] = |B ∩ g^{-1}B| = #{(y,x) ∈ B²: g = y·x^{-1}};
-    # maximizing |B ∖ g^{-1}B| = |B| - counts[g] means minimizing counts.
-    # Summed as Σ_u w(u)·F_u over the difference multiset of C (docstring).
-    inv_all = X.inv_many(np.arange(X.order))
-    diffs = X.mul_many(c_arr[:, None], inv_all[c_arr][None, :]).ravel()
-    u_arr, w_arr = np.unique(diffs, return_counts=True)
-    inv_z = inv_all[z_arr]
-
-    def sweep(mask):  # Σ w(u)·F_u(g) over the u in mask, from the products z₁u·z₂⁻¹
-        zu = X.mul_many(z_arr[None, :], u_arr[mask, None])
-        return X.product_counts(zu, inv_z, w_arr[mask])
-
-    counts = sweep(inv_all[u_arr] == u_arr)
-    pairs = sweep(u_arr < inv_all[u_arr])  # u⁻¹ > u is swept as u's partner
-    counts += pairs + pairs[inv_all]
+    # maximizing |B ∖ g⁻¹B| = |B| - counts[g] means minimizing counts
+    counts = _swap_counts(X, z_arr, np.asarray(q_members, dtype=np.int64), c_arr, b_arr)
     g = int(np.argmin(counts))  # first minimum = smallest index
 
     b_mask = np.zeros(X.order, dtype=bool)
@@ -215,6 +205,73 @@ def build_swap_family(
         Z=[int(v) for v in Z],
         B=[int(v) for v in b_arr],
     )
+
+
+def _swap_counts(
+    X: FinGroup, z_arr: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray
+) -> np.ndarray:
+    """counts[g] = |B ∩ g⁻¹B| at every g ∈ X, B = Z·C, as one int64 array.
+
+    Σ_z W[r·z] is summed at the least element r of each double coset of K,
+    the classes of x ↦ s·x and x ↦ x·s for s in `greedy_generators(K)`
+    (`build_swap_family` has the proof and the certificates).
+    """
+    W = _coset_weights(X, z_arr, q_arr, c_arr)
+    b_mask = np.zeros(X.order, dtype=bool)
+    b_mask[b_arr] = True
+    gens, _ = X.greedy_generators(_stabilizer(X, z_arr, W, len(c_arr)))
+    for s in gens:
+        moved = int(np.count_nonzero(~b_mask[X.mul_many(np.int64(s), b_arr)]))
+        certify("a generator of K moves B off itself", moved, 0)
+    idx = np.arange(X.order)
+    steps = [X.mul_many(np.int64(s), idx) for s in gens]
+    steps += [X.mul_many(idx, np.int64(s)) for s in gens]
+    label = _min_labels(steps, X.order)
+    del steps
+    reps = np.flatnonzero(label == idx)  # each class's least element
+    sums = np.zeros(X.order, dtype=np.int64)
+    rows = rows_per_chunk(len(z_arr))
+    for start in range(0, len(reps), rows):
+        r = reps[start : start + rows]
+        sums[r] = W[X.mul_many(r[:, None], z_arr[None, :])].sum(axis=1, dtype=np.int64)
+    counts = sums[label]
+    certify("the counts do not sum to |B|²", abs(int(counts.sum()) - int(b_arr.size) ** 2), 0)
+    return counts
+
+
+def _coset_weights(
+    X: FinGroup, z_arr: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray
+) -> np.ndarray:
+    """W[x] = #{c ∈ C: h(x)·c ∈ C} at every x = z·h(x), after certifying that
+    the products Z·q(Λ) meet every element of X exactly once."""
+    prods = X.mul_many(z_arr[:, None], q_arr[None, :])
+    misplaced = np.bincount(prods.ravel(), minlength=X.order) != 1
+    certify("coset representatives are not a left transversal", int(np.count_nonzero(misplaced)), 0)
+    c_mask = np.zeros(X.order, dtype=bool)
+    c_mask[c_arr] = True
+    per_h = np.count_nonzero(c_mask[X.mul_many(q_arr[:, None], c_arr[None, :])], axis=1)
+    W = np.empty(X.order, dtype=np.min_scalar_type(len(c_arr)))
+    W[prods] = per_h  # row z of prods is z·q(Λ), so column j holds the x with h(x) = q_j
+    return W
+
+
+def _stabilizer(X: FinGroup, z_arr: np.ndarray, W: np.ndarray, c_size: int) -> np.ndarray:
+    """K = {k ∈ X: kB = B}, sorted, for B = Z·C with weights W from `_coset_weights`.
+
+    kB ⊆ B exactly when every k·z·c lies in B, i.e. when h(k·z)·C ⊆ C, or
+    W[k·z] = |C|, for every z ∈ Z; and kB ⊆ B forces kB = B.  So K lies
+    among the candidates F·Z[0]⁻¹, F = {x: W[x] = |C|}, and these are
+    filtered against every z ∈ Z, a chunk of Z at a time sized to the
+    survivors: the survivors are K exactly.
+    """
+    full = W == c_size
+    cand = X.mul_many(np.flatnonzero(full), X.inv_many(z_arr[0]))
+    done = 0
+    while done < len(z_arr):
+        cols = z_arr[done : done + rows_per_chunk(len(cand))]
+        cand = cand[full[X.mul_many(cand[:, None], cols[None, :])].all(axis=1)]
+        done += len(cols)
+    return np.sort(cand)
 
 
 def family_on_marked(fam: SwapFamily, marked: MarkedGroup) -> MarkedMap:

@@ -150,7 +150,7 @@ def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
     E, d, exps = _characters(G)
     nontrivial = exps.any(axis=1)
     if not nontrivial.any():
-        raise ValueError("the trivial group has no nontrivial character")
+        raise ConfigError("the trivial group has no nontrivial character")
     s_idx = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
     # χ(s) = Π_i exp(2πi e_i E[s,i] / d_i): exact on exponents, so compute
     # the total phase as a rational multiple of 2π before exponentiating

@@ -62,6 +62,27 @@ FAULTS = {
         "families.flagship_family(7)\n",
         "coset representatives are not a left transversal",
     ),
+    "families_weights": (
+        "from permstab import families\n"
+        "weights = families._coset_weights\n"
+        "def corrupted(X, *args):  # e is in Z and least in its double coset KeK = K\n"
+        "    W = weights(X, *args)\n"
+        "    W[X.identity_index] += 1\n"
+        "    return W\n"
+        "families._coset_weights = corrupted\n"
+        "families.flagship_family(7)\n",
+        "the counts do not sum to |B|²",
+    ),
+    "families_stabilizer": (
+        "import numpy as np\n"
+        "from permstab import families\n"
+        "stabilizer = families._stabilizer\n"
+        "def grown(X, *args):  # [[1,1],[0,1]] joins K but moves B\n"
+        "    return np.append(stabilizer(X, *args), X.generators[0])\n"
+        "families._stabilizer = grown\n"
+        "families.flagship_family(7)\n",
+        "a generator of K moves B off itself",
+    ),
     "almost_invariant": (
         "import numpy as np\n"
         "from permstab import almost_invariant\n"

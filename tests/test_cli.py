@@ -60,6 +60,13 @@ def test_kazhdan_malformed_group(spec, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:1*cyclic:1"])
+def test_kazhdan_trivial_group(spec, capsys):
+    # the trivial group has no nontrivial character to bound
+    assert main(["kazhdan", "--group", spec]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("gens", ["1,x", "9", "5", "-1"])
 def test_kazhdan_malformed_gens(gens, capsys):
     # element indices of cyclic:5 must be integers in [0, 5)

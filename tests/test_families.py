@@ -8,6 +8,9 @@ import pytest
 from permstab.errors import ConfigError, NotSurjectiveError, WindowEmptyError
 from permstab.families import (
     DEFAULT_WINDOW,
+    _coset_weights,
+    _stabilizer,
+    _swap_counts,
     build_bitranslation,
     build_swap_family,
     defect_report,
@@ -100,13 +103,31 @@ _INVOLUTION_WINDOWS = [
 def test_swap_family_matches_brute_force(carrier, window):
     X, base = _sl2_base(*carrier)
     fam = build_swap_family(base, window=window)
-    B = np.asarray(fam.B, dtype=np.int64)
+    Z, Q, C, B = (
+        np.asarray(v, dtype=np.int64) for v in (fam.Z, base.lambda_image(), fam.C, fam.B)
+    )
     # reference: counts[g] = |B ∩ g⁻¹B| from all |B|² quotients y·x⁻¹
     counts = np.bincount(
         X.mul_many(B[:, None], X.inv_many(B)[None, :]).ravel(), minlength=X.order
     )
+    got = _swap_counts(X, Z, Q, C, B)
+    assert got.dtype == np.int64 and np.array_equal(got, counts)
     assert fam.g == int(np.argmin(counts))
     assert len(fam.A) == len(fam.B) - int(counts.min())
+
+
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_stabilizer_of_b_is_the_diagonal_torus(p):
+    X, base = _sl2_base(p)
+    fam = build_swap_family(base)
+    Z, Q, C = (np.asarray(v, dtype=np.int64) for v in (fam.Z, base.lambda_image(), fam.C))
+    K = _stabilizer(X, Z, _coset_weights(X, Z, Q, C), len(C))
+    torus = sorted(X.index_of(lam, 0, 0, pow(lam, -1, p)) for lam in range(1, p))
+    assert K.tolist() == torus
+    b_mask = np.zeros(X.order, dtype=bool)
+    b_mask[fam.B] = True
+    for k in torus:  # kB = B, checked directly
+        assert b_mask[X.mul_many(np.int64(k), np.asarray(fam.B))].all()
 
 
 @pytest.mark.parametrize(
@@ -130,6 +151,8 @@ def test_swap_family_unpaired_involution(window, c_size, diff_size, g, a_size):
         (13, 182, 312, 336, Fraction(48, 91)),
         (19, 361, 960, 1080, Fraction(881, 1710)),
         (43, 1849, 11088, 12936, Fraction(10169, 19866)),
+        (47, 2209, 13440, 15456, Fraction(4141, 8648)),
+        (53, 2809, 19440, 22464, Fraction(8980, 18603)),
     ],
 )
 def test_flagship_pinned(p, g, a_size, b_size, max_defect):

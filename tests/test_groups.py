@@ -19,7 +19,6 @@ from permstab.errors import (
 )
 from permstab.groups import (
     CHUNK_ENTRIES,
-    FinGroup,
     GroupHom,
     MarkedGroup,
     MarkedHom,
@@ -333,47 +332,6 @@ def test_spread_levels_match_python_bfs(name):
             for level in G._spread(np.asarray(letters, dtype=np.int64))
         ]
         assert got == _python_bfs(G, letters)
-
-
-def _bincount_reference(G, a, b, weights):
-    return sum(
-        w * np.bincount(G.mul_many(row[:, None], b[None, :]).ravel(), minlength=G.order)
-        for row, w in zip(a, weights)
-    )
-
-
-@pytest.mark.parametrize("n", [13, 12, 25])
-def test_sl2_product_counts_matches_default(n):
-    # 12 and 25 are composite: runs of several d per prefix, so off[d, a] is nonzero
-    X = sl2_mod(n)
-    rng = np.random.default_rng(n)
-    cases = [
-        (rng.integers(0, X.order, (3, 40)), rng.integers(0, X.order, 130), [2, 1, 5]),  # 64, 64, 2
-        (rng.integers(0, X.order, (2, 30)), rng.integers(0, X.order, 1), [1, 7]),
-        (rng.integers(0, X.order, 1), rng.integers(0, X.order, 1), None),
-        (rng.integers(0, X.order, 3000), rng.integers(0, X.order, 100), None),  # 43-column blocks
-    ]
-    for a, b, weights in cases:
-        rows = np.atleast_2d(a)
-        w = np.ones(len(rows), dtype=np.int64) if weights is None else weights
-        got = X.product_counts(a, b, weights)
-        assert got.dtype == np.int64 and got.shape == (X.order,)
-        assert np.array_equal(got, FinGroup.product_counts(X, a, b, weights))
-        assert np.array_equal(got, _bincount_reference(X, rows, b, w))
-
-
-def test_product_counts_default_path():
-    X = sl2_mod(3)
-    idx = np.arange(X.order)
-    table = TableGroup(X.mul_many(idx[:, None], idx[None, :]), X.generators)
-    rng = np.random.default_rng(0)
-    for G in (cyclic(30), direct_product(sl2_mod(5), cyclic(4)), table):
-        a, b, w = rng.integers(0, G.order, (3, 17)), rng.integers(0, G.order, 11), [1, 4, 2]
-        got = G.product_counts(a, b, w)
-        assert got.dtype == np.int64 and int(got.sum()) == 7 * 17 * 11
-        assert np.array_equal(got, _bincount_reference(G, a, b, w))
-    with pytest.raises(ValueError, match="one integer weight per row"):
-        cyclic(5).product_counts([[1, 2], [3, 4]], [0], [1])
 
 
 def _z4_table():
