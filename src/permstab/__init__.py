@@ -20,11 +20,9 @@ from .perms import (
     PartialInjection,
     Perm,
     compose,
-    from_cycles,
     hamming,
     identity,
     inverse,
-    swap,
 )
 from .groups import (
     CyclicGroup,

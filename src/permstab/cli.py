@@ -163,13 +163,12 @@ def cmd_round(args) -> int:
 
 def cmd_oracle(args) -> int:
     with _input_file(args.input) as raw:
-        unknown = sorted(set(raw) - {"generator_count", "relators", "images", "name"})
+        unknown = sorted(set(raw) - {"generator_count", "relators", "images"})
         if unknown:
             raise ConfigError(f"unknown oracle input keys {unknown}")
         marked = MarkedGroup(
             _int("generator_count", raw["generator_count"]),
             tuple(tuple(_ints("relators", r)) for r in raw.get("relators", [])),
-            raw.get("name", "input"),
         )
         images = [Perm(_ints("images", p)) for p in raw["images"]]
         m = MarkedMap(marked, images)

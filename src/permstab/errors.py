@@ -18,10 +18,6 @@ class CapacityError(PermstabError, ValueError):
 class NotAHomomorphismError(PermstabError, ValueError):
     """Generator images violate a relator, or an element map is not multiplicative."""
 
-    def __init__(self, message: str, relator=None):
-        super().__init__(message)
-        self.relator = relator
-
 
 class NotASubgroupError(PermstabError, ValueError):
     """An element set is not closed under multiplication / inversion."""

@@ -124,7 +124,6 @@ def run_instance(p: int, window) -> Dict:
         "max_defect": max_defect,
         "floor": inst.floor,
         "bound_ok": bool(max_defect >= DEFECT_FLOOR),
-        "max_relator_defect": report.max_relator_defect,
     }
 
 

@@ -60,9 +60,6 @@ class BiTranslationAction:
                 if compose(a, b) != compose(b, a):
                     raise ValueError("left and right translations fail to commute")
 
-    def lambda_image(self) -> List[int]:
-        return self.q.image_subgroup
-
 
 @dataclass
 class SwapFamily:
@@ -104,10 +101,6 @@ class DefectReport:
     relator_defects: Dict[Tuple[int, ...], Fraction]
     sofic_profile: Dict[int, Fraction]  # generator index (1-based) -> d_H(σ(g), id)
     commutator_curve: Dict[int, Fraction]  # q(Λ) element index -> defect
-
-    @property
-    def max_relator_defect(self) -> Fraction:
-        return max(self.relator_defects.values(), default=Fraction(0))
 
     @property
     def max_commutator_defect(self) -> Fraction:
@@ -164,7 +157,7 @@ def build_swap_family(
     """
     X = base.X
     alpha, beta = window
-    q_members = base.lambda_image()
+    q_members = base.q.image_subgroup
     c_size = window_cardinality(len(q_members), alpha, beta)
     C = sorted(q_members)[:c_size]
     Z = left_coset_reps(X, q_members)
@@ -340,7 +333,7 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
             for h, p, k in zip(new.tolist(), parent.tolist(), letter.tolist())
         }
         curve.update((h, defect(h, right_h)) for h, right_h in level.items())
-    return {int(h): curve[h] for h in fam.base.lambda_image()}
+    return {int(h): curve[h] for h in fam.base.q.image_subgroup}
 
 
 def defect_report(m: MarkedMap, fam: Optional[SwapFamily] = None) -> DefectReport:
@@ -365,11 +358,8 @@ FLAGSHIP_PRIMES = (7, 13, 19, 43)
 
 @dataclass
 class FlagshipInstance:
-    prime: int
     X: SL2Group
     family: SwapFamily
-    marked: MarkedGroup
-    map: MarkedMap
     report: DefectReport
     floor: Fraction
 
@@ -384,23 +374,18 @@ def flagship_family(
     for primes (such as 5, 11, 17) whose cyclic order misses the window.
     """
     X = sl2_mod(p)
-    gamma = MarkedGroup.free(2, name="F2")
-    lam = MarkedGroup.free(1, name="Z")
+    gamma = MarkedGroup.free(2)
+    lam = MarkedGroup.free(1)
     p_hom = MarkedHom(gamma, X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
     if not p_hom.surjective:
         raise NotSurjectiveError(f"F2 generators do not cover SL2(Z/{p}Z)")
     q_hom = MarkedHom(lam, X, [X.index_of(1, 2, 0, 1)])
     base = build_bitranslation(X, p_hom, q_hom)
     fam = build_swap_family(base, window=window)
-    marked = product_with_free_z(gamma, lam)
-    mmap = family_on_marked(fam, marked)
-    report = defect_report(mmap, fam)
+    report = defect_report(family_on_marked(fam, product_with_free_z(gamma, lam)), fam)
     return FlagshipInstance(
-        prime=p,
         X=X,
         family=fam,
-        marked=marked,
-        map=mmap,
         report=report,
         # a ψ commuting with every right translation has defect 0, and
         # defect(θ) <= 2·d_H(θ, ψ): half the curve's maximum floors d_H(θ, ψ)

@@ -34,7 +34,6 @@ to its index; index arrays come back as int64.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -68,7 +67,6 @@ class FinGroup:
     order: int
     identity_index: int
     generators: List[int]
-    labels: Optional[List[str]] = None
     name: str = "group"
 
     _abelian: Optional[bool] = None
@@ -101,7 +99,7 @@ class FinGroup:
         return Perm(self.mul_many(np.arange(self.order), np.int64(g)), _checked=True)
 
     def label(self, g: int) -> str:
-        return self.labels[g] if self.labels else str(g)
+        return str(g)
 
     @property
     def is_abelian(self) -> bool:
@@ -207,7 +205,6 @@ class TableGroup(FinGroup):
         self,
         table: np.ndarray,
         generators: Sequence[int],
-        labels: Optional[Sequence[str]] = None,
         name: str = "table-group",
         identity_index: Optional[int] = None,
     ):
@@ -228,7 +225,6 @@ class TableGroup(FinGroup):
             raise ValueError("table row has no unique inverse")
         self._inv = hits.argmax(1)
         self.generators = [int(g) for g in generators]
-        self.labels = list(labels) if labels is not None else None
         self.name = name
 
     def mul_many(self, a, b) -> np.ndarray:
@@ -247,7 +243,6 @@ class CyclicGroup(FinGroup):
         self.order = n
         self.identity_index = 0
         self.generators = [1] if n > 1 else []
-        self.labels = None
         self.name = f"cyclic({n})"
         self._abelian = True
 
@@ -272,13 +267,6 @@ class DirectProductGroup(FinGroup):
         self.name = f"{a.name}x{b.name}"
         self._abelian = a.is_abelian and b.is_abelian
 
-    def label(self, g: int) -> str:
-        i, j = self.decode(g)
-        return f"({self.left.label(i)},{self.right.label(j)})"
-
-    def decode(self, x: int) -> Tuple[int, int]:
-        return divmod(int(x), self.right.order)
-
     def mul_many(self, a, b) -> np.ndarray:
         m = self.right.order
         a = np.asarray(a)
@@ -291,9 +279,6 @@ class DirectProductGroup(FinGroup):
         m = self.right.order
         a = np.asarray(a)
         return self.left.inv_many(a // m) * m + self.right.inv_many(a % m)
-
-
-_SL2_LABEL = "[[{},{}],[{},{}]]"
 
 
 class SL2Group(FinGroup):
@@ -340,11 +325,7 @@ class SL2Group(FinGroup):
         self._abelian = False
 
     def label(self, g: int) -> str:
-        return _SL2_LABEL.format(*self.entries[:, g].tolist())
-
-    @functools.cached_property
-    def labels(self) -> List[str]:
-        return [_SL2_LABEL.format(*r) for r in self.entries.T.tolist()]
+        return "[[{},{}],[{},{}]]".format(*self.entries[:, g].tolist())
 
     def index_of(self, a: int, b: int, c: int, d: int) -> int:
         n = self.modulus
@@ -449,7 +430,6 @@ class PermGroup(FinGroup):
         if not np.array_equal(rows[self.identity_index], ident):
             raise ValueError("rows do not contain the identity")
         self.generators = [int(g) for g in generators]
-        self.labels = None
         self.name = name
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
@@ -589,7 +569,6 @@ class MarkedGroup:
 
     generator_count: int
     relators: Tuple[Tuple[int, ...], ...]
-    name: str = "marked"
 
     def __post_init__(self):
         for rel in self.relators:
@@ -598,17 +577,17 @@ class MarkedGroup:
                     raise ValueError(f"relator letter {letter} out of range")
 
     @staticmethod
-    def free(k: int, name: Optional[str] = None) -> "MarkedGroup":
-        return MarkedGroup(k, (), name or f"F{k}")
+    def free(k: int) -> "MarkedGroup":
+        return MarkedGroup(k, ())
 
     @staticmethod
-    def free_abelian(d: int, name: Optional[str] = None) -> "MarkedGroup":
+    def free_abelian(d: int) -> "MarkedGroup":
         rels = tuple(
             (i, j, -i, -j)
             for i in range(1, d + 1)
             for j in range(i + 1, d + 1)
         )
-        return MarkedGroup(d, rels, name or f"Z^{d}")
+        return MarkedGroup(d, rels)
 
 
 def product_with_free_z(gamma: MarkedGroup, lam: MarkedGroup) -> MarkedGroup:
@@ -624,9 +603,7 @@ def product_with_free_z(gamma: MarkedGroup, lam: MarkedGroup) -> MarkedGroup:
             rels.append((i, shift + j, -i, -(shift + j)))
     for j in range(1, m + 1):  # t commutes with Λ-gens
         rels.append((t, shift + j, -t, -(shift + j)))
-    return MarkedGroup(
-        k + 1 + m, tuple(rels), name=f"({gamma.name}*Z)x{lam.name}"
-    )
+    return MarkedGroup(k + 1 + m, tuple(rels))
 
 
 @dataclass
@@ -644,9 +621,7 @@ class MarkedHom:
             raise ValueError("wrong number of generator images")
         for rel in self.marked.relators:
             if self.evaluate(rel) != self.target.identity_index:
-                raise NotAHomomorphismError(
-                    f"relator {rel} not satisfied by generator images", relator=rel
-                )
+                raise NotAHomomorphismError(f"relator {rel} not satisfied by generator images")
         images = np.asarray(self.gen_images, dtype=np.int64)
         seed = np.union1d(images, self.target.inv_many(images))
         self.image_subgroup = np.sort(self.target.closure(seed)).tolist()
@@ -660,9 +635,6 @@ class MarkedHom:
                 g = self.target.inv(g)
             x = self.target.mul(x, g)
         return x
-
-    def __call__(self, word: Sequence[int]) -> int:
-        return self.evaluate(word)
 
 
 @dataclass

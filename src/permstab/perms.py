@@ -93,19 +93,6 @@ def identity(n: int) -> Perm:
     return Perm(np.arange(n, dtype=np.int64), _checked=True)
 
 
-def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> Perm:
-    """Build a permutation on n points from disjoint cycles."""
-    image = np.arange(n, dtype=np.int64)
-    for cyc in cycles:
-        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-            image[a] = b
-    return Perm(image)
-
-
-def swap(n: int, a: int, b: int) -> Perm:
-    return from_cycles(n, [(a, b)])
-
-
 def compose(a: Perm, b: Perm) -> Perm:
     """compose(a, b)(x) = a(b(x))."""
     if a.n != b.n:

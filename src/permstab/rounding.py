@@ -124,13 +124,15 @@ class ConjugacyResult:
     displacement: int  # |{x ∈ X1 : φ(x) ≠ x}|
 
 
-def _action_rows(K: FinGroup, action) -> np.ndarray:
-    """The (|K|, n) image rows of a PermAction of K, or of one Perm per element."""
+def _action_of(K: FinGroup, action) -> PermAction:
+    """`action` itself when it is a PermAction of K, else K acting by its rows or Perms."""
     if isinstance(action, PermAction):
-        if action.group is not K and action.group.order != K.order:
+        if action.group is K:
+            return action
+        if action.group.order != K.order:
             raise ValueError("action does not belong to the given group")
-        return action.rows
-    return PermAction(K, np.stack([p.image for p in action])).rows
+        return PermAction(K, action.rows)
+    return PermAction(K, np.stack([p.image for p in action]))
 
 
 def _certify_equivariance(entries: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, x1) -> None:
@@ -158,14 +160,14 @@ def extract_conjugacy(
     |X∖X1| = |X∖X2| <= 16ε|X|, displacement <= 16ε|X| and exact
     equivariance φ∘α₁(k) = α₂(k)∘φ on X1.
     """
-    r1 = _action_rows(K, alpha1)
-    r2 = _action_rows(K, alpha2)
+    a1, a2 = _action_of(K, alpha1), _action_of(K, alpha2)
+    r1, r2 = a1.rows, a2.rows
     n = r1.shape[1]
     if r2.shape[1] != n:
         raise ValueError("actions live on different point counts")
     if verify_actions:
-        PermAction(K, r1).verify()
-        PermAction(K, r2).verify()
+        a1.verify()
+        a2.verify()
     eps = Fraction(int((r1 != r2).sum(axis=1).max()), n)  # max_k d_H(α₁(k), α₂(k))
 
     # cnt[i] = |K|·V[x1, x2] = |{k : α₁(k)x1 = α₂(k)x2}| for each key x1·n + x2 hit
@@ -187,7 +189,7 @@ def extract_conjugacy(
     certify("conjugacy set-loss bound violated", set_loss, 16 * eps * n)
     certify("displacement bound violated", displacement, 16 * eps * n)
     _certify_equivariance(entries, r1, r2, x1_arr)
-    if eps < Fraction(1, 16) and len(_orbits(PermAction(K, r1))) == 1:
+    if eps < Fraction(1, 16) and len(_orbits(a1)) == 1:
         certify("transitive small-defect actions must fully match", n - len(X1), 0)
     return ConjugacyResult(
         X1=X1,
@@ -289,7 +291,6 @@ class AlmostResult:
     """Recovered structure: K₀ < K, δ: K₀ → G, matched sets and bijection."""
 
     K0: List[int]  # indices into the enumerated K
-    K0_group: TableGroup
     delta: GroupHom  # K₀ → G
     X1: List[int]  # K₀-invariant subset of Y
     X2: List[int]  # β(δ(K₀))-invariant subset of X
@@ -365,6 +366,8 @@ def rigidity_pipeline(
     """
     n_x = G.order
     _check_kappa(kappa_lower)
+    if not K_gens:
+        raise ConfigError("K needs at least one generator")
     if Y_size < n_x:
         raise ConfigError(f"Y must contain X: Y_size {Y_size} is below |G| = {n_x}")
     if any(p.n != Y_size for p in K_gens):
@@ -443,7 +446,6 @@ def rigidity_pipeline(
 
     return AlmostResult(
         K0=K0,
-        K0_group=K0_group,
         delta=delta,
         X1=X1,
         X2=X2,

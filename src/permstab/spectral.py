@@ -282,17 +282,8 @@ def _certified_level(blocks: _CharacterBlocks, j: int, lam: float) -> Optional[f
     return level
 
 
-class _Gap(tuple):
-    """(λ̃, blocks certified), as `_lambda1` returns them, and the certified level mu."""
-
-    def __new__(cls, lam: float, blocks: int, mu: float):
-        gap = super().__new__(cls, (lam, blocks))
-        gap.mu = mu
-        return gap
-
-
-def _lambda1(G: FinGroup, S: Sequence[int]) -> _Gap:
-    """λ̃, the orbit blocks certified, and their certified level μ (module docstring).
+def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
+    """(λ̃, the orbit blocks certified, their certified level μ) (module docstring).
 
     Raises CertificateError when a block is refused twice, under -O too.
     """
@@ -306,7 +297,7 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> _Gap:
         levels = np.maximum(lam - 2 * shift, 0.0)
         refused = int(np.count_nonzero(vals - levels - shift <= 0))
         certify("the Cholesky certificate refuses a block", refused, 0)
-        return _Gap(lam, len(reps), float(levels.min()))
+        return lam, len(reps), float(levels.min())
     lam, mu = _smallest(blocks, 0), math.inf
     for j in reps.tolist():
         level = _certified_level(blocks, j, lam)
@@ -315,7 +306,7 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> _Gap:
             level = _certified_level(blocks, j, lam)
             certify("the Cholesky certificate refuses a block", int(level is None), 0)
         mu = min(mu, level)
-    return _Gap(lam, len(reps), mu)
+    return lam, len(reps), mu
 
 
 def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
@@ -323,11 +314,11 @@ def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> 
     if G.order > SPECTRAL_CAP:
         raise CapacityError(f"group order {G.order} exceeds spectral cap {SPECTRAL_CAP}")
     _require_generating(G, S)
-    gap = _lambda1(G, S)
-    lam1 = max(gap[0], 0.0)
+    lam, _, mu = _lambda1(G, S)
+    lam1 = max(lam, 0.0)
     k = len(set(int(v) for v in S))
     eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the module docstring
-    slack = _down(_down(gap.mu - eps) / k)
+    slack = _down(_down(mu - eps) / k)
     lower = max(_down(_down(math.sqrt(max(slack, 0.0))) - tol), 0.0)
     delta = 2 * k * (4 * DENSE_DIM_CAP + 6 * k + 23) * 2.0**-53  # δ of the module docstring
     upper = min(math.sqrt(lam1 + delta) + tol, 2.0)

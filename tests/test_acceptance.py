@@ -27,7 +27,7 @@ from permstab.groups import (
     sl2_mod,
 )
 from permstab.oracle import nearest_homomorphism_bruteforce
-from permstab.perms import Perm, compose, hamming, identity, swap
+from permstab.perms import Perm, compose, hamming, identity
 from permstab.rounding import (
     commuting_extension,
     extract_conjugacy,
@@ -35,6 +35,8 @@ from permstab.rounding import (
     rigidity_pipeline,
 )
 from permstab.spectral import kazhdan_abelian_exact, kazhdan_bracket
+
+from perm_builders import swap
 
 
 CRITERION_LINES = []
@@ -285,7 +287,7 @@ def test_criterion_7_distance_floor():
             assert inst.floor >= Fraction(1, 252)
             X = inst.X
             theta = inst.family.t_image
-            rhos = [X.right_perm(X.inv(h)) for h in inst.family.base.lambda_image()]
+            rhos = [X.right_perm(X.inv(h)) for h in inst.family.base.q.image_subgroup]
             # sampled permutations commuting exactly with every right
             # translation: left translations (and the identity)
             samples = [X.identity_index, 1, X.generators[0], X.order // 2]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from permstab.almost_invariant import round_to_invariant, window_cardinality
 from permstab.errors import WindowEmptyError
 from permstab.groups import group_from_perm_generators
-from permstab.perms import from_cycles, swap
+
+from perm_builders import from_cycles, swap
 
 
 def _round(n, X, gens):

@@ -169,6 +169,8 @@ def test_round_malformed_gens(gens, tmp_path, capsys):
     ("oracle", {"generator_count": 2, "images": [[1.5, 0, 2], [0, 2, 1]]}),
     ("oracle", {"generator_count": 2, "relators": [[1.5, 2, -1, -2]], "images": [[1, 0, 2], [0, 2, 1]]}),
     ("round", {"group": 5, "y_size": 5, "k_gens": [[1, 2, 3, 4, 0]]}),  # a group spec that is not a string
+    ("round", {"group": "cyclic:5", "y_size": 5, "k_gens": []}),  # K with no generator
+    ("oracle", {"generator_count": 1, "images": [[1, 0]], "name": "Z"}),  # a name nothing reads
 ])
 def test_malformed_input_file(command, data, tmp_path, capsys):
     # a missing field, a non-integer, rows that are not bijections, sizes

@@ -34,7 +34,9 @@ from permstab.groups import (
     right_regular,
     sl2_mod,
 )
-from permstab.perms import Perm, compose, from_cycles, identity, inverse, swap
+from permstab.perms import Perm, compose, identity, inverse
+
+from perm_builders import from_cycles, swap
 
 
 def test_cyclic_basics():
@@ -89,7 +91,7 @@ def test_sl2_structure():
     assert X.mul(e, 3) == 3
     for g in range(0, X.order, 7):
         assert X.mul(g, X.inv(g)) == e
-    assert X.labels[e] == "[[1,0],[0,1]]"
+    assert X.label(e) == "[[1,0],[0,1]]"
     assert X.generates(X.generators)
 
 
@@ -204,11 +206,7 @@ def test_direct_product():
     assert G.order == 12 and G.is_abelian
     a = 1 * G.right.order + 2
     b = 2 * G.right.order + 3
-    assert G.decode(G.mul(a, b)) == (0, 1)
-    # labels are formed per element from the factors' labels
-    assert G.labels is None and G.label(a) == "(1,2)"
-    P = direct_product(sl2_mod(2), cyclic(2))
-    assert P.label(P.left.identity_index * P.right.order + 1) == "([[1,0],[0,1]],1)"
+    assert divmod(G.mul(a, b), G.right.order) == (0, 1)
 
 
 def test_group_from_perm_generators():

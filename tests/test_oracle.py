@@ -14,7 +14,9 @@ from permstab import oracle
 from permstab.errors import CapacityError
 from permstab.groups import MarkedGroup, MarkedMap
 from permstab.oracle import nearest_homomorphism_bruteforce
-from permstab.perms import Perm, from_cycles, identity, swap
+from permstab.perms import Perm, identity
+
+from perm_builders import from_cycles, swap
 
 
 def _independent_scan(marked, m):
@@ -133,10 +135,10 @@ def test_violated_certificate_raises_under_optimize():
         "from permstab import oracle\n"
         "from permstab.errors import CertificateError\n"
         "from permstab.groups import MarkedGroup, MarkedMap\n"
-        "from permstab.perms import swap\n"
+        "from permstab.perms import Perm\n"
         "oracle._scan = lambda marked, targets: targets\n"
         "z2 = MarkedGroup.free_abelian(2)\n"
-        "m = MarkedMap(z2, [swap(3, 0, 1), swap(3, 1, 2)])\n"
+        "m = MarkedMap(z2, [Perm([1, 0, 2]), Perm([0, 2, 1])])\n"
         "try:\n"
         "    oracle.nearest_homomorphism_bruteforce(z2, m)\n"
         "except CertificateError as exc:\n"

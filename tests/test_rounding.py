@@ -23,14 +23,7 @@ from permstab.groups import (
     left_regular,
     sl2_mod,
 )
-from permstab.perms import (
-    Perm,
-    compose,
-    from_cycles,
-    hamming,
-    identity,
-    swap,
-)
+from permstab.perms import Perm, compose, hamming, identity
 from permstab.rounding import (
     _complete_to_perms,
     _measure_epsilon,
@@ -40,6 +33,8 @@ from permstab.rounding import (
     nearest_right_translation,
     rigidity_pipeline,
 )
+
+from perm_builders import from_cycles, swap
 
 
 def _beta(G, h):

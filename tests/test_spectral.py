@@ -178,7 +178,7 @@ def test_blocks_reproduce_dense_spectrum(G):
     dense = np.linalg.eigvalsh(_dense_laplacian(G, G.generators))
     assert spectrum.shape == dense.shape
     np.testing.assert_allclose(spectrum, dense, rtol=0, atol=1e-10)
-    lam1, solved = spectral._lambda1(G, G.generators)
+    lam1, solved, _ = spectral._lambda1(G, G.generators)
     assert solved == len(blocks.orbit_reps()) < blocks.m
     assert abs(lam1 - dense[1]) < 1e-10
 
@@ -250,7 +250,7 @@ def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, eigensolves, 
     # one eigvalsh chooses μ and each orbit block gets one Cholesky; N = 1 blocks need neither
     blocks = _CharacterBlocks.of(G, G.generators)
     calls = _count_lapack(monkeypatch)
-    lam, solved = spectral._lambda1(G, G.generators)
+    lam, solved, _ = spectral._lambda1(G, G.generators)
     assert solved == len(blocks.orbit_reps())
     cholesky = 0 if blocks.cols.shape[1] == 1 else solved + retries
     assert calls == {"eigvalsh": eigensolves, "cholesky": cholesky}
@@ -310,13 +310,13 @@ def test_bracket_lower_end_keeps_margin():
     for G in (sl2_mod(5), direct_product(sl2_mod(3), cyclic(2))):
         tol = 1e-8
         br = kazhdan_bracket(G, G.generators, tol=tol)
-        gap = spectral._lambda1(G, G.generators)
+        lam, _, mu = spectral._lambda1(G, G.generators)
         k = len(set(G.generators))
         eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the spectral module docstring
         # the lower end stands on the certified level μ, strictly below λ̃, less ε:
         # sqrt((μ - ε)/k) - tol with every step rounded down
-        assert gap.mu < gap[0] == br.lambda1
-        assert br.lower == down(down(math.sqrt(down(down(gap.mu - eps) / k))) - tol)
+        assert mu < lam == br.lambda1
+        assert br.lower == down(down(math.sqrt(down(down(mu - eps) / k))) - tol)
         assert br.upper >= math.sqrt(br.lambda1) + tol
 
 

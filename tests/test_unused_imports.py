@@ -1,13 +1,18 @@
-"""No module imports a name it never uses, and src/ holds no API only tests reach.
+"""No module imports a name it never uses, src/ holds no API only tests reach,
+and no class in src/ keeps a field that nothing reads.
 
-Two AST scans.  The first reads every module under src/permstab (except
+Three AST scans.  The first reads every module under src/permstab (except
 __init__.py, whose imports are the package's re-exports) and every test
 module: each name an import statement binds must occur somewhere else in the
 module as a name.  The second reads every public function, class and method
 defined under src/permstab (again except __init__.py): its name must occur
-as a `Name` or an `Attribute` in src/permstab or perfbench/, or as a string
-in a table of perfbench/tracer.py, which patches callables by name.  Tests
-and docstrings do not count as a reference.
+as an `Attribute` in src/permstab or perfbench/, as a `Name` in a module
+where a permstab import or a top-level def or class binds it (a local
+variable of the same name does not count), or as a string in a table of
+perfbench/tracer.py, which patches callables by name.  The third reads every
+attribute a class under src/permstab assigns on `self` or declares as an
+annotated field: it must be loaded as an attribute somewhere in src/permstab
+or perfbench/.  Tests and docstrings do not count as a reference.
 """
 
 import ast
@@ -18,6 +23,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC_MODULES = sorted(p for p in (ROOT / "src" / "permstab").glob("*.py") if p.name != "__init__.py")
 MODULES = SRC_MODULES + sorted((ROOT / "tests").glob("*.py"))
+# the code whose references count: all of src/permstab and perfbench/
+READING = sorted((ROOT / "src" / "permstab").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -56,9 +63,19 @@ def _public_definitions(source: str):
                     yield f"{node.name}.{item.name}"
 
 
+def _permstab_bindings(tree: ast.Module):
+    """The names a permstab import or a top-level def or class binds in a module."""
+    bound = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "permstab"):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound
+
+
 def _referenced_names(source: str):
     tree = ast.parse(source)
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = _permstab_bindings(tree)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in bound}
     return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
@@ -95,19 +112,71 @@ def test_scan_flags_an_unreached_name():
         "    def unused(self): pass\n"
         "    def _private(self): pass\n"
     )
-    caller = "from m import kept\nkept()\nBox().used()\n"
+    caller = "from permstab.m import Box, kept\nkept()\nBox().used()\n"
     assert _unreached([("m", source)], [source, caller]) == ["m.Box.unused", "m.orphan"]
+    # a local variable that shares a public name does not reach it
+    local = "def f():\n    orphan = 1\n    return orphan\n"
+    assert _unreached([("m", source)], [source, caller, local]) == ["m.Box.unused", "m.orphan"]
+    imported = "from permstab.m import orphan\norphan()\n"
+    assert _unreached([("m", source)], [source, caller, imported]) == ["m.Box.unused"]
     tables = 'SPANS = {"m.span": [("m", "Box.unused")]}\n'
     assert _unreached([("m", source)], [source, caller], tables) == ["m.orphan"]
 
 
 def test_no_test_only_api_in_src():
-    referencing = sorted((ROOT / "src" / "permstab").glob("*.py")) + sorted(
-        (ROOT / "perfbench").glob("*.py")
-    )
     unreached = _unreached(
         [(p.stem, p.read_text()) for p in SRC_MODULES],
-        [p.read_text() for p in referencing],
+        [p.read_text() for p in READING],
         (ROOT / "perfbench" / "tracer.py").read_text(),
     )
     assert not unreached, f"public names no src/ or perfbench/ code reaches: {unreached}"
+
+
+def _fields(source: str):
+    """(class, attribute) for each attribute a class assigns on `self` or declares as a field."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield cls.name, item.target.id
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                yield cls.name, node.attr
+
+
+def _unread_fields(modules, reading_sources):
+    loaded = {
+        node.attr
+        for source in reading_sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {(stem, cls, attr) for stem, source in modules for cls, attr in _fields(source)}
+    return sorted(f"{stem}.{cls}.{attr}" for stem, cls, attr in fields if attr not in loaded)
+
+
+def test_scan_flags_an_unread_field():
+    source = (
+        "class Result:\n"
+        "    value: int\n"
+        "    note: str = ''\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = 1\n"
+        "        self.cache = {}\n"
+        "    def area(self):\n"
+        "        return self.size\n"
+    )
+    caller = "r = Result()\nprint(r.value)\nb = Box()\nb.cache = None  # written again, still never read\n"
+    assert _unread_fields([("m", source)], [source, caller]) == ["m.Box.cache", "m.Result.note"]
+
+
+def test_no_field_written_and_never_read():
+    unread = _unread_fields([(p.stem, p.read_text()) for p in SRC_MODULES], [p.read_text() for p in READING])
+    assert not unread, f"fields that no src/ or perfbench/ code reads: {unread}"
