@@ -110,17 +110,8 @@ def cmd_kazhdan(args) -> int:
     G = parse_group_spec(args.group)
     S = _element_indices(G, args.gens.split(",")) if args.gens else list(G.generators)
     br = kazhdan(G, S, tol=args.tol)
-    _emit(
-        {
-            "group": args.group,
-            "generators": S,
-            "method": br.method,
-            "lower": br.lower,
-            "upper": br.upper,
-            "lambda1": br.lambda1,
-        },
-        args.out,
-    )
+    bounds = {"lower": br.lower, "upper": br.upper, "lambda1": br.lambda1}
+    _emit({"group": args.group, "generators": S, "method": br.method, **bounds}, args.out)
     return 0
 
 

@@ -151,21 +151,11 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             summary_lines.append(f"p={p}: SKIPPED ({row['error']})")
             rows.append(row)
             continue
-        row.update(
-            {
-                "carrier_order": str(data["carrier_order"]),
-                "b_density_frac": str(data["b_density"]),
-                "b_density": _dec(data["b_density"]),
-                "a_density_frac": str(data["a_density"]),
-                "a_density": _dec(data["a_density"]),
-                "max_defect_frac": str(data["max_defect"]),
-                "max_defect": _dec(data["max_defect"]),
-                "floor_frac": str(data["floor"]),
-                "floor": _dec(data["floor"]),
-                "kappa_lambda": f"{data['kappa_lambda']:.12f}",
-                "bound_ok": str(data["bound_ok"]).lower(),
-            }
-        )
+        row["carrier_order"] = str(data["carrier_order"])
+        for key in ("b_density", "a_density", "max_defect", "floor"):
+            row[f"{key}_frac"], row[key] = str(data[key]), _dec(data[key])
+        row["kappa_lambda"] = f"{data['kappa_lambda']:.12f}"
+        row["bound_ok"] = str(data["bound_ok"]).lower()
         rows.append(row)
         with open(os.path.join(cfg.out_dir, f"instance_p{p}.json"), "w") as f:
             json.dump(

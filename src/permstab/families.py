@@ -32,7 +32,7 @@ from .groups import (
     rows_per_chunk,
     sl2_mod,
 )
-from .perms import Perm, compose, hamming, identity, inverse
+from .perms import Perm, compose, hamming, identity
 
 DEFAULT_WINDOW = (Fraction(1, 7), Fraction(1, 6))
 
@@ -288,36 +288,33 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
 
     The right translations R_h: x ↦ x·h are built along a BFS of q(Λ) over
     q's generator images and their inverses, one gather each:
-    R_{h·s} = R_s[R_h].  Each defect is computed twice — by direct
-    composition with ρ = R_h⁻¹ and by the closed-form count over the
-    displaced parts of A and A ∪ gA, read off as R_h[A] and R_h[U] — and the
-    two must agree exactly.
+    R_{h·s} = R_s[R_h].  Each defect is computed twice, and the two must
+    agree exactly:
+
+    - directly, as d(θ∘R_h, R_h∘θ), with no inverse permutation formed: it
+      equals the defect d(θρ, ρθ) of ρ = R_h⁻¹ = (x ↦ x·h⁻¹), since
+      d(θρ, ρθ) = d(θρ⁻¹, ρ⁻¹θ) for any permutation ρ (substitute x = ρ⁻¹y);
+    - in closed form, from the displaced parts of A and U = A ∪ gA, with
+      |S ∖ Sh| = |S| − #{x ∈ S: x·h ∈ S}, one gather R_h[S] each.
     """
     X = fam.base.X
     theta = fam.t_image
     a_arr = np.asarray(fam.A, dtype=np.int64)
-    g = fam.g
-    ga_arr = X.mul_many(np.int64(g), a_arr)
-    u_arr = np.concatenate([a_arr, ga_arr])
-    a_mask = np.zeros(X.order, dtype=bool)
-    a_mask[a_arr] = True
-    u_mask = np.zeros(X.order, dtype=bool)
-    u_mask[u_arr] = True
-    g_is_involution = X.mul(g, g) == X.identity_index
+    u_arr = np.concatenate([a_arr, X.mul_many(np.int64(fam.g), a_arr)])
+    a_mask, u_mask = np.zeros((2, X.order), dtype=bool)
+    a_mask[a_arr] = u_mask[u_arr] = True
+    g_is_involution = X.mul(fam.g, fam.g) == X.identity_index
+
+    def loss(mask: np.ndarray, members: np.ndarray, right_h: np.ndarray) -> int:
+        return members.size - int(np.count_nonzero(mask[right_h[members]]))  # |S ∖ Sh|
 
     def defect(h: int, right_h: np.ndarray) -> Fraction:
-        rho = inverse(Perm(right_h, _checked=True))  # x ↦ x·h⁻¹
-        direct = hamming(compose(theta, rho), compose(rho, theta))
-        ah_mask = np.zeros(X.order, dtype=bool)
-        ah_mask[right_h[a_arr]] = True
-        uh_mask = np.zeros(X.order, dtype=bool)
-        uh_mask[right_h[u_arr]] = True
-        u_loss = int((u_mask & ~uh_mask).sum())  # |U ∖ Uh|, U = A ∪ gA
-        if g_is_involution:
-            closed = Fraction(2 * u_loss, X.order)
-        else:
-            a_loss = int((a_mask & ~ah_mask).sum())  # |A ∖ Ah|
-            closed = Fraction(2 * a_loss + u_loss, X.order)
+        r = Perm(right_h, _checked=True)
+        direct = hamming(compose(theta, r), compose(r, theta))
+        u_loss = loss(u_mask, u_arr, right_h)
+        # |X|·defect is 2|U ∖ Uh| when g² = e, else 2|A ∖ Ah| + |U ∖ Uh|
+        rest = u_loss if g_is_involution else 2 * loss(a_mask, a_arr, right_h)
+        closed = Fraction(u_loss + rest, X.order)
         certify(f"closed-form defect disagrees at h={h}", abs(closed - direct), 0)
         return direct
 

@@ -7,12 +7,22 @@ vectorized arithmetic; `PermGroup` composes its stored permutation rows
 in chunks and finds each product by one `searchsorted` over the rows' sorted
 byte keys.  Closures, the abelian characters and the commutator curve
 share one BFS, `FinGroup._spread`.  An action is one (|G|, n) array of
-image rows, and orbits, coset representatives and the swap search's double
-cosets (`families._swap_counts`) share one min-label propagation.
-`GroupHom.verify` and `PermAction.verify` are one generator-wise check,
-`_verify_on_generators`.
+image rows.  Orbits, the cosets of a subgroup with several generators and
+the swap search's double cosets (`families._swap_counts`) share one
+min-label propagation, `_min_labels`; the cosets of a cyclic subgroup, and
+the character blocks' cosets of ⟨h⟩ in `spectral`, are labelled by pointer
+doubling along one permutation, `_cycle_min`.  `GroupHom.verify` and
+`PermAction.verify` are one generator-wise check, `_verify_on_generators`.
 
-`SL2Group` stores the entries a, b, c, d as four contiguous rows of int16,
+`SL2Group` enumerates SL2(Z/n) in closed form, one top-left entry a at a
+time over arrays of n² entries (`_sl2_rows`).  With g = gcd(a, n) and
+m = n/g, the d with a·d ≡ 1 + bc (mod n) exist exactly when g divides
+1 + bc, and they are d₀ + k·m for k < g, d₀ = ((1 + bc)/g)·(a/g)⁻¹ mod m:
+so the elements with one prefix (a, b, c) are a contiguous run in
+lexicographic order, and d's place in its run is off[d, a] = d // m.  The
+count is certified against |SL2(Z/n)| = n³·Π(1 - ℓ⁻²), ℓ over the primes
+dividing n; the same formula refuses a modulus over the order cap before
+anything is enumerated.  It stores the entries a, b, c, d as four contiguous rows of int16,
 or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
 longer fits int16.  Its kernel multiplies in that width and reduces mod n
 in place as x - (x // n)·n, since numpy's `//` by a scalar is a SIMD loop
@@ -22,18 +32,15 @@ done in blocks of about 4·CHUNK_ENTRIES products along its leading axis,
 so each block's narrow temporaries stay in cache; each block gathers its
 operands' entries by one `take` along the element axis, about 3× faster
 than fancy indexing, and operands whose leading axis is 1 are not sliced
-but broadcast inside the arithmetic.  The elements with one prefix
-(a, b, c) are a contiguous run in lexicographic order, and `first`, an
-int32 table of n³ entries (318 KB at n = 43), holds where each run starts.
-The d of a run solve a·d ≡ 1 + bc (mod n), a coset of the multiples of
-n/gcd(a, n) whose least member is below n/gcd(a, n), so d's place in its
-run is off[d, a] = d // (n/gcd(a, n)) for every modulus, prime or not.
-Construction certifies that the tables send every element's entries back
+but broadcast inside the arithmetic.  `first`, an int32 table of n³
+entries (318 KB at n = 43), holds where each run starts.  Construction
+certifies that the tables send every element's entries back
 to its index; index arrays come back as int64.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -103,17 +110,12 @@ class FinGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            ab = True
+        if self._abelian is None:  # generators commuting with everything force abelian
             idx = np.arange(self.order)
-            for g in self.generators:
-                if not np.array_equal(
-                    self.mul_many(np.int64(g), idx), self.mul_many(idx, np.int64(g))
-                ):
-                    ab = False
-                    break
-            # generators commuting pairwise with everything forces abelian
-            self._abelian = ab
+            self._abelian = all(
+                np.array_equal(self.mul_many(np.int64(g), idx), self.mul_many(idx, np.int64(g)))
+                for g in self.generators
+            )
         return self._abelian
 
     def element_order(self, g):
@@ -290,27 +292,15 @@ class SL2Group(FinGroup):
         if n**3 > np.iinfo(np.int32).max:
             raise CapacityError(f"modulus {n} overflows the int32 lookup key")
         self.modulus = n
-        rows = []
-        bc = np.stack(
-            np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"), -1
-        ).reshape(-1, 3)
-        for a in range(n):
-            b, c, d = bc[:, 0], bc[:, 1], bc[:, 2]
-            det = (a * d - b * c) % n
-            sel = det == 1
-            block = np.empty((int(sel.sum()), 4), dtype=np.int64)
-            block[:, 0] = a
-            block[:, 1] = b[sel]
-            block[:, 2] = c[sel]
-            block[:, 3] = d[sel]
-            rows.append(block)
-            if sum(len(r) for r in rows) > SL2_ORDER_CAP:
-                raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {SL2_ORDER_CAP}")
-        elems = np.concatenate(rows)
-        self.order = int(elems.shape[0])
+        order = _sl2_order(n)
+        if order > SL2_ORDER_CAP:
+            raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {SL2_ORDER_CAP}")
+        rows = np.concatenate([_sl2_rows(a, n) for a in range(n)], axis=1)
+        certify("|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)", abs(rows.shape[1] - order), 0)
+        self.order = order
         width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
-        self.entries = np.ascontiguousarray(elems.T, dtype=width)  # rows a, b, c, d
-        prefix = (elems[:, 0] * n + elems[:, 1]) * n + elems[:, 2]
+        self.entries = rows.astype(width)  # rows a, b, c, d
+        prefix = (rows[0] * n + rows[1]) * n + rows[2]
         starts = np.flatnonzero(np.diff(prefix, prepend=-1))
         self._first = np.full(n**3, -1, dtype=np.int32)
         self._first[prefix[starts]] = starts
@@ -389,6 +379,23 @@ class SL2Group(FinGroup):
         return self._blockwise(
             lambda A: (A[0], A[3], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
         )
+
+
+def _sl2_order(n: int) -> int:
+    """|SL2(Z/n)| = n³·Π(1 - ℓ⁻²) over the primes ℓ dividing n."""
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % k for k in range(2, q))]
+    return n**3 * math.prod(q * q - 1 for q in primes) // math.prod(q * q for q in primes)
+
+
+def _sl2_rows(a: int, n: int) -> np.ndarray:
+    """The a, b, c, d rows of SL2(Z/n) with top-left entry a, in lexicographic order."""
+    g = math.gcd(a, n)
+    m = n // g
+    b, c = np.divmod(np.arange(n * n), n)
+    q, r = np.divmod(b * c + 1, g)
+    ok = r == 0
+    d = (q[ok] * pow(a // g, -1, m) % m)[:, None] + m * np.arange(g)  # d₀ + k·m
+    return np.stack([np.full(d.size, a), np.repeat(b[ok], g), np.repeat(c[ok], g), d.ravel()])
 
 
 def _reduce(x: np.ndarray, n: int) -> np.ndarray:
@@ -582,12 +589,8 @@ class MarkedGroup:
 
     @staticmethod
     def free_abelian(d: int) -> "MarkedGroup":
-        rels = tuple(
-            (i, j, -i, -j)
-            for i in range(1, d + 1)
-            for j in range(i + 1, d + 1)
-        )
-        return MarkedGroup(d, rels)
+        pairs = itertools.combinations(range(1, d + 1), 2)
+        return MarkedGroup(d, tuple((i, j, -i, -j) for i, j in pairs))
 
 
 def product_with_free_z(gamma: MarkedGroup, lam: MarkedGroup) -> MarkedGroup:
@@ -724,20 +727,41 @@ def _min_labels(steps: Sequence[np.ndarray], size: int) -> np.ndarray:
         label = new
 
 
+def _cycle_min(step: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(rep, back): the least point rep[x] of x's cycle under `step`, whose
+    cycles all have length m, and the r < m with step^r(x) = rep[x].
+
+    Pointer doubling on the key rep·m + back over the window r < w, with
+    jump = step^w: the window at jump(x) offers key[jump(x)] + w, and
+    back < m, so the least key carries the least rep and its r.  Once
+    2w >= m, the windows at x and at step^(m-w)(x) cover r < m.
+    """
+    idx = np.arange(len(step))
+    key, jump, w = idx * m, step, 1
+    while 2 * w < m:
+        key = np.minimum(key, key[jump] + w)
+        jump, w = jump[jump], 2 * w
+    prev = np.empty_like(jump)
+    prev[jump] = idx  # step^(-w) = step^(m-w)
+    return np.divmod(np.minimum(key, key[prev] + (m - w)), m)
+
+
 def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
     """Smallest-index representative of each left coset gH.
 
     The classes of x ↦ x·s, for s in a generating set of H, are the left
-    cosets, so their min-labels are the representatives: a few |G|-product
-    passes per generator instead of one per element of H.
+    cosets, so their least points are the representatives.  For H = ⟨s⟩ of
+    order m each class is one m-cycle of x ↦ x·s, labelled by `_cycle_min`
+    in ⌈log₂ m⌉ rounds; several generators go through `_min_labels`.
     """
     members = sorted(set(int(h) for h in H))
     gens, spanned = G.greedy_generators(members)
     if int(spanned.sum()) != len(members):
         raise NotASubgroupError("H is not a subgroup")
     idx = np.arange(G.order)
-    label = _min_labels([G.mul_many(idx, np.int64(s)) for s in gens], G.order)
-    return np.unique(label).tolist()
+    steps = [G.mul_many(idx, np.int64(s)) for s in gens]
+    label = _cycle_min(steps[0], len(members))[0] if len(gens) == 1 else _min_labels(steps, G.order)
+    return np.flatnonzero(label == idx).tolist()  # each class's least point labels itself
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ from .errors import (
     NonGeneratingError,
     certify,
 )
-from .groups import FinGroup
+from .groups import FinGroup, _cycle_min
 
 DENSE_DIM_CAP = 2000
 DEFAULT_TOL = 1e-8
@@ -191,18 +191,8 @@ class _CharacterBlocks:
             start += chunk.size
         if G.order // m > DENSE_DIM_CAP:
             raise CapacityError(f"character blocks of size {G.order // m} exceed {DENSE_DIM_CAP}")
-        # pointer doubling: rep, back = the least x·h^r over r < w and its r,
-        # jump = x ↦ x·h^w; then the windows at x and at x·h^(m-w) cover r < m
         right_h = G.mul_many(idx, np.int64(h))
-        rep, back, jump, w = idx, np.zeros(G.order, dtype=np.int64), right_h, 1
-        while 2 * w < m:
-            better = rep[jump] < rep
-            rep, back = np.where(better, rep[jump], rep), np.where(better, back[jump] + w, back)
-            jump, w = jump[jump], 2 * w
-        prev = np.empty_like(jump)
-        prev[jump] = idx  # x ↦ x·h^(-w) = x·h^(m-w)
-        better = rep[prev] < rep
-        rep, back = np.where(better, rep[prev], rep), np.where(better, back[prev] + m - w, back)
+        rep, back = _cycle_min(right_h, m)  # x = rep·h^(-back)
         reps, coset = np.unique(rep, return_inverse=True)
         steps = np.asarray([t for s in gens for t in (s, G.inv(s))], dtype=np.int64)
         moved = G.mul_many(steps[:, None], reps[None, :])

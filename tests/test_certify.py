@@ -83,6 +83,13 @@ FAULTS = {
         "families.flagship_family(7)\n",
         "a generator of K moves B off itself",
     ),
+    "families_closed_form": (
+        "from permstab import families\n"
+        "fam = families.flagship_family(7).family\n"
+        "fam.A = fam.A[1:]  # θ still swaps the dropped point with its g-translate\n"
+        "families._commutator_curve(fam)\n",
+        "closed-form defect disagrees",
+    ),
     "almost_invariant": (
         "import numpy as np\n"
         "from permstab import almost_invariant\n"
@@ -96,6 +103,13 @@ FAULTS = {
         "X._first[(1 * 5 + 1) * 5 + 0] = -1  # the run of [[1, 1], [0, d]]\n"
         "X.index_of(1, 1, 0, 1)\n",
         "the lookup table misses an SL2 matrix",
+    ),
+    "groups_order": (
+        "from permstab import groups\n"
+        "rows = groups._sl2_rows\n"
+        "groups._sl2_rows = lambda a, n: rows(a, n)[:, 1:] if a == 1 else rows(a, n)\n"
+        "groups.sl2_mod(5)  # [[1, 0], [0, 1]] is not enumerated\n",
+        "|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)",
     ),
     "spectral": (
         "import numpy as np\n"

@@ -162,7 +162,7 @@ def test_flagship_pinned(p, g, a_size, b_size, max_defect):
     assert inst.report.max_commutator_defect == max_defect
 
 
-@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("p", [7, 13, 19])
 def test_commutator_curve_matches_direct(p):
     inst = flagship_family(p)
     base, theta = inst.family.base, inst.family.t_image

@@ -24,6 +24,8 @@ from permstab.groups import (
     MarkedHom,
     PermAction,
     TableGroup,
+    _cycle_min,
+    _min_labels,
     _orbits,
     cyclic,
     direct_product,
@@ -123,9 +125,11 @@ def _sl2_matrices(n):
     return np.concatenate(rows).reshape(-1, 2, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 13, 43])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 12, 13, 25, 27, 43])
 def test_sl2_kernel_matches_matrix_product(n):
-    # composite moduli give runs of several d per (a, b, c) prefix; the swap search runs at 43
+    # composite moduli give runs of several d per (a, b, c) prefix, and at 25 and 27 the
+    # closed-form enumeration meets a with gcd(a, n) > 1 at a prime power; the swap search
+    # runs at 43
     X = sl2_mod(n)
     mats = _sl2_matrices(n)
     assert len(mats) == X.order
@@ -142,7 +146,7 @@ def test_sl2_kernel_matches_matrix_product(n):
         assert np.array_equal(codes[found], key)
         return found
 
-    assert np.array_equal(X.entries.T, mats.reshape(-1, 4))
+    assert np.array_equal(X.entries.T, mats.reshape(-1, 4))  # row for row
     assert [X.index_of(*m) for m in mats.reshape(-1, 4).tolist()] == list(X.elements())
     rng = np.random.default_rng(n)
     xs = rng.integers(0, X.order, 40)
@@ -545,6 +549,37 @@ def test_left_coset_reps_smallest_index(G, H):
         assert reps == list(G.elements())
     if len(H) == G.order:
         assert reps == [0]
+
+
+def _cyclic_cases():
+    """(G, s): unipotent s in SL2(Z/p) at p = 7 and 43, and a rotation of order 12 in
+    the dihedral group of order 24 that is not the least generator of its subgroup."""
+    for p in (7, 43):
+        X = sl2_mod(p)
+        yield X, X.index_of(1, 2, 0, 1)
+    D = group_from_perm_generators([Perm(np.roll(np.arange(12), 1)), Perm(np.arange(12)[::-1].copy())])
+    rotations = D.closure([D.generators[0]])
+    s = max(r for r in rotations if D.element_order(r) == 12)
+    assert s > min(r for r in rotations if D.element_order(r) == 12)
+    yield D, s
+
+
+@pytest.mark.parametrize("G, s", list(_cyclic_cases()), ids=["sl2(7)", "sl2(43)", "dihedral(12)"])
+def test_cycle_min_matches_min_labels(G, s):
+    m = G.element_order(s)
+    step = G.mul_many(np.arange(G.order), np.int64(s))
+    rep, back = _cycle_min(step, m)
+    assert np.array_equal(rep, _min_labels([step], G.order))
+    assert ((0 <= back) & (back < m)).all()
+    walk = np.arange(G.order)  # step^r
+    for r in range(m):
+        hit = back == r
+        assert np.array_equal(walk[hit], rep[hit])
+        walk = step[walk]
+    H = G.closure([s])
+    assert left_coset_reps(G, H) == np.unique(rep).tolist()
+    if G.order <= 400:
+        assert left_coset_reps(G, H) == _brute_force_reps(G, H)
 
 
 def test_lagrange_property():

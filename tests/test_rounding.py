@@ -244,12 +244,12 @@ def test_extract_conjugacy_property(n, seed):
     res = extract_conjugacy(K, list(act.perms), conj)
     assert Fraction(res.set_loss) <= 16 * res.epsilon * n
     assert Fraction(res.displacement) <= 16 * res.epsilon * n
-    # the averaged matching matrix V[x1, x2] = |{k : α₁(k)x1 = α₂(k)x2}| / |K| is substochastic
+    # the averaged matching matrix V[x1, x2] = |{k : α₁(k)x1 = α₂(k)x2}| / |K| is doubly stochastic
     match = np.zeros((n, n), dtype=np.int64)
     for k in K.elements():
         for x in range(n):
             match[x, conj[k].image.tolist().index(act.rows[k, x])] += 1
-    assert match.sum(axis=1).max() <= K.order and match.sum(axis=0).max() <= K.order
+    assert (match.sum(axis=1) == K.order).all() and (match.sum(axis=0) == K.order).all()
     # exact equivariance on X1
     x1 = set(res.X1)
     for k in K.elements():
