@@ -284,53 +284,63 @@ def relator_defects(m: MarkedMap) -> Dict[Tuple[int, ...], Fraction]:
 
 
 def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
-    """Exact defect of [θ, right-translation by h] for every h in q(Λ).
+    """Exact defect of [θ, right-translation by h] for every h in q(Λ) = ⟨u⟩.
 
-    The right translations R_h: x ↦ x·h are built along a BFS of q(Λ) over
-    q's generator images and their inverses, one gather each:
-    R_{h·s} = R_s[R_h].  Each defect is computed twice, and the two must
-    agree exactly:
+    q(Λ) is listed as u's powers e, u, …, u^(m−1), and X in coset
+    coordinates x = z·u^j: one (m, |Z|) table T[j, z] = z·u^j, certified to
+    meet every x ∈ X exactly once, gives x the coordinate c(x) = j·|Z| + z.
+    R_h: x ↦ x·h for h = u^k moves z·u^j to z·u^(j+k mod m), row j of the
+    table to row j + k mod m.  Each defect is computed twice, and the two
+    must agree exactly:
 
-    - directly, as d(θ∘R_h, R_h∘θ), with no inverse permutation formed: it
-      equals the defect d(θρ, ρθ) of ρ = R_h⁻¹ = (x ↦ x·h⁻¹), since
-      d(θρ, ρθ) = d(θρ⁻¹, ρ⁻¹θ) for any permutation ρ (substitute x = ρ⁻¹y);
-    - in closed form, from the displaced parts of A and U = A ∪ gA, with
-      |S ∖ Sh| = |S| − #{x ∈ S: x·h ∈ S}, one gather R_h[S] each.
+    - directly, as d(θ∘R_h, R_h∘θ).  One int32 key per point,
+      D[j, z] = (c(θ(z·u^j)) − j·|Z|) mod |X| = ((j′ − j) mod m)·|Z| + z′ for
+      θ(z·u^j) = z′·u^j′, records z′ and j′ − j mod m.  θ(R_h x) = R_h(θ x) at
+      x = z·u^j says θ(z·u^(j+k)) = z′·u^(j′+k), which holds exactly when
+      D[j + k mod m, z] = D[j, z]; so the defect counts the entries where D
+      and D with its rows shifted by k differ.  It equals the defect
+      d(θρ, ρθ) of ρ = R_h⁻¹, since d(θρ, ρθ) = d(θρ⁻¹, ρ⁻¹θ) for any
+      permutation ρ (substitute x = ρ⁻¹y);
+    - in closed form, from the displaced parts of A and U = A ∪ gA.  With M
+      the (m, |Z|) mask of S in coordinates, #{x ∈ S: x·u^k ∈ S} counts the
+      entries where M and M with its rows shifted by k are both set; it is
+      |S| at k = 0, and |S ∖ S·u^k| = |S| − #{x ∈ S: x·u^k ∈ S}.
+
+    No R_h, inverse or composition is formed.  Needs q to have one
+    generator image (Λ = ℤ), else ConfigError.
     """
     X = fam.base.X
-    theta = fam.t_image
-    a_arr = np.asarray(fam.A, dtype=np.int64)
-    u_arr = np.concatenate([a_arr, X.mul_many(np.int64(fam.g), a_arr)])
-    a_mask, u_mask = np.zeros((2, X.order), dtype=bool)
-    a_mask[a_arr] = u_mask[u_arr] = True
-    g_is_involution = X.mul(fam.g, fam.g) == X.identity_index
-
-    def loss(mask: np.ndarray, members: np.ndarray, right_h: np.ndarray) -> int:
-        return members.size - int(np.count_nonzero(mask[right_h[members]]))  # |S ∖ Sh|
-
-    def defect(h: int, right_h: np.ndarray) -> Fraction:
-        r = Perm(right_h, _checked=True)
-        direct = hamming(compose(theta, r), compose(r, theta))
-        u_loss = loss(u_mask, u_arr, right_h)
-        # |X|·defect is 2|U ∖ Uh| when g² = e, else 2|A ∖ Ah| + |U ∖ Uh|
-        rest = u_loss if g_is_involution else 2 * loss(a_mask, a_arr, right_h)
-        closed = Fraction(u_loss + rest, X.order)
-        certify(f"closed-form defect disagrees at h={h}", abs(closed - direct), 0)
-        return direct
-
-    idx = np.arange(X.order)
     gens = fam.base.q.gen_images
-    letters = np.asarray(gens + [X.inv(s) for s in gens], dtype=np.int64)
-    steps = [X.mul_many(idx, s) for s in letters]  # R_s for each letter s
-    level = {X.identity_index: idx}  # R_h for the h of the current BFS level
-    curve = {X.identity_index: defect(X.identity_index, idx)}
-    for new, parent, letter in X._spread(letters):
-        level = {
-            h: steps[k][level[p]]
-            for h, p, k in zip(new.tolist(), parent.tolist(), letter.tolist())
-        }
-        curve.update((h, defect(h, right_h)) for h, right_h in level.items())
-    return {int(h): curve[h] for h in fam.base.q.image_subgroup}
+    if len(gens) != 1:
+        raise ConfigError(f"the commutator curve needs one generator image (Λ = ℤ); q has {len(gens)}")
+    powers = np.asarray(X.closure(gens), dtype=np.int64)  # e, u, …, u^(m−1)
+    m, width = len(powers), len(fam.Z)
+    T = X.mul_many(np.asarray(fam.Z, dtype=np.int64)[None, :], powers[:, None]).ravel()
+    misplaced = np.bincount(T, minlength=X.order) != 1
+    certify("the coset coordinates z·u^j are not a bijection onto X", int(np.count_nonzero(misplaced)), 0)
+    coord = np.empty(X.order, dtype=np.int64)
+    coord[T] = np.arange(X.order)
+    D = coord[fam.t_image.image[T]].reshape(m, width) - (np.arange(m) * width)[:, None]
+    D = (D % X.order).astype(np.int32)
+    a_arr = np.asarray(fam.A, dtype=np.int64)
+    a_mask, u_mask = np.zeros((2, X.order), dtype=bool)
+    a_mask[a_arr] = u_mask[a_arr] = u_mask[X.mul_many(np.int64(fam.g), a_arr)] = True
+
+    def shifted(v: np.ndarray, same) -> np.ndarray:
+        """#{entries where same(v with its rows shifted by k, v)} for every k < m."""
+        twice = np.concatenate([v, v])  # row j + k is v's row j + k mod m
+        return np.array([np.count_nonzero(same(twice[k : k + m], v)) for k in range(m)])
+
+    a_hits, u_hits = (shifted(s[T].reshape(m, width), np.logical_and) for s in (a_mask, u_mask))
+    a_loss, u_loss = a_hits[0] - a_hits, u_hits[0] - u_hits  # |S ∖ S·u^k|
+    # |X|·defect is 2|U ∖ Uh| when g² = e, else 2|A ∖ Ah| + |U ∖ Uh|
+    rest = u_loss if X.mul(fam.g, fam.g) == X.identity_index else 2 * a_loss
+    moved = shifted(D, np.not_equal)
+    curve = {}
+    for h, direct, closed in zip(powers.tolist(), moved.tolist(), (u_loss + rest).tolist()):
+        curve[h] = Fraction(direct, X.order)
+        certify(f"closed-form defect disagrees at h={h}", abs(Fraction(closed, X.order) - curve[h]), 0)
+    return dict(sorted(curve.items()))
 
 
 def defect_report(m: MarkedMap, fam: Optional[SwapFamily] = None) -> DefectReport:

@@ -4,15 +4,17 @@ Elements of a group of order N are the indices 0..N-1, and index arrays are
 the only currency.  `TableGroup` looks products up in a flat multiplication
 table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
 vectorized arithmetic; `PermGroup` composes its stored permutation rows
-in chunks and finds each product by one `searchsorted` over the rows' sorted
-byte keys.  Closures, the abelian characters and the commutator curve
-share one BFS, `FinGroup._spread`.  An action is one (|G|, n) array of
-image rows.  Orbits, the cosets of a subgroup with several generators and
-the swap search's double cosets (`families._swap_counts`) share one
-min-label propagation, `_min_labels`; the cosets of a cyclic subgroup, and
-the character blocks' cosets of ⟨h⟩ in `spectral`, are labelled by pointer
-doubling along one permutation, `_cycle_min`.  `GroupHom.verify` and
-`PermAction.verify` are one generator-wise check, `_verify_on_generators`.
+in chunks, through buffers allocated once per call, and finds each product
+by one `searchsorted` over the rows' sorted byte keys.  Closures of several
+elements and the abelian characters share one BFS, `FinGroup._spread`; the
+closure of one element g lists e, g, g², … by doubling.  An action is one
+(|G|, n) array of image rows.  Orbits, the cosets of a subgroup with
+several generators and the swap search's double cosets
+(`families._swap_counts`) share one min-label propagation, `_min_labels`;
+the cosets of a cyclic subgroup, and the character blocks' cosets of ⟨h⟩ in
+`spectral`, are labelled by pointer doubling along one permutation,
+`_cycle_min`.  `GroupHom.verify` and `PermAction.verify` are one
+generator-wise check, `_verify_on_generators`.
 
 `SL2Group` enumerates SL2(Z/n) in closed form, one top-left entry a at a
 time over arrays of n² entries (`_sl2_rows`).  With g = gcd(a, n) and
@@ -29,7 +31,9 @@ in place as x - (x // n)·n, since numpy's `//` by a scalar is a SIMD loop
 and its `%` is not.  It then finds the product's index as
 first[(a·n + b)·n + c] + off[d, a], into one int64 output.  A broadcast is
 done in blocks of about 4·CHUNK_ENTRIES products along its leading axis,
-so each block's narrow temporaries stay in cache; each block gathers its
+so each block's narrow temporaries stay in cache, and a 2-D block with
+more rows than columns runs transposed, so that numpy's inner loop runs
+along the block's longer axis; each block gathers its
 operands' entries by one `take` along the element axis, about 3× faster
 than fancy indexing, and operands whose leading axis is 1 are not sliced
 but broadcast inside the arithmetic.  `first`, an int32 table of n³
@@ -40,6 +44,7 @@ to its index; index arrays come back as int64.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -169,15 +174,24 @@ class FinGroup:
             frontier = new
 
     def closure(self, seed: Sequence[int]) -> List[int]:
-        """BFS product closure of a set of element indices, discovery order."""
-        out = [self.identity_index]
-        for new, _, _ in self._spread(seed):
-            out.extend(new.tolist())
-        return out
+        """BFS product closure of a set of element indices, discovery order.
+
+        A one-element seed g gives e, g, g², … by doubling: the block
+        g¹ … g^b times its last element is g^(b+1) … g^(2b), so g of order m
+        takes ⌈log₂ m⌉ `mul_many` calls, in the BFS's order.
+        """
+        e = self.identity_index
+        seed = np.asarray(seed, dtype=np.int64)
+        if seed.size == 1:
+            powers = seed  # g¹ … g^b
+            while not (powers == e).any():
+                powers = np.concatenate([powers, self.mul_many(powers[-1], powers)])
+            return [e] + powers[: int(np.argmax(powers == e))].tolist()
+        return [e] + [h for new, _, _ in self._spread(seed) for h in new.tolist()]
 
     def generates(self, seed: Sequence[int]) -> bool:
-        seed = np.asarray(list(seed), dtype=np.int64)
-        return len(self.closure(np.union1d(seed, self.inv_many(seed)))) == self.order
+        # no inverses needed: in a finite group s⁻¹ = s^(ord s − 1)
+        return len(self.closure(list(seed))) == self.order
 
     def greedy_generators(self, members: Sequence[int]) -> Tuple[List[int], np.ndarray]:
         """Generators picked from `members` in order, each outside the span so far.
@@ -352,7 +366,9 @@ class SL2Group(FinGroup):
 
         The broadcast of `ops` is cut along its leading axis into blocks of
         about 4·CHUNK_ENTRIES products; an operand whose leading axis is 1 is
-        not sliced, so broadcasting still happens inside the kernel.
+        not sliced, so broadcasting still happens inside the kernel.  A 2-D
+        block with more rows than columns is computed transposed into a
+        block-sized buffer, so numpy's inner loop runs along its longer axis.
         """
         ops = [np.asarray(x) for x in ops]
         out = np.empty(np.broadcast(*ops).shape, dtype=np.int64)
@@ -360,10 +376,14 @@ class SL2Group(FinGroup):
             return self._lookup(kernel(*(self.entries.take(x, axis=1) for x in ops)), out)[()]
         ops = [x.reshape((1,) * (out.ndim - x.ndim) + x.shape) for x in ops]
         rows = max(1, 4 * CHUNK_ENTRIES // max(1, math.prod(out.shape[1:])))
+        flip = out.ndim == 2 and min(rows, len(out)) > out.shape[1]
         for start in range(0, len(out), rows):
             part = slice(start, start + rows)
-            entries = (self.entries.take(x[part] if len(x) > 1 else x, axis=1) for x in ops)
-            self._lookup(kernel(*entries), out[part])
+            into = np.empty(out[part].shape[::-1], dtype=np.int64) if flip else out[part]
+            block = ((x[part] if len(x) > 1 else x) for x in ops)
+            self._lookup(kernel(*(self.entries.take(x.T if flip else x, axis=1) for x in block)), into)
+            if flip:
+                out[part] = into.T
         return out
 
     def mul_many(self, a, b) -> np.ndarray:
@@ -445,23 +465,41 @@ class PermGroup(FinGroup):
         return self._by_key[np.minimum(pos, self.order - 1)]
 
     def _map_rows(self, fn, *elems) -> np.ndarray:
-        """The elements with rows fn(rows of elems...), broadcast over elems."""
+        """The elements whose rows fn(rows of elems..., into) writes into
+        `into`, broadcast over elems; the last operand's row i comes with
+        i·points added, as flat indices into its chunk.
+
+        Each chunk's rows are gathered into buffers allocated once per call.
+        Temporaries of CHUNK_ENTRIES words made and freed per chunk sit at
+        glibc's 128 KB trim threshold, where whether a free hands the heap
+        top back to the system, so that the next chunk faults its pages in
+        again, depends on the heap's layout.
+        """
         elems = np.broadcast_arrays(*(np.asarray(e, dtype=np.int64) for e in elems))
         flat = [e.ravel() for e in elems]
         out = np.empty(flat[0].size, dtype=np.int64)
-        step = rows_per_chunk(self.points)
+        step = min(rows_per_chunk(self.points), max(out.size, 1))
+        bufs = np.empty((len(flat) + 1, step, self.points), dtype=np.int64)
+        shift = np.arange(0, bufs[0].size, self.points)[:, None]
         for start in range(0, out.size, step):
             chunk = slice(start, start + step)
-            out[chunk] = self._find(fn(*(self.rows[f[chunk]] for f in flat)))
+            n = len(out[chunk])
+            # "clip": the indices are elements, and "raise" would buffer the output
+            rows = [self.rows.take(f[chunk], axis=0, out=b[:n], mode="clip") for f, b in zip(flat, bufs)]
+            rows[-1] += shift[:n]
+            fn(*rows, bufs[-1][:n])
+            out[chunk] = self._find(bufs[-1][:n])
         return out.reshape(elems[0].shape)
 
     mul = FinGroup.mul  # bound on this class too: the benchmark tracer counts PermGroup.mul
 
     def mul_many(self, a, b) -> np.ndarray:
-        return self._map_rows(lambda ra, rb: np.take_along_axis(ra, rb, axis=1), a, b)
+        # into[i, j] = ra[i, rb[i, j]]
+        return self._map_rows(lambda ra, rb, into: ra.take(rb, out=into, mode="clip"), a, b)
 
     def inv_many(self, a) -> np.ndarray:
-        return self._map_rows(lambda ra: np.argsort(ra, axis=1), a)
+        # into[i, ra[i, j]] = j
+        return self._map_rows(lambda ra, into: into.put(ra, np.arange(self.points), mode="clip"), a)
 
 
 def cyclic(n: int) -> CyclicGroup:
@@ -617,7 +655,6 @@ class MarkedHom:
     target: FinGroup
     gen_images: List[int]
     surjective: bool = field(init=False)
-    image_subgroup: List[int] = field(init=False)
 
     def __post_init__(self):
         if len(self.gen_images) != self.marked.generator_count:
@@ -625,10 +662,12 @@ class MarkedHom:
         for rel in self.marked.relators:
             if self.evaluate(rel) != self.target.identity_index:
                 raise NotAHomomorphismError(f"relator {rel} not satisfied by generator images")
-        images = np.asarray(self.gen_images, dtype=np.int64)
-        seed = np.union1d(images, self.target.inv_many(images))
-        self.image_subgroup = np.sort(self.target.closure(seed)).tolist()
-        self.surjective = len(self.image_subgroup) == self.target.order
+        self.surjective = self.target.generates(self.gen_images)
+
+    @functools.cached_property
+    def image_subgroup(self) -> List[int]:
+        """The image ⟨gen_images⟩, sorted; built on first read."""
+        return np.sort(self.target.closure(self.gen_images)).tolist()
 
     def evaluate(self, word: Sequence[int]) -> int:
         x = self.target.identity_index

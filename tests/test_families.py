@@ -162,8 +162,9 @@ def test_flagship_pinned(p, g, a_size, b_size, max_defect):
     assert inst.report.max_commutator_defect == max_defect
 
 
-@pytest.mark.parametrize("p", [7, 13, 19])
+@pytest.mark.parametrize("p", [7, 13, 19, 43])
 def test_commutator_curve_matches_direct(p):
+    # the defects by R_h, composition and Hamming distance, with no coset coordinates
     inst = flagship_family(p)
     base, theta = inst.family.base, inst.family.t_image
     direct = {}
@@ -189,6 +190,19 @@ def test_family_relator_defects():
         else:  # [gamma_i, lambda]: translations commute exactly
             assert d == 0
     assert report.max_commutator_defect == max(report.commutator_curve.values())
+
+
+def test_commutator_curve_needs_one_generator_image():
+    # Λ = ℤ² with both generators sent into ⟨u⟩: the family builds, the coordinate curve refuses
+    X, base = _sl2_base(7)
+    u = X.index_of(1, 2, 0, 1)
+    lam = MarkedGroup.free_abelian(2)
+    q_hom = MarkedHom(lam, X, [u, X.mul(u, u)])
+    assert q_hom.image_subgroup == base.q.image_subgroup
+    fam = build_swap_family(build_bitranslation(X, base.p, q_hom))
+    m = family_on_marked(fam, product_with_free_z(MarkedGroup.free(2), lam))
+    with pytest.raises(ConfigError, match=r"needs one generator image \(Λ = ℤ\); q has 2"):
+        defect_report(m, fam)
 
 
 def test_family_on_marked_arity_check():

@@ -112,6 +112,47 @@ def test_generates_empty_and_partial_seeds():
     assert not X.generates([X.generators[0]])
 
 
+def _bfs_closure(G, seed):
+    """The closure as the BFS lists it: the identity, then each level of `_spread`."""
+    return [G.identity_index] + [h for new, _, _ in G._spread(seed) for h in new.tolist()]
+
+
+def _one_element_cases():
+    X = sl2_mod(7)
+    orders = X.element_order(np.arange(X.order))
+    for k in np.unique(orders).tolist():  # one g of every order in SL2(Z/7)
+        yield pytest.param(X, int(np.flatnonzero(orders == k)[0]), id=f"sl2(7)-order-{k}")
+    X43 = sl2_mod(43)
+    yield pytest.param(X43, X43.index_of(1, 2, 0, 1), id="sl2(43)-u")
+    yield pytest.param(X43, X43.identity_index, id="sl2(43)-identity")
+    yield pytest.param(cyclic(97), 5, id="cyclic(97)-generator")
+    G = direct_product(cyclic(4), sl2_mod(3))
+    yield pytest.param(G, 1 * G.right.order + G.right.index_of(1, 1, 0, 1), id="cyclic(4)xsl2(3)")
+
+
+@pytest.mark.parametrize("G, g", list(_one_element_cases()))
+def test_one_element_closure_matches_bfs(G, g):
+    powers = G.closure([g])
+    assert powers == _bfs_closure(G, [g])
+    assert len(powers) == G.element_order(g)
+
+
+def _criterion_5_groups():
+    z26 = cyclic(2)
+    for _ in range(5):
+        z26 = direct_product(z26, cyclic(2))
+    yield z26, [z26.generators, z26.generators[:-1], list(range(1, z26.order)), [3, 5, 6]]
+    for n in range(6, 121):
+        yield cyclic(n), [[1], [2], [3], [n // 2, n // 3], []]
+
+
+def test_generates_matches_inverse_seeded_closure():
+    for G, seeds in _criterion_5_groups():
+        for seed in seeds:
+            with_inverses = sorted({*seed, *(G.inv(s) for s in seed)})
+            assert G.generates(seed) == (len(_bfs_closure(G, with_inverses)) == G.order), (G, seed)
+
+
 def test_sl2_cap():
     # |SL2(Z/59)| = 205,320 exceeds SL2_ORDER_CAP = 200,000
     with pytest.raises(CapacityError):
@@ -158,6 +199,7 @@ def test_sl2_kernel_matches_matrix_product(n):
     cols = rng.integers(0, X.order, 4 * CHUNK_ENTRIES // 128 + 1)
     long = rng.integers(0, X.order, 4 * CHUNK_ENTRIES + 1001)
     g = rng.integers(0, X.order)
+    tall = rng.integers(0, X.order, (4 * CHUNK_ENTRIES // 3 + 7, 3))
     every = np.arange(X.order)
     adjugate = np.swapaxes(mats[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]  # [[d, -b], [-c, a]]
     for got, want in [
@@ -168,6 +210,9 @@ def test_sl2_kernel_matches_matrix_product(n):
         (X.mul_many(cols[None, :], rows[:, None]), index(mats[None, cols] @ mats[rows, None])),
         (X.mul_many(long, np.int64(g)), index(mats[long] @ mats[g])),
         (X.mul_many(np.int64(g), long), index(mats[g] @ mats[long])),
+        # an (N, 4) broadcast runs transposed, with a ragged last block
+        (X.mul_many(long[:, None], ys[None, :4]), index(mats[long, None] @ mats[None, ys[:4]])),
+        (X.mul_many(tall, tall[::-1]), index(mats[tall] @ mats[tall[::-1]])),
         (X.inv_many(every), index(adjugate)),
         (X.inv_many(long), index(adjugate[long])),
     ]:
@@ -183,13 +228,16 @@ def test_sl2_kernel_memory_is_its_output():
     X = sl2_mod(43)
     rng = np.random.default_rng(43)
     a, b = rng.integers(0, X.order, 1848), rng.integers(0, X.order, 1082)
-    tracemalloc.start()
-    try:
-        out = X.mul_many(a[:, None], b[None, :])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.nbytes + 4 * 2**20
+    # and a narrow trailing axis, which runs transposed block by block
+    long, four = rng.integers(0, X.order, 200_000), rng.integers(0, X.order, 4)
+    for left, right in [(a[:, None], b[None, :]), (long[:, None], four[None, :])]:
+        tracemalloc.start()
+        try:
+            out = X.mul_many(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 def test_sl2_tables_certified_at_construction(monkeypatch):

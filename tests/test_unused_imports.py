@@ -12,7 +12,8 @@ variable of the same name does not count), or as a string in a table of
 perfbench/tracer.py, which patches callables by name.  The third reads every
 attribute a class under src/permstab assigns on `self` or declares as an
 annotated field: it must be loaded as an attribute somewhere in src/permstab
-or perfbench/.  Tests and docstrings do not count as a reference.
+or perfbench/, on a receiver other than `self`, or on `self` inside its own
+class or a class related to it by inheritance.  Tests and docstrings do not count as a reference.
 """
 
 import ast
@@ -150,15 +151,50 @@ def _fields(source: str):
                 yield cls.name, node.attr
 
 
-def _unread_fields(modules, reading_sources):
-    loaded = {
-        node.attr
-        for source in reading_sources
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+def _attribute_loads(node, cls=None):
+    """(class, attribute) per attribute load: the innermost enclosing class for
+    a load on `self`, None for a load on any other receiver."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+            yield (cls if on_self else None), child.attr
+        yield from _attribute_loads(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def _relatives(trees):
+    """Each class name mapped to itself, its ancestors and its descendants."""
+    bases = {
+        cls.name: {b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))}
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
     }
+
+    def ancestors(name):
+        found, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base not in found:
+                    found.add(base)
+                    todo.append(base)
+        return found
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {name} | up[name] | {d for d in bases if name in up[d]} for name in bases}
+
+
+def _unread_fields(modules, reading_sources):
+    """A field is read by a load of its name on any receiver but `self`, or on
+    `self` inside its own class or a class related to it by inheritance."""
+    trees = [ast.parse(source) for source in reading_sources]
+    loads = {load for tree in trees for load in _attribute_loads(tree)}
+    relatives = _relatives(trees + [ast.parse(source) for _, source in modules])
     fields = {(stem, cls, attr) for stem, source in modules for cls, attr in _fields(source)}
-    return sorted(f"{stem}.{cls}.{attr}" for stem, cls, attr in fields if attr not in loaded)
+    return sorted(
+        f"{stem}.{cls}.{attr}"
+        for stem, cls, attr in fields
+        if (None, attr) not in loads and not any((c, attr) in loads for c in relatives[cls])
+    )
 
 
 def test_scan_flags_an_unread_field():
@@ -175,6 +211,40 @@ def test_scan_flags_an_unread_field():
     )
     caller = "r = Result()\nprint(r.value)\nb = Box()\nb.cache = None  # written again, still never read\n"
     assert _unread_fields([("m", source)], [source, caller]) == ["m.Box.cache", "m.Result.note"]
+
+
+def test_scan_reads_self_loads_by_class():
+    source = (
+        "class Instance:\n"
+        "    marked: int\n"
+        "class Hom:\n"
+        "    def __init__(self):\n"
+        "        self.marked = 1\n"
+        "    def use(self):\n"
+        "        return self.marked\n"
+        "class Base:\n"
+        "    def __init__(self):\n"
+        "        self.size = 1\n"
+        "        self.count = 0\n"
+        "class Child(Base):\n"
+        "    def area(self):\n"
+        "        return self.size\n"
+        "class Grandchild(Child):\n"
+        "    def __init__(self):\n"
+        "        self.depth = 2\n"
+        "    def reads_up(self):\n"
+        "        return self.count\n"
+        "class Reader:\n"
+        "    def __init__(self):\n"
+        "        self.depth = 0\n"
+        "    def total(self):\n"
+        "        return self.depth\n"
+    )
+    # Instance.marked is read only as self.marked in the unrelated Hom; Grandchild.depth
+    # only inside the unrelated Reader; Base.size and Base.count inside descendants
+    assert _unread_fields([("m", source)], [source]) == ["m.Grandchild.depth", "m.Instance.marked"]
+    caller = "def show(inst):\n    return inst.marked\n"  # any other receiver counts for every class
+    assert _unread_fields([("m", source)], [source, caller]) == ["m.Grandchild.depth"]
 
 
 def test_no_field_written_and_never_read():
