@@ -313,7 +313,8 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     gens = fam.base.q.gen_images
     if len(gens) != 1:
         raise ConfigError(f"the commutator curve needs one generator image (Λ = ℤ); q has {len(gens)}")
-    powers = np.asarray(X.closure(gens), dtype=np.int64)  # e, u, …, u^(m−1)
+    image = fam.base.q.image  # e, u, …, u^(m−1), or None when q is onto X
+    powers = np.asarray(X.closure(gens) if image is None else image, dtype=np.int64)
     m, width = len(powers), len(fam.Z)
     T = X.mul_many(np.asarray(fam.Z, dtype=np.int64)[None, :], powers[:, None]).ravel()
     misplaced = np.bincount(T, minlength=X.order) != 1

@@ -655,6 +655,9 @@ class MarkedHom:
     target: FinGroup
     gen_images: List[int]
     surjective: bool = field(init=False)
+    # ⟨gen_images⟩ in closure order (e, u, u², … for one image u); None when
+    # it is the whole target, whose |X| entries are not kept
+    image: Optional[List[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.gen_images) != self.marked.generator_count:
@@ -662,12 +665,14 @@ class MarkedHom:
         for rel in self.marked.relators:
             if self.evaluate(rel) != self.target.identity_index:
                 raise NotAHomomorphismError(f"relator {rel} not satisfied by generator images")
-        self.surjective = self.target.generates(self.gen_images)
+        image = self.target.closure(self.gen_images)
+        self.surjective = len(image) == self.target.order
+        self.image = None if self.surjective else image
 
     @functools.cached_property
     def image_subgroup(self) -> List[int]:
         """The image ⟨gen_images⟩, sorted; built on first read."""
-        return np.sort(self.target.closure(self.gen_images)).tolist()
+        return list(range(self.target.order)) if self.image is None else sorted(self.image)
 
     def evaluate(self, word: Sequence[int]) -> int:
         x = self.target.identity_index

@@ -18,14 +18,31 @@ V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
 cosets of ⟨h⟩ L acts on V_j by an N×N Hermitian block B_j, N = |G|/m.  If
 n⁻¹hn = h^a, right translation by n maps V_j onto V_{ja}, and conjugation
 maps V_j onto V_{-j}, both commuting with L; so with A = {a : h^a ~ h} one
-block per orbit of ℤ/m under ±A is enough.  V_0 holds the constants, the
-vector 𝟙 of B_0.
+block per orbit of ℤ/m under ±A is enough.
+
+Each V_j splits once more.  Right translation by g in Stab_j = {g :
+g·h·g⁻¹ = h^a, j(a - 1) ≡ 0 mod m}, a subgroup of the normalizer of
+H = ⟨h⟩, maps V_j to itself and commutes with L.  Take n ∈ Stab_j of the
+largest order r modulo H, n^r = h^e0, and K = ⟨n⟩H of order r·m.  R_n^r =
+R_{h^e0} is ω^{j·e0} on V_j, so V_j = ⊕_{l<r} V_{j,l} with R_n = ζ_l on
+V_{j,l}, ζ_l = exp(2πi(j·e0 + l·m)/(r·m)).  Every x is R_C·n^f·h^e, once,
+with R_C the representative of a coset of K, f < r and e < m, and f in
+V_{j,l} has f(R_C·n^f·h^e) = ζ_l^f·ω^{je}·f(R_C).  So on the basis indexed
+by the N/r cosets of K, L acts on V_{j,l} by a Hermitian block B_{j,l}: the
+terms of t·R_C = R_C'·n^f·h^e with phase exp(2πi·num/(r·m)), num =
+(f·(j·e0 + l·m) + j·e·r) mod r·m, one integer over one denominator.  When
+Stab_j = H, r = 1 and B_{j,0} = B_j.  The coordinates are certified
+exactly: each coset r_c·H is (R_C·n^f)·H for the (C, f) it is given, and
+|K-cosets|·r = N.  B_{j,l} is real when ω^j and ζ_l are ±1; V_{0,0} holds
+the constants, the vector 𝟙 of B_{0,0}.
 
 `lambda1` is λ̃, the least eigenvalue other than the constant's that
-`eigvalsh` finds on the blocks it runs on: block 0, and any block whose
-certificate fails (every block when N = 1).  The upper end trusts it to δ = 2k(4P + 6k + 23)u, the
-model of LAPACK's backward error p(N)·ε·||B||₂ (Users' Guide §4.7), with
-u = 2⁻⁵³, P = DENSE_DIM_CAP >= N and the input error E below.
+`eigvalsh` finds on the sub-blocks it runs on: those of block 0, and any
+whose certificate fails (every block when N = 1).  The upper end trusts it
+to δ = 2k(4P + 6k + 23)u, the model of LAPACK's backward error
+p(N)·ε·||B||₂ (Users' Guide §4.7), with u = 2⁻⁵³, the input error E below
+and P = DENSE_DIM_CAP, which still bounds N = |G|/m and so every order
+N/r that `eigvalsh` runs on.
 
 The lower end is a proof under IEEE-754 binary64 arithmetic (round to
 nearest, u = 2⁻⁵³, least subnormal η = 2⁻¹⁰⁷⁴) and Rump's theorem (S. M.
@@ -45,32 +62,37 @@ error is at most √2·γ_{2N+1}(|R||R|ᴴ + cI), and the same lines prove the
 theorem for Hermitian A with n = 2N + 1 and g = √2·γ_n (the code takes
 99/70 > √2).
 
-The blocks are computed as B̂_j: a phase exp(iθ̂), θ̂ = fl(fl(2π̂r)/m), is
-within 19u + 2 ulp < 22u of ω^{je}, and each of an entry's c terms adds an
-error < √2·u·4k; t ↔ t⁻¹ pairs the terms of (c, c') and (c', c), so each
-row of the lower triangle that LAPACK reads has 2k terms and E = B̂_j - B_j
-has ||E||₂ <= ||E||_∞ <= 2k(22 + 6k)u (E = 0 on the integer block B_0).
-Block j is certified as A_j = B̂_j, or B̂_0 + s𝟙𝟙ᵀ with the exact integer
-s = ⌈4k/N⌉, which lifts the constant's eigenvalue 0 to sN >= 4k >= ||L||₂ and
-leaves 𝟙⊥ alone.  With c_j Rump's shift for tr(A_j), rounded up, and
-μ_j = max(λ̃ - 2c_j, 0), the Cholesky of fl(fl(A_j - μ_j I) - c_j I) running
-to completion proves fl(A_j - μ_j I) ≻ 0 (whose trace is at most tr(A_j)).
-That rounding moves A_j - μ_j I by at most u(a_ii - μ_j) < 7ku, every
-a_ii <= 6k, so on mean-zero functions L ≻ μ - ε with μ = min_j μ_j and
-ε = 2k(26 + 6k)u >= ||E||₂ + 7ku.  A block refused at λ̃ gets its own
-`eigvalsh`, which lowers λ̃, and one more try; a second refusal raises
-CertificateError.  `lower` is sqrt((μ - ε)/k) - tol with every operation
-rounded down by math.nextafter.  When N = 1 the blocks are read off as one
-array; each is the real 1×1 matrix of its real part, so its Cholesky is the
-sign test fl(fl(a - μ_j) - c_j) > 0.
+The blocks are computed as B̂_{j,l}: a phase exp(iθ̂), θ̂ = fl(fl(2π̂·num)/D)
+with D = r·m, is within 19u + 2 ulp < 22u of the exact one, a bound that
+needs only an integer numerator 0 <= num < D, exact in binary64 as
+D <= |G| < 2⁵³.  Each of an entry's c terms adds an error < √2·u·4k;
+t ↔ t⁻¹ pairs the terms of (C, C') and (C', C), so each row of the lower
+triangle that LAPACK reads has 2k terms and E = B̂ - B has ||E||₂ <= ||E||_∞
+<= 2k(22 + 6k)u (E = 0 on the integer block B_{0,0}).  A sub-block of order
+w = N/r is certified as A = B̂_{j,l}, or B̂_{0,0} + s𝟙𝟙ᵀ with the exact
+integer s = ⌈4k/w⌉, which lifts the constant's eigenvalue 0 to sw >= 4k >=
+||L||₂ and leaves 𝟙⊥ alone.  With c Rump's shift for tr(A), rounded up,
+and μ_{j,l} = max(λ̃ - 2c, 0), the Cholesky of fl(fl(A - μ_{j,l} I) - cI)
+running to completion proves fl(A - μ_{j,l} I) ≻ 0 (whose trace is at most
+tr(A)).  That rounding moves A - μ_{j,l} I by at most u(a_ii - μ_{j,l}) <
+7ku, every a_ii <= 6k, so on mean-zero functions L ≻ μ - ε with μ the least
+μ_{j,l} and ε = 2k(26 + 6k)u >= ||E||₂ + 7ku.  The real and the complex
+sub-blocks of V_j are stacked, and one Cholesky per stack certifies every
+sub-block in it.  A stack refused at λ̃ gets its own `eigvalsh`, which
+lowers λ̃, and one more try; a second refusal raises CertificateError.
+`lower` is sqrt((μ - ε)/k) - tol with every operation rounded down by
+math.nextafter.  When N = 1 the blocks are read off as one array; each is
+the real 1×1 matrix of its real part, so its Cholesky is the sign test
+fl(fl(a - μ_j) - c_j) > 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,64 +189,135 @@ def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
 
 @dataclass
 class _CharacterBlocks:
-    """L on each V_j; every x is r_c·h^e for the smallest r_c of its coset."""
+    """L on each V_j and each V_{j,l}; every x is r_c·h^e for the smallest r_c of its coset."""
 
     m: int  # the order of h
     cols: np.ndarray  # (2k, N): the coset c' of t·r_c = r_c'·h^e, t ∈ S±
     exps: np.ndarray  # (2k, N): its exponent e
+    twist: np.ndarray  # a with g·h·g⁻¹ = h^a, for each coset gH in N(H), H = ⟨h⟩
     powers: np.ndarray  # A = {a : h^a conjugate to h}
+    splits: dict  # Stab_j, as the mask it keeps of `twist` -> V_j's K-coset coordinates
 
     @classmethod
     def of(cls, G: FinGroup, S: Sequence[int]) -> "_CharacterBlocks":
         gens = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
         idx = np.arange(G.order)
-        central = np.logical_and.reduce([G.mul_many(idx, s) == G.mul_many(s, idx) for s in gens])
+        central = (G.mul_many(idx[:, None], gens) == G.mul_many(gens, idx[:, None])).all(axis=1)
         cand = np.unique(G.mul_many(gens[:, None], idx[central][None, :]))
-        # h: the first candidate of the largest order, scanned in doubling chunks
-        # that stop once an order reaches |G|
+        # h: the first candidate of the largest order, scanned in chunks of 8,
+        # 16, 32, … that stop once an order reaches |G|
         h, m, start = -1, 0, 0
         while start < cand.size and m < G.order:
-            chunk = cand[start : 2 * start + 1]
-            order = G.element_order(chunk)
-            if order.max() > m:
-                h, m = int(chunk[order.argmax()]), int(order.max())
+            chunk = cand[start : 2 * start + 8]
+            orders = G.element_order(chunk)
+            if orders.max() > m:
+                h, m = int(chunk[orders.argmax()]), int(orders.max())
             start += chunk.size
         if G.order // m > DENSE_DIM_CAP:
             raise CapacityError(f"character blocks of size {G.order // m} exceed {DENSE_DIM_CAP}")
         right_h = G.mul_many(idx, np.int64(h))
         rep, back = _cycle_min(right_h, m)  # x = rep·h^(-back)
-        reps, coset = np.unique(rep, return_inverse=True)
-        steps = np.asarray([t for s in gens for t in (s, G.inv(s))], dtype=np.int64)
+        reps = np.flatnonzero(back == 0)  # the least point of each coset, ascending
+        coset = np.zeros(G.order, dtype=np.int64)
+        coset[reps] = np.arange(reps.size)
+        coset = coset[rep]
+        steps = np.stack([gens, G.inv_many(gens)], axis=1).ravel()  # s, s⁻¹ for each s
         moved = G.mul_many(steps[:, None], reps[None, :])
-        conj = G.mul_many(right_h, G.inv_many(idx))  # g·h·g⁻¹
-        in_h = conj[coset[conj] == coset[G.identity_index]]  # h^a = h^{back[e] - back}
-        a = (back[G.identity_index] - back[in_h]) % m
-        return cls(m, coset[moved], -back[moved] % m, np.unique(a))
+        # a and the order modulo H are constant on each coset gH, so the
+        # representatives carry them
+        conj = G.mul_many(right_h[reps], G.inv_many(reps))  # g·h·g⁻¹
+        inside = np.flatnonzero(coset[conj] == coset[G.identity_index])  # h^a = h^{back[e] - back}
+        twist = (back[G.identity_index] - back[conj[inside]]) % m
+        slot = np.zeros(len(reps), dtype=np.int64)
+        slot[inside] = np.arange(inside.size)  # reps[c] lies in coset c
+        normal = reps[inside]
+        table = slot[coset[G.mul_many(normal[:, None], normal[None, :])]]  # of N(H)/H
+        order = _orders(table, int(slot[coset[G.identity_index]]))
+        blocks = cls(m, coset[moved], -back[moved] % m, twist, np.unique(twist), {})
+        # Stab_j depends on gcd(j, m) alone, and every gcd meets an orbit
+        for d in np.unique(np.gcd(blocks.orbit_reps(), m)).tolist():
+            stab = blocks._stabilizer(d)
+            if stab.tobytes() not in blocks.splits:
+                pick = np.flatnonzero(stab)[order[stab].argmax()]  # first of the largest order
+                blocks.splits[stab.tobytes()] = blocks._coordinates(
+                    G, coset, back, reps, int(normal[pick]), int(order[pick])
+                )
+        return blocks
 
-    def _phases(self, j) -> np.ndarray:
-        """ω^{je} at each (t, c), for a scalar j or along the axes of an array of them."""
-        j = np.asarray(j)[..., None, None]
-        return np.exp(1j * (2 * np.pi * (j * self.exps % self.m) / self.m))
+    def _coordinates(self, G: FinGroup, coset, back, reps, n: int, r: int) -> tuple:
+        """(r, e0, cols, turns, exps): the coordinates x = R_C·n^f·h^e of K = ⟨n⟩H.
 
-    def block(self, j: int) -> np.ndarray:
-        """The N×N block of L on V_j: Hermitian, and real when ω^j = ±1."""
-        phase = self._phases(j)
-        entries = phase.real if 2 * j % self.m == 0 else phase
-        out = np.diag(np.full(self.cols.shape[1], self.cols.shape[0], dtype=entries.dtype))
-        np.subtract.at(out, (np.arange(self.cols.shape[1]), self.cols), entries)
-        return out
+        x = reps[coset[x]]·h^(-back[x]); n has order r modulo H, and n^r = h^e0.
+        The H-cosets c ↦ c·n form r-cycles, one per K-coset, whose least member
+        R_C represents it, and r_c·H = R_C·n^f·H for f = turns[c].
+        t·R_C = R_C'·n^f·h^e gives the (2k, N/r) arrays cols = C', turns = f
+        and exps = e.
+        """
+        N = len(reps)
+        cyc = np.asarray([G.identity_index, n], dtype=np.int64)  # n⁰ … n^b, doubled up to n^r
+        while len(cyc) <= r:
+            cyc = np.concatenate([cyc, G.mul_many(cyc[-1], cyc[1:])])
+        e0 = int((back[G.identity_index] - back[cyc[r]]) % self.m)
+        walk = G.mul_many(reps[:, None], cyc[None, :r])  # r_c·n^f
+        lead, steps = _cycle_min(coset[walk[:, 1 % r]], r)
+        turns = -steps % r  # r_c·H = R_C·n^f·H with R_C = r_lead
+        z = walk[lead, turns]
+        heads = np.flatnonzero(lead == np.arange(N))
+        wrong = np.count_nonzero(coset[z] != np.arange(N)) + abs(heads.size * r - N)
+        certify("the coordinates R_C·n^f·h^e are not a bijection onto G", int(wrong), 0)
+        label = np.searchsorted(heads, lead)
+        cols = self.cols[:, heads]  # t·R_C = r_c'·h^e1 = R_C'·n^f·h^(back[z] + e1)
+        return r, e0, label[cols], turns[cols], (back[z][cols] + self.exps[:, heads]) % self.m
 
-    def scalars(self, js: np.ndarray) -> np.ndarray:
-        """The real entries of the 1×1 blocks at js (N = 1), subtracted as `block` does."""
-        out = np.full(len(js), float(self.cols.shape[0]))
-        for term in self._phases(js).real[:, :, 0].T:
-            out -= term
-        return out
+    def _stabilizer(self, j: int) -> np.ndarray:
+        """Stab_j, as the mask of the cosets gH in N(H) with j(a - 1) ≡ 0 mod m."""
+        return j * (self.twist - 1) % self.m == 0
+
+    def stacks(self, j: int) -> List[np.ndarray]:
+        """V_j's sub-blocks B_{j,l}, l < r, stacked real ones first, then complex ones.
+
+        B_{j,l} is real when ω^j and ζ_l are ±1.  For j = 0 the real stack
+        starts with B_{0,0}, the sub-block of the constants.
+        """
+        r, e0, cols, turns, exps = self.splits[self._stabilizer(j).tobytes()]
+        size = r * self.m
+        zeta = (j * e0 + np.arange(r) * self.m) % size  # ζ_l = exp(2πi·zeta/(r·m))
+        real = (2 * zeta % size == 0) & (2 * j % self.m == 0)
+        return [
+            _fill((turns * zeta[part, None, None] + j * r * exps) % size, cols, size, kind)
+            for part, kind in ((real, True), (~real, False))
+            if part.any()
+        ]
 
     def orbit_reps(self) -> np.ndarray:
         """The smallest j of each orbit of ℤ/m under multiplication by ±A."""
         mult = np.concatenate([self.powers, -self.powers])
         return np.unique((np.arange(self.m)[:, None] * mult % self.m).min(axis=1))
+
+
+def _orders(table: np.ndarray, unit: int) -> np.ndarray:
+    """The order of each element of a group given by its product table and identity."""
+    cols = np.arange(len(table))
+    power, order, k = table[unit], np.zeros(len(table), dtype=np.int64), 1
+    while not order.all():  # power[x] = x^k
+        order[(power == unit) & (order == 0)] = k
+        power, k = table[power, cols], k + 1
+    return order
+
+
+def _fill(num: np.ndarray, cols: np.ndarray, size: int, real: bool) -> np.ndarray:
+    """The (count, w, w) stack 2k·I − Σ_t exp(2πi·num[:, t]/size) at (C, cols[t, C]).
+
+    Real parts only when `real`.  Each entry's terms are subtracted in t order.
+    """
+    phase = np.exp(1j * (2 * np.pi * num / size))
+    entries = phase.real if real else phase
+    count, steps, width = num.shape
+    out = np.zeros((count, width * width), dtype=entries.dtype)
+    out[:, :: width + 1] = steps
+    flat = np.arange(0, width * width, width)[:, None] + cols.T  # (C, t) -> C·w + cols[t, C]
+    np.subtract.at(out, (np.arange(count)[:, None, None], flat), entries.transpose(0, 2, 1))
+    return out.reshape(count, width, width)
 
 
 def _up(x):
@@ -243,44 +336,79 @@ def _rump_shift(trace, top, size: int, hermitian: bool):
     Works elementwise on arrays of traces and tops.
     """
     n = 2 * size + 1 if hermitian else size + 1
-    g = (Fraction(99, 70) if hermitian else 1) * Fraction(n, 2**53 - n)  # γ_n = nu/(1 - nu)
-    alpha = _up(float(g / (1 - 2 * g)))
     underflow = np.ceil(4 * n * (2 * n + np.asarray(top))) * 2.0**-1074
-    return _up(_up(alpha * trace) + underflow)
+    return _up(_up(_rump_ratio(n, hermitian) * trace) + underflow)
 
 
-def _smallest(blocks: _CharacterBlocks, j: int) -> float:
-    """The least eigenvalue eigvalsh finds on block j, the constant's excluded."""
-    return float(np.linalg.eigvalsh(blocks.block(j))[int(j == 0):].min(initial=math.inf))
+@functools.lru_cache(maxsize=None)  # n <= 2·DENSE_DIM_CAP + 1 keeps it small
+def _rump_ratio(n: int, hermitian: bool) -> float:
+    """g/(1 - 2g) of `_rump_shift`, rounded up; one exact Fraction per order."""
+    g = (Fraction(99, 70) if hermitian else 1) * Fraction(n, 2**53 - n)  # γ_n = nu/(1 - nu)
+    return _up(float(g / (1 - 2 * g)))
 
 
-def _certified_level(blocks: _CharacterBlocks, j: int, lam: float) -> Optional[float]:
-    """μ_j of the module docstring if the Cholesky of block j completes, else None."""
-    A = blocks.block(j)
-    size = len(A)
-    if j == 0:
-        A += -(-2 * len(blocks.cols) // size)  # s = ⌈4k/N⌉, 2k = len(cols)
-    diag = A.diagonal().real
-    shift = _rump_shift(_up(math.fsum(diag.tolist())), diag.max(), size, A.dtype.kind == "c")
-    level = max(float(lam - 2 * shift), 0.0)
-    A.flat[:: size + 1] -= level
-    A.flat[:: size + 1] -= shift
+def _least(stack: np.ndarray, constant: bool) -> float:
+    """The least eigenvalue eigvalsh finds on a stack, but the constants' 0 in B_{0,0} = stack[0]."""
+    vals = np.linalg.eigvalsh(stack)
+    if constant:
+        vals[0, 0] = math.inf
+    return float(vals.min())
+
+
+def _certified_levels(stack: np.ndarray, lam: float, lift: int) -> Optional[np.ndarray]:
+    """μ of each sub-block of the stack if one Cholesky of the stack completes, else None.
+
+    Shifts the stack in place; a positive `lift` is B_{0,0}'s s, added to every entry of stack[0].
+    """
+    count, size, _ = stack.shape
+    if lift:
+        stack[0] += lift
+    diag = stack.reshape(count, -1)[:, :: size + 1]
+    trace = _up(np.array([math.fsum(row) for row in diag.real.tolist()]))
+    shift = _rump_shift(trace, diag.real.max(axis=1), size, stack.dtype.kind == "c")
+    levels = np.maximum(lam - 2 * shift, 0.0)
+    diag -= levels[:, None]
+    diag -= shift[:, None]
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return None
-    return level
+    return levels
+
+
+def _certify_block(blocks: _CharacterBlocks, j: int, lam: float) -> Tuple[float, float]:
+    """(λ̃, the least level certified on V_j): one Cholesky per stack.
+
+    Block 0 sets λ̃ first.  A refused stack gets its own eigvalsh, which
+    lowers λ̃, and one more try; a second refusal raises CertificateError.
+    """
+    stacks = blocks.stacks(j)
+    lifts = [0] * len(stacks)
+    if j == 0:
+        lifts[0] = -(-2 * len(blocks.cols) // stacks[0].shape[1])  # s = ⌈4k/w⌉, 2k = len(cols)
+        lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks, lifts))
+    mu = math.inf
+    for i, lift in enumerate(lifts):
+        levels = _certified_levels(stacks[i], lam, lift)
+        if levels is None:
+            stacks[i] = blocks.stacks(j)[i]
+            lam = min(lam, _least(stacks[i], bool(lift)))
+            levels = _certified_levels(stacks[i], lam, lift)
+            certify("the Cholesky certificate refuses a block", int(levels is None), 0)
+        mu = min(mu, float(levels.min()))
+    return lam, mu
 
 
 def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
     """(λ̃, the orbit blocks certified, their certified level μ) (module docstring).
 
-    Raises CertificateError when a block is refused twice, under -O too.
+    Raises CertificateError when a stack is refused twice, under -O too.
     """
     blocks = _CharacterBlocks.of(G, S)
     reps = blocks.orbit_reps()
-    if blocks.cols.shape[1] == 1:  # each eigvalsh is its entry, each Cholesky a sign test
-        vals = blocks.scalars(reps)
+    if blocks.cols.shape[1] == 1:  # r = 1; each eigvalsh is its entry, each Cholesky a sign test
+        num = reps[:, None, None] * blocks.exps % blocks.m
+        vals = _fill(num, blocks.cols, blocks.m, True)[:, 0, 0]
         vals[0] += 2 * len(blocks.cols)  # s = 4k
         lam = float(vals[1:].min(initial=math.inf))
         shift = _rump_shift(vals, vals, 1, False)
@@ -288,13 +416,9 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
         refused = int(np.count_nonzero(vals - levels - shift <= 0))
         certify("the Cholesky certificate refuses a block", refused, 0)
         return lam, len(reps), float(levels.min())
-    lam, mu = _smallest(blocks, 0), math.inf
-    for j in reps.tolist():
-        level = _certified_level(blocks, j, lam)
-        if level is None:
-            lam = min(lam, _smallest(blocks, j))
-            level = _certified_level(blocks, j, lam)
-            certify("the Cholesky certificate refuses a block", int(level is None), 0)
+    lam, mu = math.inf, math.inf
+    for j in reps.tolist():  # reps[0] = 0
+        lam, level = _certify_block(blocks, j, lam)
         mu = min(mu, level)
     return lam, len(reps), mu
 

@@ -118,6 +118,20 @@ FAULTS = {
         "groups.sl2_mod(5)  # [[1, 0], [0, 1]] is not enumerated\n",
         "|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)",
     ),
+    "spectral_coordinates": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "cycle_min = spectral._cycle_min\n"
+        "def turned(step, m):  # the K-coset walk of SL2(Z/5)'s Borel has r = 2, h has order 10\n"
+        "    lead, back = cycle_min(step, m)\n"
+        "    if m == 2:\n"
+        "        back[0] = 1 - back[0]  # coset 0 claims R_C·n^f with the wrong f\n"
+        "    return lead, back\n"
+        "spectral._cycle_min = turned\n"
+        "X = sl2_mod(5)\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "the coordinates R_C·n^f·h^e are not a bijection onto G",
+    ),
     "spectral": (
         "import numpy as np\n"
         "from permstab import spectral\n"

@@ -18,7 +18,7 @@ from permstab.families import (
     flagship_family,
     relator_defects,
 )
-from permstab.groups import MarkedGroup, MarkedHom, product_with_free_z, sl2_mod
+from permstab.groups import FinGroup, MarkedGroup, MarkedHom, product_with_free_z, sl2_mod
 from permstab.perms import compose, hamming
 
 
@@ -174,6 +174,25 @@ def test_commutator_curve_matches_direct(p):
     assert len(direct) == p
     assert inst.report.commutator_curve == direct
     assert list(inst.report.commutator_curve) == base.q.image_subgroup
+
+
+def test_q_image_is_closed_once(monkeypatch):
+    # MarkedHom keeps q's image in closure order, and the swap family and the
+    # commutator curve read it instead of closing u again
+    X, base = _sl2_base(13)
+    q, u = base.q, base.q.gen_images[0]
+    assert len(q.image) == 13 and q.image[:3] == [X.identity_index, u, X.mul(u, u)]
+    assert q.image_subgroup == sorted(q.image)
+    assert base.p.surjective and base.p.image is None  # |X| entries are not kept
+    seeds = []
+    closure = FinGroup.closure
+    monkeypatch.setattr(FinGroup, "closure", lambda G, seed: seeds.append(seed) or closure(G, seed))
+    fam = build_swap_family(base)
+    marked = product_with_free_z(MarkedGroup.free(2), MarkedGroup.free(1))
+    report = defect_report(family_on_marked(fam, marked), fam)
+    # the closures left span greedy generators, here of the transversal and of K
+    assert len(seeds) == 2 and all(list(seed) != [u] for seed in seeds)
+    assert list(report.commutator_curve) == q.image_subgroup
 
 
 def test_family_relator_defects():

@@ -165,15 +165,28 @@ def _dihedral(n):
 
 # the dihedral group's λ1 lies outside block 0, so its certificate takes the fallback
 BLOCK_GROUPS = [sl2_mod(5), sl2_mod(7), direct_product(sl2_mod(5), cyclic(4)), _dihedral(12)]
+# Stab_j/H is not cyclic in these: (max |Stab_j/H|, max r) = (4, 2), (4, 2), (48, 12)
+NONCYCLIC = [
+    (sl2_mod(8), 4, 2), (sl2_mod(15), 4, 2), (direct_product(sl2_mod(5), sl2_mod(3)), 48, 12),
+]
+
+
+def _block(blocks, j):
+    """The unsplit N×N block of L on V_j: Hermitian, and real when ω^j = ±1."""
+    phase = np.exp(1j * (2 * np.pi * (j * blocks.exps % blocks.m) / blocks.m))
+    entries = phase.real if 2 * j % blocks.m == 0 else phase
+    out = np.diag(np.full(blocks.cols.shape[1], blocks.cols.shape[0], dtype=entries.dtype))
+    np.subtract.at(out, (np.arange(blocks.cols.shape[1]), blocks.cols), entries)
+    return out
 
 
 @pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
 def test_blocks_reproduce_dense_spectrum(G):
     blocks = _CharacterBlocks.of(G, G.generators)
     assert G.order % blocks.m == 0 and blocks.cols.shape[1] == G.order // blocks.m
-    assert blocks.block(0).dtype == np.float64 and blocks.block(1).dtype == np.complex128
+    assert _block(blocks, 0).dtype == np.float64 and _block(blocks, 1).dtype == np.complex128
     spectrum = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(blocks.block(j)) for j in range(blocks.m)]
+        [np.linalg.eigvalsh(_block(blocks, j)) for j in range(blocks.m)]
     ))
     dense = np.linalg.eigvalsh(_dense_laplacian(G, G.generators))
     assert spectrum.shape == dense.shape
@@ -183,15 +196,38 @@ def test_blocks_reproduce_dense_spectrum(G):
     assert abs(lam1 - dense[1]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "G, stab_size, r", [(G, None, None) for G in BLOCK_GROUPS] + NONCYCLIC, ids=str
+)
+def test_sub_blocks_reproduce_block_spectrum(G, stab_size, r):
+    # V_j = ⊕_l V_{j,l}: r sub-blocks of width N/r whose spectra make up block j's
+    blocks = _CharacterBlocks.of(G, G.generators)
+    N, sizes, splits = blocks.cols.shape[1], [], []
+    for j in range(blocks.m):
+        stab = j * (blocks.twist - 1) % blocks.m == 0
+        sizes.append(int(stab.sum()))
+        stacks = blocks.stacks(j)
+        splits.append(sum(len(s) for s in stacks))  # r
+        assert all(s.shape[1:] == (N // splits[-1],) * 2 for s in stacks)
+        assert [s.dtype.kind for s in stacks] in (["f"], ["c"], ["f", "c"])
+        for s in stacks:  # Hermitian up to the phases' rounding
+            np.testing.assert_allclose(s, s.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(s).ravel() for s in stacks]))
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(_block(blocks, j)), rtol=0, atol=1e-10)
+    assert splits[0] > 1  # block 0 splits in every one of these groups
+    if stab_size is not None:
+        assert (max(sizes), max(splits)) == (stab_size, r)
+
+
 @pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
 def test_orbit_blocks_isospectral(G):
     blocks = _CharacterBlocks.of(G, G.generators)
     m = blocks.m
     for j in range(m):
-        vals = np.linalg.eigvalsh(blocks.block(j))
+        vals = np.linalg.eigvalsh(_block(blocks, j))
         for a in blocks.powers:
             for ja in (j * a % m, -j * a % m):
-                other = np.linalg.eigvalsh(blocks.block(int(ja)))
+                other = np.linalg.eigvalsh(_block(blocks, int(ja)))
                 np.testing.assert_allclose(other, vals, rtol=0, atol=1e-10)
 
 
@@ -243,17 +279,22 @@ def _count_lapack(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("G, eigensolves, retries", [
-    (sl2_mod(13), 1, 0), (sl2_mod(19), 1, 0), (_dihedral(12), 2, 1), (cyclic(20000), 0, 0),
+@pytest.mark.parametrize("G, retries", [
+    (sl2_mod(13), 0), (sl2_mod(19), 0), (_dihedral(12), 1), (cyclic(20000), 0),
 ], ids=["sl2_13", "sl2_19", "dihedral_12", "cyclic_20000"])
-def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, eigensolves, retries):
-    # one eigvalsh chooses μ and each orbit block gets one Cholesky; N = 1 blocks need neither
+def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, retries):
+    # eigvalsh runs on block 0's stacks alone, unless a stack is refused and
+    # gets its own; each stack of each orbit block gets one Cholesky, each
+    # refused one a second; N = 1 blocks need neither
     blocks = _CharacterBlocks.of(G, G.generators)
+    stacks = 0 if blocks.cols.shape[1] == 1 else sum(
+        len(blocks.stacks(j)) for j in blocks.orbit_reps().tolist()
+    )
+    first = 0 if blocks.cols.shape[1] == 1 else len(blocks.stacks(0))
     calls = _count_lapack(monkeypatch)
     lam, solved, _ = spectral._lambda1(G, G.generators)
     assert solved == len(blocks.orbit_reps())
-    cholesky = 0 if blocks.cols.shape[1] == 1 else solved + retries
-    assert calls == {"eigvalsh": eigensolves, "cholesky": cholesky}
+    assert calls == {"eigvalsh": first + retries, "cholesky": stacks + retries}
     if G.is_abelian:
         exact = kazhdan_abelian_exact(G, G.generators)
         br = kazhdan_bracket(G, G.generators)
@@ -262,16 +303,22 @@ def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, eigensolves, 
 
 
 def test_certificate_refuses_a_level_above_the_block():
-    # sl2_mod(13) has real and complex orbit blocks; each is certified at its own
+    # sl2_mod(13) has real and complex sub-blocks; each is certified at its own
     # least eigenvalue and refused 1e-6 above it
     X = sl2_mod(13)
     blocks = _CharacterBlocks.of(X, X.generators)
     kinds = set()
     for j in blocks.orbit_reps().tolist():
-        kinds.add(blocks.block(j).dtype.kind)
-        least = spectral._smallest(blocks, j)
-        assert 0 < least - spectral._certified_level(blocks, j, least) < 1e-9
-        assert spectral._certified_level(blocks, j, least + 1e-6) is None
+        for i, stack in enumerate(blocks.stacks(j)):
+            kinds.add(stack.dtype.kind)
+            for l in range(len(stack)):
+                constant = j == 0 and i == 0 and l == 0  # B_{0,0}, lifted by s = ⌈4k/w⌉
+                lift = -(-2 * len(blocks.cols) // stack.shape[1]) if constant else 0
+                least = spectral._least(stack[l : l + 1], constant)
+                level = spectral._certified_levels(stack[l : l + 1].copy(), least, lift)
+                assert 0 < least - level[0] < 1e-9
+                above = spectral._certified_levels(stack[l : l + 1].copy(), least + 1e-6, lift)
+                assert above is None
     assert kinds == {"f", "c"}
 
 
