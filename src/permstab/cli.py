@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -179,7 +180,9 @@ def cmd_run(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args reads it and changes nothing in it."""
     ap = argparse.ArgumentParser(prog="permstab")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -221,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -39,7 +39,11 @@ than fancy indexing, and operands whose leading axis is 1 are not sliced
 but broadcast inside the arithmetic.  `first`, an int32 table of n³
 entries (318 KB at n = 43), holds where each run starts.  Construction
 certifies that the tables send every element's entries back
-to its index; index arrays come back as int64.
+to its index; index arrays come back as int64.  The same `_blockwise`
+runs `inv_many` and `automorphism_many`, the transpose-inverse
+β(x) = (xᵀ)⁻¹ = [[d,-c],[-b,a]]: an automorphism, as ((xy)ᵀ)⁻¹ =
+(xᵀ)⁻¹(yᵀ)⁻¹, and an involution.  It is the one closed-form automorphism
+a group here supplies; `spectral` splits the Kazhdan blocks by it.
 """
 
 from __future__ import annotations
@@ -97,6 +101,10 @@ class FinGroup:
     def inv_many(self, a) -> np.ndarray:
         raise NotImplementedError
 
+    # β, an involutive automorphism in closed form, vectorized like inv_many;
+    # None for a group that supplies none
+    automorphism_many = None
+
     # -- derived helpers ----------------------------------------------------
 
     def elements(self) -> range:
@@ -123,21 +131,24 @@ class FinGroup:
             )
         return self._abelian
 
-    def element_order(self, g):
+    def element_order(self, g, within: Optional[np.ndarray] = None):
         """The order of g; for an array of elements, the array of their orders.
 
-        Walks the powers of every element together, in blocks g^(j+1) … g^(j+b)
-        that double up to CHUNK_ENTRIES entries and then move on by g^b.
+        With `within`, a boolean mask of a subgroup H, the least k >= 1 with
+        g^k in H instead.  Walks the powers of every element together, in
+        blocks g^(j+1) … g^(j+b) that double up to CHUNK_ENTRIES entries and
+        then move on by g^b.
         """
         elems = np.asarray(g, dtype=np.int64)
         flat = elems.ravel()
         e = self.identity_index
+        arrived = (lambda p: p == e) if within is None else (lambda p: within[p])
         powers = flat[None, :]  # row i: g^(i+1)
-        while 2 * powers.size <= CHUNK_ENTRIES and not (powers == e).any(axis=0).all():
+        while 2 * powers.size <= CHUNK_ENTRIES and not arrived(powers).any(axis=0).all():
             powers = np.concatenate([powers, self.mul_many(powers[-1], powers)])
         order, step, done = np.zeros(flat.size, dtype=np.int64), powers[-1], 0
         while True:
-            at_e = powers == e
+            at_e = arrived(powers)
             new = (order == 0) & at_e.any(axis=0)
             order[new] = done + 1 + at_e[:, new].argmax(axis=0)
             if order.all():
@@ -398,6 +409,13 @@ class SL2Group(FinGroup):
         # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
         return self._blockwise(
             lambda A: (A[0], A[3], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
+        )
+
+    def automorphism_many(self, a) -> np.ndarray:
+        n = self.modulus
+        # β(x) = (xᵀ)⁻¹ sends [[a,b],[c,d]] to [[d,-c],[-b,a]]
+        return self._blockwise(
+            lambda A: (A[0], A[3], _reduce(n - A[2], n), _reduce(n - A[1], n)), a
         )
 
 

@@ -15,26 +15,40 @@ sqrt(λ1/k), while the minimizing eigenvector witnesses max_s <= sqrt(λ1).
 
 L commutes with right translation by h of order m: ℓ²(G) = ⊕_j V_j,
 V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
-cosets of ⟨h⟩ L acts on V_j by an N×N Hermitian block B_j, N = |G|/m.  If
-n⁻¹hn = h^a, right translation by n maps V_j onto V_{ja}, and conjugation
-maps V_j onto V_{-j}, both commuting with L; so with A = {a : h^a ~ h} one
-block per orbit of ℤ/m under ±A is enough.
+cosets of H = ⟨h⟩ L acts on V_j by an N×N Hermitian block B_j, N = |G|/m.
 
-Each V_j splits once more.  Right translation by g in Stab_j = {g :
-g·h·g⁻¹ = h^a, j(a - 1) ≡ 0 mod m}, a subgroup of the normalizer of
-H = ⟨h⟩, maps V_j to itself and commutes with L.  Take n ∈ Stab_j of the
-largest order r modulo H, n^r = h^e0, and K = ⟨n⟩H of order r·m.  R_n^r =
-R_{h^e0} is ω^{j·e0} on V_j, so V_j = ⊕_{l<r} V_{j,l} with R_n = ζ_l on
-V_{j,l}, ζ_l = exp(2πi(j·e0 + l·m)/(r·m)).  Every x is R_C·n^f·h^e, once,
-with R_C the representative of a coset of K, f < r and e < m, and f in
-V_{j,l} has f(R_C·n^f·h^e) = ζ_l^f·ω^{je}·f(R_C).  So on the basis indexed
-by the N/r cosets of K, L acts on V_{j,l} by a Hermitian block B_{j,l}: the
-terms of t·R_C = R_C'·n^f·h^e with phase exp(2πi·num/(r·m)), num =
-(f·(j·e0 + l·m) + j·e·r) mod r·m, one integer over one denominator.  When
-Stab_j = H, r = 1 and B_{j,0} = B_j.  The coordinates are certified
-exactly: each coset r_c·H is (R_C·n^f)·H for the (C, f) it is given, and
-|K-cosets|·r = N.  B_{j,l} is real when ω^j and ζ_l are ±1; V_{0,0} holds
-the constants, the vector 𝟙 of B_{0,0}.
+Each V_j splits once more, by automorphism-twisted right translations.  Let
+α be an automorphism of G with α(S±) = S±, and g ∈ G with α(h)·g = g·h^a.
+Then φ(x) = α(x)·g has φ(t·x) = α(t)·φ(x) and φ(x·h) = φ(x)·h^a, so
+Φ: f ↦ f∘φ commutes with L and maps V_j onto V_{ja}; conjugation maps V_j
+onto V_{-j}.  So with A the set of these a, one block per orbit of ℤ/m
+under ±A is enough.  α is the identity, or `groups`' transpose-inverse β of
+SL₂(ℤ/n) when β permutes S±, as it does the canonical pair u, ℓ (β(u) =
+ℓ⁻¹) and the Sanov pair; β is an automorphism as ((xy)ᵀ)⁻¹ = (xᵀ)⁻¹(yᵀ)⁻¹.
+The φ modulo H form Q, which holds N(H)/H, and Φ maps V_j to itself for φ
+in Stab_j = {φ ∈ Q : j(a - 1) ≡ 0 mod m}.  Take the first φ ∈ Stab_j of
+the largest order r modulo H, untwisted ones first, whose powers fix no
+coset of H (a twisted one may); φ^r = h^e0, and K = ⟨φ⟩H.  Φ^r is ω^{j·e0}
+on V_j, so V_j = ⊕_{l<r} V_{j,l} with Φ = ζ_l on V_{j,l}, ζ_l =
+exp(2πi(j·e0 + l·m)/(r·m)).  Every x is φ^f(R_C)·h^e, once, with R_C the
+representative of an orbit of K, f < r and e < m, and f in V_{j,l} has
+f(φ^f(R_C)·h^e) = ζ_l^f·ω^{je}·f(R_C).  So on the basis indexed by the N/r
+orbits of K, L acts on V_{j,l} by a Hermitian block B_{j,l}: the terms of
+t·R_C = φ^f(R_C')·h^e with phase exp(2πi·num/(r·m)), num = (f·(j·e0 +
+l·m) + j·e·r) mod r·m, one integer over one denominator.  When Stab_j = H,
+r = 1 and B_{j,0} = B_j.  B_{j,l} is real when ω^j and ζ_l are ±1; V_{0,0}
+holds the constants, the vector 𝟙 of B_{0,0}.
+
+Nothing here trusts β's kernel.  φ is defined by its data, φ(r_c) =
+α(r_c)·g = r_c'·h^d for each coset representative r_c, and φ(x·h) =
+φ(x)·h^a; π(t) = α(t) is checked to permute S± as a multiset.  Two exact
+compares of (2k, N) integer arrays certify, for every r_c and t ∈ S±, that
+φ carries the term t·r_c = r_c'·h^e of L to π(t)·φ(r_c): the same coset
+and the same exponent mod m.  Then φ(t·x) = π(t)·φ(x) for every x, and Φ
+commutes with L.  The coordinates are certified exactly too: each coset
+r_c·H is φ^f(R_C)·H for the (C, f) it is given, φ^r(r_c) = r_c·h^e0 for
+every c, and |K-orbits|·r = N.  The first runs for every φ a split tries,
+twisted or not, the second for every φ it uses.
 
 `lambda1` is λ̃, the least eigenvalue other than the constant's that
 `eigvalsh` finds on the sub-blocks it runs on: those of block 0, and any
@@ -101,6 +115,7 @@ from .errors import (
     ConfigError,
     NotAbelianError,
     NonGeneratingError,
+    PermstabError,
     certify,
 )
 from .groups import FinGroup, _cycle_min
@@ -194,9 +209,9 @@ class _CharacterBlocks:
     m: int  # the order of h
     cols: np.ndarray  # (2k, N): the coset c' of t·r_c = r_c'·h^e, t ∈ S±
     exps: np.ndarray  # (2k, N): its exponent e
-    twist: np.ndarray  # a with g·h·g⁻¹ = h^a, for each coset gH in N(H), H = ⟨h⟩
-    powers: np.ndarray  # A = {a : h^a conjugate to h}
-    splits: dict  # Stab_j, as the mask it keeps of `twist` -> V_j's K-coset coordinates
+    twist: np.ndarray  # a with α(h)·g = g·h^a, for each φ = α(·)·g of the extended quotient Q
+    powers: np.ndarray  # A, the twists of Q
+    splits: dict  # Stab_j, as the mask it keeps of `twist` -> V_j's coordinates x = φ^f(R_C)·h^e
 
     @classmethod
     def of(cls, G: FinGroup, S: Sequence[int]) -> "_CharacterBlocks":
@@ -205,8 +220,8 @@ class _CharacterBlocks:
         central = (G.mul_many(idx[:, None], gens) == G.mul_many(gens, idx[:, None])).all(axis=1)
         cand = np.unique(G.mul_many(gens[:, None], idx[central][None, :]))
         # h: the first candidate of the largest order, scanned in chunks of 8,
-        # 16, 32, … that stop once an order reaches |G|
-        h, m, start = -1, 0, 0
+        # 16, 32, … that stop once an order reaches |G|; h = e when S is empty
+        h, m, start = G.identity_index, 1, 0
         while start < cand.size and m < G.order:
             chunk = cand[start : 2 * start + 8]
             orders = G.element_order(chunk)
@@ -222,55 +237,80 @@ class _CharacterBlocks:
         coset[reps] = np.arange(reps.size)
         coset = coset[rep]
         steps = np.stack([gens, G.inv_many(gens)], axis=1).ravel()  # s, s⁻¹ for each s
-        moved = G.mul_many(steps[:, None], reps[None, :])
-        # a and the order modulo H are constant on each coset gH, so the
-        # representatives carry them
-        conj = G.mul_many(right_h[reps], G.inv_many(reps))  # g·h·g⁻¹
-        inside = np.flatnonzero(coset[conj] == coset[G.identity_index])  # h^a = h^{back[e] - back}
-        twist = (back[G.identity_index] - back[conj[inside]]) % m
-        slot = np.zeros(len(reps), dtype=np.int64)
-        slot[inside] = np.arange(inside.size)  # reps[c] lies in coset c
-        normal = reps[inside]
-        table = slot[coset[G.mul_many(normal[:, None], normal[None, :])]]  # of N(H)/H
-        order = _orders(table, int(slot[coset[G.identity_index]]))
+        # α ∈ {id, β}, β only when it permutes S±: lifted[α] holds α(h) and
+        # α(r_c), and perm[α] the row of α(t) for each row t
+        lifted, perm, beta = [np.append(h, reps)], [np.arange(steps.size)], G.automorphism_many
+        if beta is not None:
+            image = beta(np.append(steps, lifted[0]))
+            if np.array_equal(np.sort(image[: steps.size]), np.sort(steps)):
+                rows = np.argsort(steps, kind="stable")
+                perm.append(rows[np.searchsorted(steps[rows], image[: steps.size])])
+                lifted.append(image[steps.size :])
+        lifted = np.stack(lifted)
+        moved = G.mul_many(np.append(steps, lifted[:, 0])[:, None], reps[None, :])
+        moved, moved_h = moved[: steps.size], moved[steps.size :]  # t·r_c, then α(h)·r_c
+        # Q: the maps φ = α(·)·g with α(h)·g = g·h^a, modulo H, untwisted ones
+        # first; a and the order modulo H are constant on each coset gH, so
+        # the representatives carry them
+        twisted, inside = np.nonzero(coset[moved_h] == np.arange(reps.size))
+        twist = -back[moved_h[twisted, inside]] % m
+        g = reps[inside]
+        # a twisted φ = β(·)·g has φ² = x ↦ x·β(g)·g, as β is an involution
+        base = np.where(twisted == 1, G.mul_many(lifted[twisted, inside + 1], g), g)
+        order = G.element_order(base, coset == coset[G.identity_index]) * (1 + twisted)
         blocks = cls(m, coset[moved], -back[moved] % m, twist, np.unique(twist), {})
         # Stab_j depends on gcd(j, m) alone, and every gcd meets an orbit
         for d in np.unique(np.gcd(blocks.orbit_reps(), m)).tolist():
             stab = blocks._stabilizer(d)
-            if stab.tobytes() not in blocks.splits:
-                pick = np.flatnonzero(stab)[order[stab].argmax()]  # first of the largest order
-                blocks.splits[stab.tobytes()] = blocks._coordinates(
-                    G, coset, back, reps, int(normal[pick]), int(order[pick])
-                )
+            if stab.tobytes() in blocks.splits:
+                continue
+            # the first φ of the largest order that acts freely on the cosets
+            for pick in np.flatnonzero(stab)[np.argsort(-order[stab], kind="stable")].tolist():
+                y = G.mul_many(lifted[twisted[pick], 1:], np.int64(g[pick]))  # φ(r_c) = α(r_c)·g
+                args = coset[y], -back[y] % m, int(twist[pick]), int(order[pick]), perm[twisted[pick]]
+                coordinates = blocks._coordinates(*args)
+                if coordinates is not None:
+                    blocks.splits[stab.tobytes()] = coordinates
+                    break
         return blocks
 
-    def _coordinates(self, G: FinGroup, coset, back, reps, n: int, r: int) -> tuple:
-        """(r, e0, cols, turns, exps): the coordinates x = R_C·n^f·h^e of K = ⟨n⟩H.
+    def _coordinates(self, step, shift, a: int, r: int, perm) -> Optional[tuple]:
+        """(r, e0, cols, turns, exps): the coordinates x = φ^f(R_C)·h^e, or None.
 
-        x = reps[coset[x]]·h^(-back[x]); n has order r modulo H, and n^r = h^e0.
-        The H-cosets c ↦ c·n form r-cycles, one per K-coset, whose least member
-        R_C represents it, and r_c·H = R_C·n^f·H for f = turns[c].
-        t·R_C = R_C'·n^f·h^e gives the (2k, N/r) arrays cols = C', turns = f
-        and exps = e.
+        φ(r_c) = r_{step[c]}·h^{shift[c]} and φ(x·h) = φ(x)·h^a define φ on G;
+        φ has order r modulo H, and perm[t] is the row of π(t) = α(t).  None
+        when ⟨φ⟩ does not act freely on the cosets of H.  Otherwise the
+        cosets c ↦ step[c] form r-cycles, one per orbit of ⟨φ⟩H, whose least
+        member R_C represents it, r_c·H = φ^f(R_C)·H for f = turns[c], and
+        φ^r(x) = x·h^e0.  t·R_C = φ^f(R_C')·h^e gives the (2k, N/r) arrays
+        cols = C', turns = f and exps = e.
         """
-        N = len(reps)
-        cyc = np.asarray([G.identity_index, n], dtype=np.int64)  # n⁰ … n^b, doubled up to n^r
-        while len(cyc) <= r:
-            cyc = np.concatenate([cyc, G.mul_many(cyc[-1], cyc[1:])])
-        e0 = int((back[G.identity_index] - back[cyc[r]]) % self.m)
-        walk = G.mul_many(reps[:, None], cyc[None, :r])  # r_c·n^f
-        lead, steps = _cycle_min(coset[walk[:, 1 % r]], r)
-        turns = -steps % r  # r_c·H = R_C·n^f·H with R_C = r_lead
-        z = walk[lead, turns]
+        m, cols, exps = self.m, self.cols, self.exps
+        # φ(t·r_c) = φ(r_c')·h^(a·e) must be π(t)·φ(r_c) = π(t)·r_step·h^shift
+        wrong = np.count_nonzero(cols[perm][:, step] != step[cols])
+        wrong += np.count_nonzero((exps[perm][:, step] + shift - shift[cols] - a * exps) % m)
+        certify("φ does not commute with L", int(wrong), 0)
+        N = len(step)
+        at, power, path, rise = np.arange(N), np.zeros(N, dtype=np.int64), [], []
+        for _ in range(r):  # φ^f(r_c) = r_path·h^rise
+            path.append(at)
+            rise.append(power)
+            at, power = step[at], (shift[at] + a * power) % m
+        path, rise = np.stack(path, axis=1), np.stack(rise, axis=1)
+        if (path[:, 1:] == path[:, :1]).any():
+            return None  # a twisted φ^f, 0 < f < r, fixes a coset
+        lead, steps = _cycle_min(step, r)
+        turns = -steps % r  # r_c·H = φ^f(R_C)·H with R_C = r_lead
         heads = np.flatnonzero(lead == np.arange(N))
-        wrong = np.count_nonzero(coset[z] != np.arange(N)) + abs(heads.size * r - N)
-        certify("the coordinates R_C·n^f·h^e are not a bijection onto G", int(wrong), 0)
+        wrong = np.count_nonzero(path[lead, turns] != np.arange(N)) + abs(heads.size * r - N)
+        wrong += np.count_nonzero(at != np.arange(N)) + np.count_nonzero(power != power[0])
+        certify("the coordinates φ^f(R_C)·h^e are not a bijection onto G", int(wrong), 0)
         label = np.searchsorted(heads, lead)
-        cols = self.cols[:, heads]  # t·R_C = r_c'·h^e1 = R_C'·n^f·h^(back[z] + e1)
-        return r, e0, label[cols], turns[cols], (back[z][cols] + self.exps[:, heads]) % self.m
+        near = cols[:, heads]  # t·R_C = r_c'·h^e1 = φ^f(R_C')·h^(e1 - rise)
+        return r, int(power[0]), label[near], turns[near], (exps[:, heads] - rise[lead, turns][near]) % m
 
     def _stabilizer(self, j: int) -> np.ndarray:
-        """Stab_j, as the mask of the cosets gH in N(H) with j(a - 1) ≡ 0 mod m."""
+        """Stab_j, as the mask of the φ in Q with j(a - 1) ≡ 0 mod m."""
         return j * (self.twist - 1) % self.m == 0
 
     def stacks(self, j: int) -> List[np.ndarray]:
@@ -293,16 +333,6 @@ class _CharacterBlocks:
         """The smallest j of each orbit of ℤ/m under multiplication by ±A."""
         mult = np.concatenate([self.powers, -self.powers])
         return np.unique((np.arange(self.m)[:, None] * mult % self.m).min(axis=1))
-
-
-def _orders(table: np.ndarray, unit: int) -> np.ndarray:
-    """The order of each element of a group given by its product table and identity."""
-    cols = np.arange(len(table))
-    power, order, k = table[unit], np.zeros(len(table), dtype=np.int64), 1
-    while not order.all():  # power[x] = x^k
-        order[(power == unit) & (order == 0)] = k
-        power, k = table[power, cols], k + 1
-    return order
 
 
 def _fill(num: np.ndarray, cols: np.ndarray, size: int, real: bool) -> np.ndarray:
@@ -424,14 +454,25 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
 
 
 def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
-    """Certified Kazhdan bracket from the Laplacian spectral gap."""
+    """Certified Kazhdan bracket from the Laplacian spectral gap.
+
+    A certified μ - ε > 0 already proves that S generates G: a disconnected
+    Cayley graph puts a second 0 in L's spectrum on mean-zero functions.  So
+    S's closure runs only when that certificate fails or raises, to name a
+    non-generating S as the fault.
+    """
     if G.order > SPECTRAL_CAP:
         raise CapacityError(f"group order {G.order} exceeds spectral cap {SPECTRAL_CAP}")
-    _require_generating(G, S)
-    lam, _, mu = _lambda1(G, S)
+    try:
+        lam, _, mu = _lambda1(G, S)
+    except PermstabError:
+        _require_generating(G, S)
+        raise
     lam1 = max(lam, 0.0)
     k = len(set(int(v) for v in S))
     eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the module docstring
+    if mu <= eps:  # fl(μ - ε) <= 0 exactly when μ <= ε
+        _require_generating(G, S)
     slack = _down(_down(mu - eps) / k)
     lower = max(_down(_down(math.sqrt(max(slack, 0.0))) - tol), 0.0)
     delta = 2 * k * (4 * DENSE_DIM_CAP + 6 * k + 23) * 2.0**-53  # δ of the module docstring

@@ -122,7 +122,7 @@ FAULTS = {
         "from permstab import spectral\n"
         "from permstab.groups import sl2_mod\n"
         "cycle_min = spectral._cycle_min\n"
-        "def turned(step, m):  # the K-coset walk of SL2(Z/5)'s Borel has r = 2, h has order 10\n"
+        "def turned(step, m):  # every split of SL2(Z/5) has r = 2, and h has order 10\n"
         "    lead, back = cycle_min(step, m)\n"
         "    if m == 2:\n"
         "        back[0] = 1 - back[0]  # coset 0 claims R_C·n^f with the wrong f\n"
@@ -130,7 +130,15 @@ FAULTS = {
         "spectral._cycle_min = turned\n"
         "X = sl2_mod(5)\n"
         "spectral.kazhdan_bracket(X, X.generators)\n",
-        "the coordinates R_C·n^f·h^e are not a bijection onto G",
+        "the coordinates φ^f(R_C)·h^e are not a bijection onto G",
+    ),
+    "spectral_commutation": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "X = sl2_mod(5)\n"
+        "X.automorphism_many = X.inv_many  # permutes S±, but (xy)⁻¹ = y⁻¹x⁻¹\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "φ does not commute with L",
     ),
     "spectral": (
         "import numpy as np\n"

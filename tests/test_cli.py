@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from permstab import families
+from permstab import cli, families
 from permstab.cli import main, parse_group_spec
 from permstab.errors import ConfigError
 from permstab.experiment import CSV_COLUMNS, ExperimentConfig, run_experiment
@@ -23,6 +23,26 @@ def test_parse_group_spec():
         parse_group_spec("dihedral:5")
     with pytest.raises(ConfigError):
         parse_group_spec("cyclic")
+
+
+def test_one_parser_serves_every_call(capsys):
+    # parsing leaves the cached parser as it was: each call prints what it prints alone,
+    # and a default such as --tol does not keep the value an earlier call passed
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["kazhdan", "--group", "sl2:5", "--tol", "0.25"],
+        ["defect", "--prime", "7"],
+        ["kazhdan", "--group", "sl2:5"],
+    ]
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        alone.append(capsys.readouterr().out)
+    assert alone[0] != alone[2]
+    for argv, want in zip(runs + runs, alone + alone):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_kazhdan_exact(tmp_path, capsys):

@@ -14,7 +14,14 @@ import pytest
 import permstab
 from permstab import spectral
 from permstab.errors import CapacityError, CertificateError, NonGeneratingError, NotAbelianError
-from permstab.groups import TableGroup, cyclic, direct_product, group_from_perm_generators, sl2_mod
+from permstab.groups import (
+    FinGroup,
+    TableGroup,
+    cyclic,
+    direct_product,
+    group_from_perm_generators,
+    sl2_mod,
+)
 from permstab.perms import Perm
 from permstab.spectral import (
     _CharacterBlocks,
@@ -115,6 +122,23 @@ def test_nongenerating_raises():
         kazhdan_abelian_exact(G, [2])  # <2> has order 3
     with pytest.raises(NonGeneratingError):
         kazhdan_bracket(G, [3])
+    X = sl2_mod(5)
+    for S in ([X.index_of(1, 1, 0, 1)], []):  # <u> has order 5
+        with pytest.raises(NonGeneratingError):
+            kazhdan_bracket(X, S)
+
+
+def test_bracket_runs_no_closure_when_certified(monkeypatch):
+    # a certified μ - ε > 0 proves that S generates G, so no closure runs
+    closures = []
+    real = FinGroup.closure
+    monkeypatch.setattr(FinGroup, "closure", lambda G, seed: closures.append(seed) or real(G, seed))
+    X = sl2_mod(43)
+    assert kazhdan_bracket(X, X.generators).lower > 0
+    assert closures == []
+    with pytest.raises(NonGeneratingError):
+        kazhdan_bracket(sl2_mod(5), [sl2_mod(5).index_of(1, 1, 0, 1)])
+    assert len(closures) == 1
 
 
 def test_generating_check_only_when_s_omits_a_generator(monkeypatch):
@@ -163,12 +187,21 @@ def _dihedral(n):
     return group_from_perm_generators([Perm(np.roll(np.arange(n), 1)), Perm(np.arange(n)[::-1].copy())])
 
 
+def _sanov(p):
+    """SL2(Z/p) with the Sanov pair [[1,2],[0,1]], [[1,0],[2,1]]."""
+    X = sl2_mod(p)
+    return X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)]
+
+
 # the dihedral group's λ1 lies outside block 0, so its certificate takes the fallback
 BLOCK_GROUPS = [sl2_mod(5), sl2_mod(7), direct_product(sl2_mod(5), cyclic(4)), _dihedral(12)]
-# Stab_j/H is not cyclic in these: (max |Stab_j/H|, max r) = (4, 2), (4, 2), (48, 12)
+# Stab_j ⊂ Q is not cyclic in these: (max |Stab_j/H|, max r) = (8, 4), (8, 4), (48, 12);
+# β doubles the first two, whose Stab_j ⊂ N(H)/H gave (4, 2) and (4, 2)
 NONCYCLIC = [
-    (sl2_mod(8), 4, 2), (sl2_mod(15), 4, 2), (direct_product(sl2_mod(5), sl2_mod(3)), 48, 12),
+    (sl2_mod(8), 8, 4), (sl2_mod(15), 8, 4), (direct_product(sl2_mod(5), sl2_mod(3)), 48, 12),
 ]
+# β permutes S± in these
+TWISTED = [(X, list(X.generators)) for X in (sl2_mod(11), sl2_mod(13))] + [_sanov(7), _sanov(13)]
 
 
 def _block(blocks, j):
@@ -196,12 +229,10 @@ def test_blocks_reproduce_dense_spectrum(G):
     assert abs(lam1 - dense[1]) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "G, stab_size, r", [(G, None, None) for G in BLOCK_GROUPS] + NONCYCLIC, ids=str
-)
-def test_sub_blocks_reproduce_block_spectrum(G, stab_size, r):
-    # V_j = ⊕_l V_{j,l}: r sub-blocks of width N/r whose spectra make up block j's
-    blocks = _CharacterBlocks.of(G, G.generators)
+def _sub_block_sizes(G, S):
+    """(|Stab_j/H|, r) for each j, checking that block j's r sub-blocks of width N/r
+    make up its spectrum: V_j = ⊕_l V_{j,l}."""
+    blocks = _CharacterBlocks.of(G, S)
     N, sizes, splits = blocks.cols.shape[1], [], []
     for j in range(blocks.m):
         stab = j * (blocks.twist - 1) % blocks.m == 0
@@ -214,9 +245,61 @@ def test_sub_blocks_reproduce_block_spectrum(G, stab_size, r):
             np.testing.assert_allclose(s, s.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
         got = np.sort(np.concatenate([np.linalg.eigvalsh(s).ravel() for s in stacks]))
         np.testing.assert_allclose(got, np.linalg.eigvalsh(_block(blocks, j)), rtol=0, atol=1e-10)
+    return sizes, splits
+
+
+@pytest.mark.parametrize(
+    "G, stab_size, r", [(G, None, None) for G in BLOCK_GROUPS] + NONCYCLIC, ids=str
+)
+def test_sub_blocks_reproduce_block_spectrum(G, stab_size, r):
+    sizes, splits = _sub_block_sizes(G, G.generators)
     assert splits[0] > 1  # block 0 splits in every one of these groups
     if stab_size is not None:
         assert (max(sizes), max(splits)) == (stab_size, r)
+
+
+@pytest.mark.parametrize("G, S", TWISTED, ids=str)
+def test_twisted_sub_blocks_reproduce_block_spectrum(G, S):
+    _, splits = _sub_block_sizes(G, S)
+    assert min(splits) > 1  # β splits every block
+
+
+def test_twisted_split_halves_the_widest_blocks():
+    # h = -u at sl2:43: Stab_j ⊂ N(H)/H is H alone at j = 1 and 2, whose 924-wide
+    # blocks now split in two by β; no stack of an orbit block is wider than 462
+    X = sl2_mod(43)
+    blocks = _CharacterBlocks.of(X, X.generators)
+    assert blocks.cols.shape[1] == 924
+    widths = {j: {s.shape[1] for s in blocks.stacks(j)} for j in blocks.orbit_reps().tolist()}
+    assert widths == {0: {22}, 1: {462}, 2: {462}, 43: {22}}
+
+
+def test_twisted_map_that_fixes_a_coset_is_passed_over():
+    # SL2(Z/2) ≅ Sym(3): h = u has order 2 and N = 3 cosets, so the twisted φ of
+    # order 2 in Q fixes one of them; no block splits, and λ1 is still the dense one's
+    X = sl2_mod(2)
+    blocks = _CharacterBlocks.of(X, X.generators)
+    assert blocks.cols.shape[1] == 3 and blocks.twist.tolist() == [1, 1]
+    assert [sum(len(s) for s in blocks.stacks(j)) for j in range(blocks.m)] == [1, 1]
+    dense = np.linalg.eigvalsh(_dense_laplacian(X, X.generators))
+    assert abs(spectral._lambda1(X, X.generators)[0] - dense[1]) < 1e-10
+
+
+def test_split_without_beta_when_beta_does_not_permute_s():
+    # β(u) = ℓ⁻¹ is not in {u, ℓ²}±, so Q is N(H)/H and the stacks are those of a
+    # group that supplies no automorphism
+    X = sl2_mod(7)
+    S = [X.index_of(1, 1, 0, 1), X.index_of(1, 0, 2, 1)]
+    twisted = _CharacterBlocks.of(X, S)
+    plain = sl2_mod(7)
+    plain.automorphism_many = None
+    untwisted = _CharacterBlocks.of(plain, S)
+    assert np.array_equal(twisted.twist, untwisted.twist)
+    for j in range(twisted.m):
+        got, want = twisted.stacks(j), untwisted.stacks(j)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
