@@ -6,15 +6,16 @@ table; `CyclicGroup`, `DirectProductGroup` and `SL2Group` compute them with
 vectorized arithmetic; `PermGroup` composes its stored permutation rows
 in chunks, through buffers allocated once per call, and finds each product
 by one `searchsorted` over the rows' sorted byte keys.  Closures of several
-elements and the abelian characters share one BFS, `FinGroup._spread`; the
-closure of one element g lists e, g, g², … by doubling.  An action is one
-(|G|, n) array of image rows.  Orbits, the cosets of a subgroup with
-several generators and the swap search's double cosets
-(`families._swap_counts`) share one min-label propagation, `_min_labels`;
-the cosets of a cyclic subgroup, and the character blocks' cosets of ⟨h⟩ in
-`spectral`, are labelled by pointer doubling along one permutation,
-`_cycle_min`.  `GroupHom.verify` and `PermAction.verify` are one
-generator-wise check, `_verify_on_generators`.
+elements go by one BFS, `FinGroup._spread`; the closure of one element g,
+and `group_from_perm_generators` with one generator, list e, g, g², … by
+doubling, and `spectral` builds its characters' word table from such
+closures, with no BFS.  An action is one (|G|, n) array of image rows.
+Orbits, the cosets of a subgroup with several generators and the swap
+search's double cosets (`families._swap_counts`) share one min-label
+propagation, `_min_labels`; the cosets of a cyclic subgroup, and the
+character blocks' cosets of ⟨h⟩ in `spectral`, are labelled by pointer
+doubling along one permutation, `_cycle_min`.  `GroupHom.verify` and
+`PermAction.verify` are one generator-wise check, `_verify_on_generators`.
 
 `SL2Group` enumerates SL2(Z/n) in closed form, one top-left entry a at a
 time over arrays of n² entries (`_sl2_rows`).  With g = gcd(a, n) and
@@ -542,6 +543,12 @@ def group_from_perm_generators(gens: Sequence[Perm]) -> PermGroup:
     product.  Products are formed in chunks of about 2¹⁴ row entries and
     looked up by one `searchsorted` among the rows of earlier levels; one
     `np.unique` of byte keys per level drops the repeats within it.
+
+    One generator g needs no lookup: level j is {g^j}, so the rows are e,
+    g, g², … up to the first power that is e, and doubling lists them, as
+    `FinGroup.closure` does: the rows g¹ … g^b composed after g^b are
+    g^(b+1) … g^(2b), in ⌈log₂ ord g⌉ compositions.  The blocks stop at
+    PERM_CLOSURE_CAP powers, so the same orders are refused.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -550,7 +557,17 @@ def group_from_perm_generators(gens: Sequence[Perm]) -> PermGroup:
         if g.n != m:
             raise ValueError("generators act on different point counts")
     gen_rows = np.stack([g.image for g in gens])
-    frontier = np.arange(m, dtype=np.int64)[None, :]
+    ident = np.arange(m, dtype=np.int64)
+    if len(gens) == 1:
+        powers = np.stack([ident, gen_rows[0]])  # g⁰ … g^b
+        while not (at_e := (powers[1:] == ident).all(axis=1)).any():
+            if len(powers) > PERM_CLOSURE_CAP:
+                raise CapacityError(f"perm closure exceeds cap {PERM_CLOSURE_CAP}")
+            powers = np.concatenate([powers, powers[-1][powers[1 : PERM_CLOSURE_CAP + 2 - len(powers)]]])
+        order = 1 + int(at_e.argmax())
+        # g is row 1, or row 0 when it is the identity
+        return PermGroup(powers[:order], [int(order > 1)], name="perm-closure(1 gens)")
+    frontier = ident[None, :]
     levels = [frontier]
     known = frontier  # the rows of every level so far, sorted by byte key
     size = 1

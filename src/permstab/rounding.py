@@ -14,9 +14,11 @@ Four algorithms, in increasing ambition:
 
 The pipeline closes K once and reads K₀'s rows from it for δ, the invariant
 rounding of X and both K₀-actions.  It rounds δ over all of K₀ in one
-batched right-translation scan, gathering φ(gx) and g·φ(x) from one block
-of G's products; every temporary of that scan and of the ε measurement
-stays within groups.CHUNK_ENTRIES entries.  commuting_extension reads every
+batched right-translation scan read off r(y) = y⁻¹·φ(y) for every row:
+φ(gx) = g·φ(x) exactly when r(gx) = r(x), so one histogram of r per row
+gives every cost c(x) and one gather of r over S the defect; every
+temporary of that gather and of the ε measurement stays within
+groups.CHUNK_ENTRIES entries.  commuting_extension reads every
 stabilizer from one fixed-point matrix, action.rows == arange(n).
 
 All set losses and displacements are counted exactly; the Kazhdan constant
@@ -86,28 +88,36 @@ def _nearest_right_translations(
     Returns (h, dist, beta): h[i], the image row beta[i] of β(h[i]) and
     dist[i] = |G|·d_H(φᵢ, β(h[i])).  Raises CertificateError unless
     κ²·dist[i] <= 4·max_{g∈S} |{x : φᵢ(gx) ≠ g·φᵢ(x)}| for every row, exactly.
+
+    Everything is read off r(y) = y⁻¹·φ(y), one `mul_many` for all rows.
+    Since (gx)⁻¹·g·φ(x) = x⁻¹·φ(x), φ(gx) = g·φ(x) holds exactly when
+    r(gx) = r(x); as g runs over G so does gx, hence
+    c(x) = n − #{y : r(y) = r(x)}, from one histogram of r per row.
+    Likewise φ(y) = y·h⁻¹ with h = r(x)⁻¹ exactly when r(y) = r(x), so
+    dist = c(x*), and the defect at g ∈ S counts the x with r(gx) ≠ r(x),
+    gathered in chunks of rows and of S that keep every temporary within
+    CHUNK_ENTRIES entries.
     """
     m, n = phis.shape
     idx = np.arange(n)
-    cost = np.zeros((m, n), dtype=np.int64)  # [i, x]: c(x) for φᵢ
+    r = G.mul_many(G.inv_many(idx)[None, :], phis)  # [i, y]: y⁻¹·φᵢ(y)
+    hist = np.bincount((r + n * np.arange(m)[:, None]).ravel(), minlength=m * n).reshape(m, n)
+    cost = n - np.take_along_axis(hist, r, axis=1)  # [i, x]: c(x) for φᵢ
     defect = np.zeros(m, dtype=np.int64)  # n·max_{g∈S} d_H(α(g)φᵢ, φᵢα(g))
-    in_s = np.zeros(n, dtype=bool)
-    in_s[np.asarray(S, dtype=np.int64)] = True
-    g_step = min(n, rows_per_chunk(n))
-    r_step = rows_per_chunk(g_step * n)
-    for g0 in range(0, n, g_step):
-        gs = idx[g0 : g0 + g_step]
-        gx = G.mul_many(gs[:, None], idx[None, :])  # rows g, cols x
+    s = np.unique(np.asarray(S, dtype=np.int64))
+    s_step = min(max(s.size, 1), rows_per_chunk(n))
+    r_step = rows_per_chunk(s_step * n)
+    for s0 in range(0, s.size, s_step):
+        gx = G.mul_many(s[s0 : s0 + s_step, None], idx[None, :])  # rows g, cols x
         for r0 in range(0, m, r_step):
-            block = phis[r0 : r0 + r_step]
-            mismatch = block[:, gx] != gx[:, block].transpose(1, 0, 2)  # φ(gx) ≠ g·φ(x)
-            cost[r0 : r0 + r_step] += mismatch.sum(axis=1)
-            on_s = mismatch[:, in_s[gs]].sum(axis=2).max(axis=1, initial=0)
+            block = r[r0 : r0 + r_step]
+            on_s = (block[:, gx] != block[:, None, :]).sum(axis=2).max(axis=1)
             np.maximum(defect[r0 : r0 + r_step], on_s, out=defect[r0 : r0 + r_step])
     x_star = cost.argmin(axis=1)  # ties to the smallest x
-    h = G.mul_many(G.inv_many(phis[np.arange(m), x_star]), x_star)
-    beta = G.mul_many(idx[None, :], G.inv_many(h)[:, None])  # row i: y ↦ y·h[i]⁻¹
-    dist = (phis != beta).sum(axis=1)
+    h_inv = r[np.arange(m), x_star]  # h = φ(x*)⁻¹·x* = r(x*)⁻¹
+    h = G.inv_many(h_inv)
+    beta = G.mul_many(idx[None, :], h_inv[:, None])  # row i: y ↦ y·h[i]⁻¹
+    dist = cost.min(axis=1)
     k2 = Fraction(kappa_lower) ** 2
     worst = max(k2 * d - 4 * e for d, e in set(zip(dist.tolist(), defect.tolist())))
     certify("right-translation bound violated", worst, 0)

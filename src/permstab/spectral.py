@@ -1,11 +1,15 @@
 """Kazhdan constants: exact for abelian groups, certified brackets otherwise.
 
 Abelian groups get exact constants through their characters: an exponent
-row e sends generator g_i of order d_i to exp(2πi·e_i/d_i), and x along its
-BFS word, exponent vector E[x].  e is a character exactly when, L = lcm(d),
-Σ_j e_j·r_j·(L/d_j) ≡ 0 (mod L) for every r = E[x·g_i] - E[x] - 1_i, so
-integers alone decide which characters exist (the trivial one is e = 0);
-floats enter only in |χ(s) - 1|, evaluated for s ∈ S alone.
+row e sends generator g_i of order d_i to exp(2πi·e_i/d_i), and x to the
+product along its word x = g_1^E_1⋯g_k^E_k, E[x] the least exponent vector
+in the table of all Π d_i such words, built by k outer products with each
+generator's powers and no BFS.  When Π d_i = |G| that table is an
+isomorphism and every e is a character; otherwise e is one exactly when,
+L = lcm(d), Σ_j e_j·r_j·(L/d_j) ≡ 0 (mod L) for every
+r = E[x·g_i] - E[x] - 1_i, so integers alone decide which characters exist
+(the trivial one is e = 0); floats enter only in |χ(s) - 1|, evaluated for
+s ∈ S alone.
 
 General groups get a bracket [sqrt((μ - ε)/k) - tol, sqrt(λ̃ + δ) + tol] on
 the Laplacian L = 2k·I - Σ_{t∈S±} λ(t), k = |S|, on the mean-zero subspace
@@ -148,31 +152,42 @@ def _require_generating(G: FinGroup, S: Sequence[int]):
 def _characters(G: FinGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The characters of an abelian group as exponent rows, decided in ℤ/L.
 
-    Returns (E, d, exps): E[x] is the exponent vector of the BFS word for x
-    over the group's generators, d their orders, and each row e of exps the
-    character sending generator i to exp(2πi·e_i/d_i), in lexicographic order.
+    Returns (E, d, exps): E[x] is the least exponent vector e, row-major,
+    with g_1^e_1⋯g_k^e_k = x over the group's generators g_i, d their
+    orders, and each row e of exps the character sending generator i to
+    exp(2πi·e_i/d_i), in lexicographic order.  The word table of all
+    Π d_i products comes from k outer `mul_many`s with each generator's
+    powers; an element it never reaches is outside the span.  G is
+    abelian, so the table is a homomorphism ℤ/d_1 × ⋯ × ℤ/d_k → G: when
+    Π d_i = |G| it is an isomorphism and every e is a character.
+    Otherwise e is kept exactly when χ(x·g_i) = χ(x)·χ(g_i) for every x
+    and i, read through E, a test that is exact for any section E with
+    E(e) = 0.
     """
     gens = list(G.generators)
     k = len(gens)
-    E = np.zeros((G.order, k), dtype=np.int64)
-    steps = np.concatenate([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64)])
-    reached = 1
-    for new, parent, letter in G._spread(gens + [G.inv(g) for g in gens]):
-        E[new] = E[parent] + steps[letter]
-        reached += new.size
-    if reached != G.order:
-        raise NonGeneratingError("declared generators do not generate G")
-    d = G.element_order(gens)
+    powers = [np.asarray(G.closure([g]), dtype=np.int64) for g in gens]
+    d = np.array([len(p) for p in powers], dtype=np.int64)
     n_cand = math.prod(d.tolist())
     if n_cand > CHARACTER_CAP:
         raise CapacityError(f"character scan over {n_cand} candidates exceeds cap")
+    words = np.array([G.identity_index], dtype=np.int64)  # row-major over ℤ/d_1 × ⋯
+    for p in powers:
+        words = G.mul_many(words[:, None], p[None, :]).ravel()
+    code = np.full(G.order, n_cand, dtype=np.int64)
+    np.minimum.at(code, words, np.arange(n_cand))
+    if (code == n_cand).any():
+        raise NonGeneratingError("declared generators do not generate G")
+    E = code[:, None] // (n_cand // np.cumprod(d)) % d  # unravelled, row-major
     L = math.lcm(*d.tolist())
     exps = np.indices(d).reshape(k, n_cand).T
-    for i, g in enumerate(gens):
-        # e_j·r_j·(L/d_j) mod L depends on r_j mod d_j alone
-        rel = (E[G.mul_many(np.arange(G.order), np.int64(g))] - E - steps[i]) % d
-        for w in np.unique(rel, axis=0) * (L // d):
-            exps = exps[exps @ w % L == 0]
+    if n_cand > G.order:  # else the table is a bijection
+        idx, steps = np.arange(G.order), np.eye(k, dtype=np.int64)
+        for i, g in enumerate(gens):
+            # e_j·r_j·(L/d_j) mod L depends on r_j mod d_j alone
+            rel = (E[G.mul_many(idx, np.int64(g))] - E - steps[i]) % d
+            for w in np.unique(rel, axis=0) * (L // d):
+                exps = exps[exps @ w % L == 0]
     if len(exps) != G.order:
         raise NotAbelianError(f"found {len(exps)} characters for a group of order {G.order}")
     return E, d, exps
@@ -183,7 +198,7 @@ def kazhdan_abelian_exact(G: FinGroup, S: Sequence[int]) -> KazhdanBracket:
     if not G.is_abelian:
         raise NotAbelianError("kazhdan_abelian_exact requires an abelian group")
     if not set(G.generators) <= set(int(s) for s in S):
-        _require_generating(G, S)  # else _characters' BFS proves the generators reach G
+        _require_generating(G, S)  # else _characters' word table proves the generators reach G
     E, d, exps = _characters(G)
     nontrivial = exps.any(axis=1)
     if not nontrivial.any():
@@ -217,8 +232,10 @@ class _CharacterBlocks:
     def of(cls, G: FinGroup, S: Sequence[int]) -> "_CharacterBlocks":
         gens = np.asarray(sorted(set(int(s) for s in S)), dtype=np.int64)
         idx = np.arange(G.order)
-        central = (G.mul_many(idx[:, None], gens) == G.mul_many(gens, idx[:, None])).all(axis=1)
-        cand = np.unique(G.mul_many(gens[:, None], idx[central][None, :]))
+        central = idx  # narrowed to each generator's centralizer in turn
+        for s in gens.tolist():
+            central = central[G.mul_many(central, np.int64(s)) == G.mul_many(np.int64(s), central)]
+        cand = np.unique(G.mul_many(gens[:, None], central[None, :]))
         # h: the first candidate of the largest order, scanned in chunks of 8,
         # 16, 32, … that stop once an order reaches |G|; h = e when S is empty
         h, m, start = G.identity_index, 1, 0

@@ -300,6 +300,10 @@ def _closure_reference(gens):
     return np.stack(rows), [index[g.image.tobytes()] for g in gens], index
 
 
+def _n_cycle(n):
+    return Perm(np.roll(np.arange(n), 1))
+
+
 def _perm_group_cases():
     rng = np.random.default_rng(8)
     X = sl2_mod(5)
@@ -309,6 +313,12 @@ def _perm_group_cases():
         "sl2_5_regular": [X.left_perm(g) for g in X.generators],
         "random_7": [Perm(rng.permutation(7)), Perm(rng.permutation(7))],
         "identity_and_repeat": [identity(5), five_cycle, five_cycle],
+        # one generator, closed by doubling
+        "cycle_2": [swap(2, 0, 1)],
+        "cycle_120": [_n_cycle(120)],
+        "cycles_3_5_7": [from_cycles(15, [(0, 1, 2), (3, 4, 5, 6, 7), tuple(range(8, 15))])],
+        "random_40": [Perm(rng.permutation(40))],
+        "identity": [identity(6)],
     }
 
 
@@ -320,6 +330,8 @@ def test_perm_group_matches_scalar_reference(name):
     assert K.rows.dtype == np.int64 and np.array_equal(K.rows, rows)
     assert K.order == len(rows) and K.points == gens[0].n
     assert K.generators == gen_indices and K.identity_index == 0
+    if len(gens) == 1:  # [g, g] takes the BFS with its lookups, whose level j is {g^j}
+        assert np.array_equal(K.rows, group_from_perm_generators(gens * 2).rows)
     rng = np.random.default_rng(K.order)
     a = rng.integers(0, K.order, 70)
     b = rng.integers(0, K.order, 80)
@@ -354,7 +366,13 @@ def test_group_from_perm_generators_cap(monkeypatch):
     monkeypatch.setattr(groups, "PERM_CLOSURE_CAP", 119)
     with pytest.raises(CapacityError, match="perm closure exceeds cap 119"):
         group_from_perm_generators(gens)
-
+    # one generator: a 7- and a 17-cycle (order 119) fit, a 120-cycle does
+    # not, nor a 300-cycle, whose next doubling block would overshoot the cap
+    assert group_from_perm_generators([from_cycles(24, [range(7), range(7, 24)])]).order == 119
+    for n in (120, 300):
+        for gens in ([_n_cycle(n)], [_n_cycle(n)] * 2):
+            with pytest.raises(CapacityError, match="perm closure exceeds cap 119"):
+                group_from_perm_generators(gens)
 
 
 def _python_bfs(G, letters):

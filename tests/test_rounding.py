@@ -164,13 +164,28 @@ def _nearest_right_translation_loop(G, S, phi):
     return h, dist, int(mismatch.sum(axis=1)[list(S)].max()), len(tied_hs) > 1
 
 
-@pytest.mark.parametrize("case", ["cyclic", "z2^4", "sl2(3)", "cyclic-chunked"])
+def _last_kappa(dist, defect):
+    """The largest float κ with κ²·dist <= 4·defect, exactly."""
+    def ok(k):
+        return Fraction(k) ** 2 * dist <= 4 * defect
+
+    k = math.sqrt(4 * defect / dist)
+    while not ok(k):
+        k = math.nextafter(k, 0.0)
+    while ok(math.nextafter(k, math.inf)):
+        k = math.nextafter(k, math.inf)
+    return k
+
+
+@pytest.mark.parametrize("case", ["cyclic", "z2^4", "sl2(3)", "cyclic-chunked", "cyclic-wide-s"])
 def test_batched_scan_matches_loop(case):
     G, S, m = {
         "cyclic": (cyclic(15), [1], 40),
         "z2^4": (_z2k(4), list(range(1, 16)), 40),
         "sl2(3)": (sl2_mod(3), None, 40),
         "cyclic-chunked": (cyclic(300), [1, 7], 6),  # several g-chunks and row chunks
+        # |S|·n > CHUNK_ENTRIES; the one odd g, 199, falls in the second S-chunk
+        "cyclic-wide-s": (cyclic(300), list(range(2, 201, 2)) + [199], 6),
     }[case]
     S = S if S is not None else list(G.generators)
     rng = np.random.default_rng(7)
@@ -183,7 +198,7 @@ def test_batched_scan_matches_loop(case):
         for _ in range(i % 4):
             a, b = rng.choice(n, size=2, replace=False)
             phis[i, [a, b]] = phis[i, [b, a]]
-    if case == "cyclic-chunked":  # x ↦ x on even x, x + 2 on odd: even and odd x* tie
+    if case.startswith("cyclic-"):  # x ↦ x on even x, x + 2 on odd: even and odd x* tie
         x = np.arange(n)
         phis[-1] = np.where(x % 2, (x + 2) % n, x)
     kappa = 1e-3  # low enough that the certificate holds on every row
@@ -194,6 +209,11 @@ def test_batched_scan_matches_loop(case):
         assert (int(h[i]), int(dist[i])) == (ref_h, ref_dist)
         assert np.array_equal(beta[i], G.right_perm(G.inv(ref_h)).image)
         assert kappa**2 * ref_dist <= 4 * ref_defect
+        if ref_dist:  # the certificate holds at the last κ that ref_defect allows, and fails above
+            k = _last_kappa(ref_dist, ref_defect)
+            _nearest_right_translations(G, S, phis[i : i + 1], k)
+            with pytest.raises(CertificateError, match="right-translation bound"):
+                _nearest_right_translations(G, S, phis[i : i + 1], math.nextafter(k, math.inf))
         ties += tied
     assert ties > 0  # some row has minimizers with different h: the smallest x decides
 

@@ -51,8 +51,9 @@ def test_abelian_exact_product():
 
 
 def test_abelian_exact_pinned_values():
-    # bit-exact values recorded before the character BFS was vectorised: the
-    # floats depend on the spanning word chosen for each element
+    # bit-exact values recorded before the character BFS was vectorised, and
+    # kept by the word table that replaced it: the floats depend on E[s] mod
+    # d, which is unique for independent generators such as these
     G = direct_product(cyclic(4), cyclic(6))
     br = kazhdan_abelian_exact(G, G.generators)
     assert (br.lower, br.upper, br.lambda1) == (
@@ -105,6 +106,44 @@ def test_characters_reject_inconsistent_candidates(n, gens, pinned):
     assert (br.lower, br.upper, br.lambda1) == pinned
 
 
+def _characters_bfs(G):
+    """Reference: E along each element's first BFS word over g_i and g_i⁻¹, and
+    the exponent rows kept by the relation scan over every candidate."""
+    gens = list(G.generators)
+    k = len(gens)
+    E = np.zeros((G.order, k), dtype=np.int64)
+    steps = np.concatenate([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64)])
+    for new, parent, letter in G._spread(gens + [G.inv(g) for g in gens]):
+        E[new] = E[parent] + steps[letter]
+    d = G.element_order(gens)
+    L = math.lcm(*d.tolist())
+    exps = np.indices(d).reshape(k, -1).T
+    for i, g in enumerate(gens):
+        rel = (E[G.mul_many(np.arange(G.order), np.int64(g))] - E - steps[i]) % d
+        for w in np.unique(rel, axis=0) * (L // d):
+            exps = exps[exps @ w % L == 0]
+    return E, d, exps
+
+
+@pytest.mark.parametrize("G", [
+    cyclic(2000),
+    direct_product(cyclic(4), cyclic(6)),
+    direct_product(direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+                   direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))),
+], ids=["cyclic(2000)", "Z4xZ6", "(Z2)^6"])
+def test_characters_match_bfs_without_spread(G, monkeypatch):
+    want_E, want_d, want_exps = _characters_bfs(G)
+
+    def no_bfs(*args):
+        raise AssertionError("_characters ran a BFS")
+
+    monkeypatch.setattr(FinGroup, "_spread", no_bfs)
+    E, d, exps = spectral._characters(G)
+    assert d.tolist() == want_d.tolist() and math.prod(d.tolist()) == G.order
+    assert np.array_equal(E % d, want_E % d) and np.array_equal(exps, want_exps)
+    assert E.min() >= 0 and (E < d).all()
+
+
 def test_trivial_group_has_no_nontrivial_character():
     with pytest.raises(ValueError, match="no nontrivial character"):
         kazhdan_abelian_exact(cyclic(1), [])
@@ -149,7 +188,7 @@ def test_generating_check_only_when_s_omits_a_generator(monkeypatch):
     monkeypatch.setattr(spectral, "_require_generating", lambda G, S: checked.append(S) or real(G, S))
     G = direct_product(cyclic(2), cyclic(3))  # generators (1, 0) = 3 and (0, 1) = 1
     assert kazhdan_abelian_exact(G, [1, 3, 5]).lower == pytest.approx(want[0])
-    assert checked == []  # the BFS of _characters already reaches G from 1 and 3
+    assert checked == []  # the word table of _characters already reaches G from 1 and 3
     # (1, 1) = 4 has order 6, so S = [4] omits both generators and still generates G
     assert kazhdan_abelian_exact(G, [4]).lower == pytest.approx(want[1])
     assert checked == [[4]]
