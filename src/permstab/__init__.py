@@ -55,9 +55,7 @@ from .families import (
     build_bitranslation,
     build_swap_family,
     defect_report,
-    family_on_marked,
     flagship_family,
-    relator_defects,
 )
 from .rounding import (
     AlmostResult,

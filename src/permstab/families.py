@@ -8,13 +8,21 @@ Because A is assembled from a density-window subset of q(Λ) spread over
 coset representatives, the commutator of θ with some right translation is
 provably bounded below — the family is almost multiplicative but uniformly
 far from exact homomorphisms.
+
+Everything runs on index arrays: θ is the one permutation of X formed, and
+none is composed.  `defect_report` reads each value off the curve and |A|:
+a relator without t has defect 0 (p and q are homomorphisms, and left and
+right translations commute, g·(x·h) = (g·x)·h); [t, λ] has the curve's
+value at q(λ) (d_H is bi-invariant: d_H(θRθ⁻¹R⁻¹, id) = d_H(θR, Rθ)); the
+sofic profile is 1 at a translation by g ≠ e (gx = x forces g = e) and
+2|A|/|X| at θ, which moves exactly the disjoint A ∪ gA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,54 +32,45 @@ from .groups import (
     FinGroup,
     MarkedGroup,
     MarkedHom,
-    MarkedMap,
     SL2Group,
+    _cycle_min,
     _min_labels,
     left_coset_reps,
     product_with_free_z,
     rows_per_chunk,
     sl2_mod,
 )
-from .perms import Perm, compose, hamming, identity
+from .perms import Perm
 
 DEFAULT_WINDOW = (Fraction(1, 7), Fraction(1, 6))
 
 
 @dataclass
 class BiTranslationAction:
-    """Left translations for p(Γ)-generators, right translations for q(Λ)."""
+    """Γ acting on X by left translations x -> p(γ)·x and Λ by right ones
+    x -> x·q(λ)⁻¹, which commute; no permutation of X is formed."""
 
     X: FinGroup
     p: MarkedHom
     q: MarkedHom
-    gamma_perms: List[Perm] = field(init=False)
-    lambda_perms: List[Perm] = field(init=False)
 
     def __post_init__(self):
         if not self.p.surjective:
             raise NotSurjectiveError("p must map onto the carrier group")
-        self.gamma_perms = [self.X.left_perm(g) for g in self.p.gen_images]
-        # right translation by q(h): x -> x·q(h)^{-1} (a left action of Λ)
-        self.lambda_perms = [
-            self.X.right_perm(self.X.inv(h)) for h in self.q.gen_images
-        ]
-        for a in self.gamma_perms:
-            for b in self.lambda_perms:
-                if compose(a, b) != compose(b, a):
-                    raise ValueError("left and right translations fail to commute")
 
 
 @dataclass
 class SwapFamily:
-    """The swap permutation θ exchanging A with gA, plus its provenance."""
+    """The swap permutation θ exchanging A with gA, plus its provenance
+    (A, C, Z and B as int64 arrays)."""
 
     base: BiTranslationAction
-    A: List[int]
+    A: np.ndarray
     g: int
     t_image: Perm
-    C: List[int]
-    Z: List[int]
-    B: List[int]
+    C: np.ndarray
+    Z: np.ndarray
+    B: np.ndarray
 
     @property
     def a_density(self) -> Fraction:
@@ -143,34 +142,32 @@ def build_swap_family(
 
         |B ∩ (k₁gk₂)⁻¹B| = |B ∩ k₂⁻¹g⁻¹B| = |k₂B ∩ g⁻¹B| = |B ∩ g⁻¹B|,
 
-    so counts is constant on each double coset KgK.  The sum is taken once
-    per double coset, at its least element, and spread over the class by
-    one gather: R·|Z| products for R double cosets.  At p = 43, K is the
-    diagonal torus and R·|Z| = 92 · 1,848; a trivial K, as at the composite
-    moduli measured, leaves R = |X|.
+    so counts is constant on each double coset KgK; and counts[g⁻¹] =
+    counts[g], as |B ∩ g⁻¹B| = |g(B ∩ g⁻¹B)| = |gB ∩ B|.  The sum is taken
+    once per class KgK ∪ Kg⁻¹K, at its least element, and spread over the
+    class by one gather: R·|Z| products for R classes.  At p = 43, K is the
+    diagonal torus and R·|Z| = 68 · 1,848; a trivial K, as at the composite
+    moduli measured, leaves R = (|X| + #{g: g² = e})/2.
 
     Certified exactly, in integers: the products Z·q(Λ), which also give h,
     meet every x ∈ X exactly once (Z is a left transversal); every
     generator of K maps B into B, so each labelled class lies inside one
-    double coset; and Σ_g counts[g] = |B|², the number of pairs (y, x) ∈ B²,
-    each with one quotient y·x⁻¹.
+    class KgK ∪ Kg⁻¹K; and Σ_g counts[g] = |B|², the number of pairs
+    (y, x) ∈ B², each with one quotient y·x⁻¹.
     """
     X = base.X
     alpha, beta = window
-    q_members = base.q.image_subgroup
-    c_size = window_cardinality(len(q_members), alpha, beta)
-    C = sorted(q_members)[:c_size]
-    Z = left_coset_reps(X, q_members)
-    z_arr = np.asarray(Z, dtype=np.int64)
-    c_arr = np.asarray(C, dtype=np.int64)
+    q_arr = base.q.image_subgroup
+    c_arr = q_arr[: window_cardinality(len(q_arr), alpha, beta)].copy()  # not a view of q's image
+    z_arr = np.asarray(left_coset_reps(X, q_arr), dtype=np.int64)
     b_arr = np.unique(X.mul_many(z_arr[:, None], c_arr[None, :]).ravel())
-    certify("coset translates of C overlap", len(Z) * len(C) - int(b_arr.size), 0)
-    b_density = Fraction(int(b_arr.size), X.order)
+    certify("coset translates of C overlap", z_arr.size * c_arr.size - b_arr.size, 0)
+    b_density = Fraction(b_arr.size, X.order)
     certify("|B|/|X| lies below the window", alpha, b_density)
     certify("|B|/|X| lies above the window", b_density, beta)
 
     # maximizing |B ∖ g⁻¹B| = |B| - counts[g] means minimizing counts
-    counts = _swap_counts(X, z_arr, np.asarray(q_members, dtype=np.int64), c_arr, b_arr)
+    counts = _swap_counts(X, z_arr, q_arr, c_arr, b_arr)
     g = int(np.argmin(counts))  # first minimum = smallest index
 
     b_mask = np.zeros(X.order, dtype=bool)
@@ -178,7 +175,7 @@ def build_swap_family(
     gb = X.mul_many(np.int64(g), b_arr)
     a_arr = b_arr[~b_mask[gb]]  # x ∈ B with gx ∉ B
     certify("|A| disagrees with |B ∖ g⁻¹B|", abs(a_arr.size - int(b_arr.size - counts[g])), 0)
-    a_density = Fraction(int(a_arr.size), X.order)
+    a_density = Fraction(a_arr.size, X.order)
     lower = b_density * (1 - b_density)
     certify("|A|/|X| fell below the certified floor", lower, a_density)
     certify("the certified floor fell below 5/42", Fraction(5, 42), lower)
@@ -188,48 +185,58 @@ def build_swap_family(
     image = np.arange(X.order, dtype=np.int64)
     image[a_arr] = ga_arr
     image[ga_arr] = a_arr
-    t_image = Perm(image)
-    return SwapFamily(
-        base=base,
-        A=[int(v) for v in a_arr],
-        g=g,
-        t_image=t_image,
-        C=[int(v) for v in C],
-        Z=[int(v) for v in Z],
-        B=[int(v) for v in b_arr],
-    )
+    # A and gA are disjoint sets of distinct points, so θ is an involution
+    return SwapFamily(base, a_arr, g, Perm(image, _checked=True), c_arr, z_arr, b_arr)
 
 
 def _swap_counts(
     X: FinGroup, z_arr: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray
 ) -> np.ndarray:
-    """counts[g] = |B ∩ g⁻¹B| at every g ∈ X, B = Z·C, as one int64 array.
-
-    Σ_z W[r·z] is summed at the least element r of each double coset of K,
-    the classes of x ↦ s·x and x ↦ x·s for s in `greedy_generators(K)`
-    (`build_swap_family` has the proof and the certificates).
-    """
+    """counts[g] = |B ∩ g⁻¹B| at every g ∈ X, B = Z·C, as one int64 array:
+    Σ_z W[r·z] at the least element r of each class KgK ∪ Kg⁻¹K
+    (`build_swap_family` has the proof and the certificates)."""
     W = _coset_weights(X, z_arr, q_arr, c_arr)
     b_mask = np.zeros(X.order, dtype=bool)
     b_mask[b_arr] = True
-    gens, _ = X.greedy_generators(_stabilizer(X, z_arr, W, len(c_arr)))
+    gens, label = _double_coset_labels(X, _stabilizer(X, z_arr, W, len(c_arr)))
     for s in gens:
         moved = int(np.count_nonzero(~b_mask[X.mul_many(np.int64(s), b_arr)]))
         certify("a generator of K moves B off itself", moved, 0)
-    idx = np.arange(X.order)
-    steps = [X.mul_many(np.int64(s), idx) for s in gens]
-    steps += [X.mul_many(idx, np.int64(s)) for s in gens]
-    label = _min_labels(steps, X.order)
-    del steps
-    reps = np.flatnonzero(label == idx)  # each class's least element
+    reps = np.flatnonzero(label == np.arange(X.order))  # each class's least element
     sums = np.zeros(X.order, dtype=np.int64)
     rows = rows_per_chunk(len(z_arr))
     for start in range(0, len(reps), rows):
         r = reps[start : start + rows]
         sums[r] = W[X.mul_many(r[:, None], z_arr[None, :])].sum(axis=1, dtype=np.int64)
     counts = sums[label]
-    certify("the counts do not sum to |B|²", abs(int(counts.sum()) - int(b_arr.size) ** 2), 0)
+    certify("the counts do not sum to |B|²", abs(int(counts.sum()) - b_arr.size ** 2), 0)
     return counts
+
+
+def _double_coset_labels(X: FinGroup, K: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """(gens, label): generators of the subgroup K, and at every x ∈ X the
+    least element of KxK ∪ Kx⁻¹K.
+
+    A k ∈ K of order |K| generates K; then pointer doubling (`_cycle_min`)
+    along x ↦ x·k gives the least element of xK, and along x ↦ k·x the
+    least of those over Kx, the least of KxK.  Any other K goes through
+    `_min_labels` on x ↦ s·x and x ↦ x·s, s in `greedy_generators(K)`.
+    As (KxK)⁻¹ = Kx⁻¹K, each least element r then takes min(r, label[r⁻¹]).
+    """
+    idx = np.arange(X.order)
+    full = np.flatnonzero(X.element_order(K) == len(K))
+    if full.size:
+        gens = [int(K[full[0]])]
+        k = np.int64(gens[0])
+        label = _cycle_min(X.mul_many(k, idx), len(K), _cycle_min(X.mul_many(idx, k), len(K))[0])[0]
+    else:
+        gens, _ = X.greedy_generators(K)
+        steps = [X.mul_many(np.int64(s), idx) for s in gens]
+        label = _min_labels(steps + [X.mul_many(idx, np.int64(s)) for s in gens], X.order)
+    reps = np.flatnonzero(label == idx)
+    fold = np.empty_like(idx)  # read only at the least elements, which are the labels
+    fold[reps] = np.minimum(reps, label[X.inv_many(reps)])
+    return gens, fold[label]
 
 
 def _coset_weights(
@@ -267,22 +274,6 @@ def _stabilizer(X: FinGroup, z_arr: np.ndarray, W: np.ndarray, c_size: int) -> n
     return np.sort(cand)
 
 
-def family_on_marked(fam: SwapFamily, marked: MarkedGroup) -> MarkedMap:
-    """Generator images in the declared order (Γ-gens, t, Λ-gens)."""
-    images = list(fam.base.gamma_perms) + [fam.t_image] + list(fam.base.lambda_perms)
-    if marked.generator_count != len(images):
-        raise ConfigError(
-            f"presentation has {marked.generator_count} generators, "
-            f"construction provides {len(images)}"
-        )
-    return MarkedMap(marked, images)
-
-
-def relator_defects(m: MarkedMap) -> Dict[Tuple[int, ...], Fraction]:
-    ident = identity(m.points)
-    return {tuple(r): hamming(m.evaluate(r), ident) for r in m.marked.relators}
-
-
 def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     """Exact defect of [θ, right-translation by h] for every h in q(Λ) = ⟨u⟩.
 
@@ -314,18 +305,17 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     if len(gens) != 1:
         raise ConfigError(f"the commutator curve needs one generator image (Λ = ℤ); q has {len(gens)}")
     image = fam.base.q.image  # e, u, …, u^(m−1), or None when q is onto X
-    powers = np.asarray(X.closure(gens) if image is None else image, dtype=np.int64)
+    powers = X.closure(gens) if image is None else image
     m, width = len(powers), len(fam.Z)
-    T = X.mul_many(np.asarray(fam.Z, dtype=np.int64)[None, :], powers[:, None]).ravel()
+    T = X.mul_many(fam.Z[None, :], powers[:, None]).ravel()
     misplaced = np.bincount(T, minlength=X.order) != 1
     certify("the coset coordinates z·u^j are not a bijection onto X", int(np.count_nonzero(misplaced)), 0)
     coord = np.empty(X.order, dtype=np.int64)
     coord[T] = np.arange(X.order)
     D = coord[fam.t_image.image[T]].reshape(m, width) - (np.arange(m) * width)[:, None]
     D = (D % X.order).astype(np.int32)
-    a_arr = np.asarray(fam.A, dtype=np.int64)
     a_mask, u_mask = np.zeros((2, X.order), dtype=bool)
-    a_mask[a_arr] = u_mask[a_arr] = u_mask[X.mul_many(np.int64(fam.g), a_arr)] = True
+    a_mask[fam.A] = u_mask[fam.A] = u_mask[X.mul_many(np.int64(fam.g), fam.A)] = True
 
     def shifted(v: np.ndarray, same) -> np.ndarray:
         """#{entries where same(v with its rows shifted by k, v)} for every k < m."""
@@ -344,17 +334,26 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     return dict(sorted(curve.items()))
 
 
-def defect_report(m: MarkedMap, fam: Optional[SwapFamily] = None) -> DefectReport:
-    ident = identity(m.points)
-    sofic = {
-        i + 1: hamming(p, ident) for i, p in enumerate(m.images)
-    }
-    curve = _commutator_curve(fam) if fam is not None else {}
-    return DefectReport(
-        relator_defects=relator_defects(m),
-        sofic_profile=sofic,
-        commutator_curve=curve,
-    )
+def defect_report(fam: SwapFamily) -> DefectReport:
+    """Relator defects, sofic profile and commutator curve on (Γ∗ℤ)×Λ, with
+    generators (Γ-gens, t, Λ-gens) and the relators of `product_with_free_z`.
+
+    A relator without t has defect 0, as p and q are homomorphisms and
+    g·(x·h) = (g·x)·h; [t, λ] has the curve's value at q(λ), since
+    d_H(θRθ⁻¹R⁻¹, id) = d_H(θR, Rθ) by bi-invariance; a translation by g ≠ e
+    moves every point (gx = x forces g = e) and θ moves exactly A ∪ gA.  The
+    curve certifies its direct values against its closed form, and [t, λ]'s
+    value with them.  Needs Λ = ℤ, as the curve does.
+    """
+    base, X = fam.base, fam.base.X
+    curve = _commutator_curve(fam)
+    t = base.p.marked.generator_count + 1
+    marked = product_with_free_z(base.p.marked, base.q.marked)
+    t_lam = curve[base.q.gen_images[0]]  # [t, λ]; q has exactly one generator image here
+    relators = {tuple(r): t_lam if t in map(abs, r) else Fraction(0) for r in marked.relators}
+    moves = [Fraction(int(x != X.identity_index)) for x in base.p.gen_images + base.q.gen_images]
+    moves.insert(len(base.p.gen_images), Fraction(2 * len(fam.A), X.order))  # θ, after the Γ-gens
+    return DefectReport(relators, dict(enumerate(moves, 1)), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +381,12 @@ def flagship_family(
     for primes (such as 5, 11, 17) whose cyclic order misses the window.
     """
     X = sl2_mod(p)
-    gamma = MarkedGroup.free(2)
-    lam = MarkedGroup.free(1)
-    p_hom = MarkedHom(gamma, X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
+    p_hom = MarkedHom(MarkedGroup.free(2), X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
     if not p_hom.surjective:
         raise NotSurjectiveError(f"F2 generators do not cover SL2(Z/{p}Z)")
-    q_hom = MarkedHom(lam, X, [X.index_of(1, 2, 0, 1)])
-    base = build_bitranslation(X, p_hom, q_hom)
-    fam = build_swap_family(base, window=window)
-    report = defect_report(family_on_marked(fam, product_with_free_z(gamma, lam)), fam)
+    q_hom = MarkedHom(MarkedGroup.free(1), X, [X.index_of(1, 2, 0, 1)])
+    fam = build_swap_family(build_bitranslation(X, p_hom, q_hom), window=window)
+    report = defect_report(fam)
     return FlagshipInstance(
         X=X,
         family=fam,

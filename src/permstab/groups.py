@@ -11,10 +11,11 @@ and `group_from_perm_generators` with one generator, list e, g, g², … by
 doubling, and `spectral` builds its characters' word table from such
 closures, with no BFS.  An action is one (|G|, n) array of image rows.
 Orbits, the cosets of a subgroup with several generators and the swap
-search's double cosets (`families._swap_counts`) share one min-label
-propagation, `_min_labels`; the cosets of a cyclic subgroup, and the
-character blocks' cosets of ⟨h⟩ in `spectral`, are labelled by pointer
-doubling along one permutation, `_cycle_min`.  `GroupHom.verify` and
+search's double cosets of such a subgroup (`families._double_coset_labels`)
+share one min-label propagation, `_min_labels`; the cosets of a cyclic
+subgroup, its double cosets, and the character blocks' cosets of ⟨h⟩ in
+`spectral` are labelled by pointer doubling along one permutation,
+`_cycle_min`.  `closure` returns an int64 array.  `GroupHom.verify` and
 `PermAction.verify` are one generator-wise check, `_verify_on_generators`.
 
 `SL2Group` enumerates SL2(Z/n) in closed form, one top-left entry a at a
@@ -185,21 +186,21 @@ class FinGroup:
             yield new, frontier[parent], letter
             frontier = new
 
-    def closure(self, seed: Sequence[int]) -> List[int]:
-        """BFS product closure of a set of element indices, discovery order.
+    def closure(self, seed: Sequence[int]) -> np.ndarray:
+        """BFS product closure of a set of element indices, discovery order, as int64.
 
         A one-element seed g gives e, g, g², … by doubling: the block
         g¹ … g^b times its last element is g^(b+1) … g^(2b), so g of order m
         takes ⌈log₂ m⌉ `mul_many` calls, in the BFS's order.
         """
-        e = self.identity_index
+        e = np.array([self.identity_index], dtype=np.int64)
         seed = np.asarray(seed, dtype=np.int64)
         if seed.size == 1:
             powers = seed  # g¹ … g^b
             while not (powers == e).any():
                 powers = np.concatenate([powers, self.mul_many(powers[-1], powers)])
-            return [e] + powers[: int(np.argmax(powers == e))].tolist()
-        return [e] + [h for new, _, _ in self._spread(seed) for h in new.tolist()]
+            return np.concatenate([e, powers[: int(np.argmax(powers == e))]])
+        return np.concatenate([e] + [new for new, _, _ in self._spread(seed)])
 
     def generates(self, seed: Sequence[int]) -> bool:
         # no inverses needed: in a finite group s⁻¹ = s^(ord s − 1)
@@ -690,9 +691,9 @@ class MarkedHom:
     target: FinGroup
     gen_images: List[int]
     surjective: bool = field(init=False)
-    # ⟨gen_images⟩ in closure order (e, u, u², … for one image u); None when
-    # it is the whole target, whose |X| entries are not kept
-    image: Optional[List[int]] = field(init=False, repr=False)
+    # ⟨gen_images⟩ in closure order (e, u, u², … for one image u), int64;
+    # None when it is the whole target, whose |X| entries are not kept
+    image: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.gen_images) != self.marked.generator_count:
@@ -705,9 +706,9 @@ class MarkedHom:
         self.image = None if self.surjective else image
 
     @functools.cached_property
-    def image_subgroup(self) -> List[int]:
-        """The image ⟨gen_images⟩, sorted; built on first read."""
-        return list(range(self.target.order)) if self.image is None else sorted(self.image)
+    def image_subgroup(self) -> np.ndarray:
+        """The image ⟨gen_images⟩, sorted, as int64; built on first read."""
+        return np.arange(self.target.order) if self.image is None else np.sort(self.image)
 
     def evaluate(self, word: Sequence[int]) -> int:
         x = self.target.identity_index
@@ -806,9 +807,10 @@ def _min_labels(steps: Sequence[np.ndarray], size: int) -> np.ndarray:
         label = new
 
 
-def _cycle_min(step: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(rep, back): the least point rep[x] of x's cycle under `step`, whose
-    cycles all have length m, and the r < m with step^r(x) = rep[x].
+def _cycle_min(step: np.ndarray, m: int, start=None) -> Tuple[np.ndarray, np.ndarray]:
+    """(rep, back): the least value rep[x] of `start` (default: the points)
+    on x's cycle under `step`, whose cycles all have length m, and the
+    least r < m with start[step^r(x)] = rep[x].
 
     Pointer doubling on the key rep·m + back over the window r < w, with
     jump = step^w: the window at jump(x) offers key[jump(x)] + w, and
@@ -816,7 +818,7 @@ def _cycle_min(step: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     2w >= m, the windows at x and at step^(m-w)(x) cover r < m.
     """
     idx = np.arange(len(step))
-    key, jump, w = idx * m, step, 1
+    key, jump, w = (idx if start is None else start) * m, step, 1
     while 2 * w < m:
         key = np.minimum(key, key[jump] + w)
         jump, w = jump[jump], 2 * w

@@ -91,9 +91,10 @@ FAULTS = {
         "closed-form defect disagrees",
     ),
     "families_coordinates": (
+        "import numpy as np\n"
         "from permstab import families\n"
         "fam = families.flagship_family(7).family\n"
-        "fam.Z = [fam.Z[0]] + fam.Z[:-1]  # Z[0]'s coset twice, the last coset never\n"
+        "fam.Z = np.concatenate([fam.Z[:1], fam.Z[:-1]])  # Z[0]'s coset twice, the last coset never\n"
         "families._commutator_curve(fam)\n",
         "the coset coordinates z·u^j are not a bijection onto X",
     ),

@@ -1,25 +1,26 @@
 """Swap families: bi-translation actions, defect reports, flagship instances."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from permstab import groups, perms
 from permstab.errors import ConfigError, NotSurjectiveError, WindowEmptyError
 from permstab.families import (
     DEFAULT_WINDOW,
     _coset_weights,
+    _double_coset_labels,
     _stabilizer,
     _swap_counts,
     build_bitranslation,
     build_swap_family,
     defect_report,
-    family_on_marked,
     flagship_family,
-    relator_defects,
 )
-from permstab.groups import FinGroup, MarkedGroup, MarkedHom, product_with_free_z, sl2_mod
-from permstab.perms import compose, hamming
+from permstab.groups import FinGroup, MarkedGroup, MarkedHom, MarkedMap, product_with_free_z, sl2_mod
+from permstab.perms import compose, hamming, identity
 
 
 def _sl2_base(p, gamma_gens=((1, 2, 0, 1), (1, 0, 2, 1)), lam_gen=(1, 2, 0, 1)):
@@ -31,10 +32,23 @@ def _sl2_base(p, gamma_gens=((1, 2, 0, 1), (1, 0, 2, 1)), lam_gen=(1, 2, 0, 1)):
     return X, build_bitranslation(X, p_hom, q_hom)
 
 
+def _evaluated_report(fam):
+    """(relator defects, sofic profile) of the family on (F₂∗ℤ)×ℤ, by forming
+    every generator's permutation of X and composing the relator words."""
+    base, X = fam.base, fam.base.X
+    images = [X.left_perm(g) for g in base.p.gen_images] + [fam.t_image]
+    images += [X.right_perm(X.inv(h)) for h in base.q.gen_images]
+    m = MarkedMap(product_with_free_z(MarkedGroup.free(2), MarkedGroup.free(1)), images)
+    ident = identity(m.points)
+    relators = {tuple(r): hamming(m.evaluate(r), ident) for r in m.marked.relators}
+    return relators, {i + 1: hamming(p, ident) for i, p in enumerate(m.images)}
+
+
 def test_bitranslation_commutes():
-    _, base = _sl2_base(5)
-    for a in base.gamma_perms:
-        for b in base.lambda_perms:
+    X, base = _sl2_base(5)
+    for g in base.p.gen_images:
+        for h in base.q.gen_images:
+            a, b = X.left_perm(g), X.right_perm(X.inv(h))
             assert compose(a, b) == compose(b, a)
 
 
@@ -130,6 +144,36 @@ def test_stabilizer_of_b_is_the_diagonal_torus(p):
         assert b_mask[X.mul_many(np.int64(k), np.asarray(fam.B))].all()
 
 
+def _labeller_cases():
+    """(X, K, |K|, generator count): the cyclic torus at p = 7, the trivial K of
+    the involution carrier, and the quaternion group Q₈ ≤ SL2(Z/5), which
+    no element of order 8 generates."""
+    X = sl2_mod(7)
+    yield X, np.array(sorted(X.index_of(lam, 0, 0, pow(lam, -1, 7)) for lam in range(1, 7))), 6, 1
+    X, base = _sl2_base(*_INVOLUTION_CARRIER)
+    fam = build_swap_family(base, window=_INVOLUTION_WINDOWS[0])
+    Q, C = base.q.image_subgroup, fam.C
+    yield X, _stabilizer(X, fam.Z, _coset_weights(X, fam.Z, Q, C), len(C)), 1, 1
+    X = sl2_mod(5)
+    i = X.index_of(0, 4, 1, 0)
+    order4 = [x for x in X.elements() if X.element_order(x) == 4]
+    Q8 = next(Q for Q in (np.sort(X.closure([i, j])) for j in order4) if len(Q) == 8)
+    yield X, Q8, 8, 2
+
+
+@pytest.mark.parametrize("X, K, size, gen_count", list(_labeller_cases()), ids=["torus7", "trivial5", "quaternion5"])
+def test_double_coset_labels_match_brute_force(X, K, size, gen_count):
+    gens, label = _double_coset_labels(X, K)
+    assert len(K) == size and len(gens) == gen_count and set(gens) <= set(K.tolist())
+    x = np.arange(X.order)
+    # least k₁·y·k₂ over k₁, k₂ ∈ K and y ∈ {x, x⁻¹}
+    sides = [X.mul_many(X.mul_many(K[:, None, None], y[None, None, :]), K[None, :, None]) for y in (x, X.inv_many(x))]
+    want = np.minimum(*(side.min(axis=(0, 1)) for side in sides))
+    assert np.array_equal(label, want)
+    if len(K) == 1:
+        assert np.array_equal(label, np.minimum(x, X.inv_many(x)))
+
+
 @pytest.mark.parametrize(
     "window, c_size, diff_size, g, a_size",
     [(_INVOLUTION_WINDOWS[0], 3, 6, 30, 32), (_INVOLUTION_WINDOWS[1], 6, 10, 95, 48)],
@@ -173,7 +217,7 @@ def test_commutator_curve_matches_direct(p):
         direct[h] = hamming(compose(theta, rho), compose(rho, theta))
     assert len(direct) == p
     assert inst.report.commutator_curve == direct
-    assert list(inst.report.commutator_curve) == base.q.image_subgroup
+    assert list(inst.report.commutator_curve) == base.q.image_subgroup.tolist()
 
 
 def test_q_image_is_closed_once(monkeypatch):
@@ -181,34 +225,78 @@ def test_q_image_is_closed_once(monkeypatch):
     # commutator curve read it instead of closing u again
     X, base = _sl2_base(13)
     q, u = base.q, base.q.gen_images[0]
-    assert len(q.image) == 13 and q.image[:3] == [X.identity_index, u, X.mul(u, u)]
-    assert q.image_subgroup == sorted(q.image)
+    assert q.image.dtype == np.int64 and q.image_subgroup.dtype == np.int64
+    assert len(q.image) == 13 and q.image[:3].tolist() == [X.identity_index, u, X.mul(u, u)]
+    assert q.image_subgroup.tolist() == sorted(q.image.tolist())
     assert base.p.surjective and base.p.image is None  # |X| entries are not kept
     seeds = []
     closure = FinGroup.closure
     monkeypatch.setattr(FinGroup, "closure", lambda G, seed: seeds.append(seed) or closure(G, seed))
-    fam = build_swap_family(base)
-    marked = product_with_free_z(MarkedGroup.free(2), MarkedGroup.free(1))
-    report = defect_report(family_on_marked(fam, marked), fam)
-    # the closures left span greedy generators, here of the transversal and of K
-    assert len(seeds) == 2 and all(list(seed) != [u] for seed in seeds)
-    assert list(report.commutator_curve) == q.image_subgroup
+    report = defect_report(build_swap_family(base))
+    # the one closure left spans greedy generators of the transversal; K, the
+    # cyclic torus, is labelled along one generator with no closure
+    assert len(seeds) == 1 and list(seeds[0]) != [u]
+    assert list(report.commutator_curve) == q.image_subgroup.tolist()
 
 
 def test_family_relator_defects():
     X, base = _sl2_base(7)
-    fam = build_swap_family(base)
-    marked = product_with_free_z(MarkedGroup.free(2), MarkedGroup.free(1))
-    m = family_on_marked(fam, marked)
-    defs = relator_defects(m)
-    report = defect_report(m, fam)
+    report = defect_report(build_swap_family(base))
     q_gen = X.index_of(1, 2, 0, 1)
-    for rel, d in defs.items():
+    assert list(report.relator_defects) == [(1, 4, -1, -4), (2, 4, -2, -4), (3, 4, -3, -4)]
+    for rel, d in report.relator_defects.items():
         if abs(rel[0]) == 3:  # [t, lambda]: exactly the commutator curve at q(1)
             assert d == report.commutator_curve[q_gen]
         else:  # [gamma_i, lambda]: translations commute exactly
             assert d == 0
     assert report.max_commutator_defect == max(report.commutator_curve.values())
+
+
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_report_matches_evaluated_permutations(p):
+    # the report reads relators and the sofic profile off the curve and |A|;
+    # forming and composing the permutations gives the same fractions
+    inst = flagship_family(p)
+    relators, sofic = _evaluated_report(inst.family)
+    assert inst.report.relator_defects == relators
+    assert inst.report.sofic_profile == sofic
+    assert sofic[3] == Fraction(2 * len(inst.family.A), inst.X.order)
+    assert [sofic[i] for i in (1, 2, 4)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "p, defect",
+    [
+        (7, Fraction(11, 21)),
+        (13, Fraction(95, 182)),
+        (19, Fraction(11, 30)),
+        (43, Fraction(3343, 19866)),
+        (47, Fraction(4027, 25944)),
+        (53, Fraction(5149, 37206)),
+    ],
+)
+def test_t_u_relator_defect_pinned(p, defect):
+    inst = flagship_family(p)
+    assert inst.report.relator_defects[(3, 4, -3, -4)] == defect
+    assert inst.report.commutator_curve[inst.X.index_of(1, 2, 0, 1)] == defect
+
+
+def test_flagship_forms_no_permutation_of_x(monkeypatch):
+    want = flagship_family(13).report
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the flagship formed or compared a permutation of X")
+
+    modules = [m for k, m in sys.modules.items() if k == "permstab" or k.startswith("permstab.")]
+    for name in ("compose", "hamming"):
+        original = getattr(perms, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(FinGroup, "left_perm", refuse)
+    monkeypatch.setattr(FinGroup, "right_perm", refuse)
+    assert perms.hamming is refuse and groups.compose is refuse
+    assert flagship_family(13).report == want
 
 
 def test_commutator_curve_needs_one_generator_image():
@@ -217,18 +305,10 @@ def test_commutator_curve_needs_one_generator_image():
     u = X.index_of(1, 2, 0, 1)
     lam = MarkedGroup.free_abelian(2)
     q_hom = MarkedHom(lam, X, [u, X.mul(u, u)])
-    assert q_hom.image_subgroup == base.q.image_subgroup
+    assert q_hom.image_subgroup.tolist() == base.q.image_subgroup.tolist()
     fam = build_swap_family(build_bitranslation(X, base.p, q_hom))
-    m = family_on_marked(fam, product_with_free_z(MarkedGroup.free(2), lam))
     with pytest.raises(ConfigError, match=r"needs one generator image \(Λ = ℤ\); q has 2"):
-        defect_report(m, fam)
-
-
-def test_family_on_marked_arity_check():
-    _, base = _sl2_base(7)
-    fam = build_swap_family(base)
-    with pytest.raises(ConfigError):
-        family_on_marked(fam, MarkedGroup.free(2))
+        defect_report(fam)
 
 
 def test_flagship_primes():
