@@ -9,13 +9,16 @@ coset representatives, the commutator of θ with some right translation is
 provably bounded below — the family is almost multiplicative but uniformly
 far from exact homomorphisms.
 
-Everything runs on index arrays: θ is the one permutation of X formed, and
-none is composed.  `defect_report` reads each value off the curve and |A|:
-a relator without t has defect 0 (p and q are homomorphisms, and left and
-right translations commute, g·(x·h) = (g·x)·h); [t, λ] has the curve's
-value at q(λ) (d_H is bi-invariant: d_H(θRθ⁻¹R⁻¹, id) = d_H(θR, Rθ)); the
-sofic profile is 1 at a translation by g ≠ e (gx = x forces g = e) and
-2|A|/|X| at θ, which moves exactly the disjoint A ∪ gA.
+Everything runs on index arrays, in the coordinates x = z·q_j of the left
+cosets of q(Λ): one table T[j, z] = z·q_j, certified once to meet every
+x ∈ X once, carries B, the swap counts and the commutator curve.  θ is the
+one permutation of X formed, and none is composed.  `defect_report` reads
+each value off the curve and |A|: a relator without t has defect 0 (p and q
+are homomorphisms, and left and right translations commute, g·(x·h) =
+(g·x)·h); [t, λ] has the curve's value at q(λ) (d_H is bi-invariant:
+d_H(θRθ⁻¹R⁻¹, id) = d_H(θR, Rθ)); the sofic profile is 1 at a translation by
+g ≠ e (gx = x forces g = e) and 2|A|/|X| at θ, which moves exactly the
+disjoint A ∪ gA.
 """
 
 from __future__ import annotations
@@ -56,21 +59,27 @@ class BiTranslationAction:
 
     def __post_init__(self):
         if not self.p.surjective:
-            raise NotSurjectiveError("p must map onto the carrier group")
+            raise NotSurjectiveError(f"p does not map onto the carrier group {self.X.name}")
 
 
 @dataclass
 class SwapFamily:
-    """The swap permutation θ exchanging A with gA, plus its provenance
-    (A, C, Z and B as int64 arrays)."""
+    """The swap permutation θ exchanging A with gA, plus its provenance as
+    int64 arrays: A, C, B, q(Λ) in closure order Q, and the coset table
+    T[j, z] = z·Q[j], whose row 0 is Z since Q[0] = e."""
 
     base: BiTranslationAction
     A: np.ndarray
     g: int
     t_image: Perm
     C: np.ndarray
-    Z: np.ndarray
+    Q: np.ndarray
+    T: np.ndarray
     B: np.ndarray
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.T[0]
 
     @property
     def a_density(self) -> Fraction:
@@ -149,53 +158,55 @@ def build_swap_family(
     diagonal torus and R·|Z| = 68 · 1,848; a trivial K, as at the composite
     moduli measured, leaves R = (|X| + #{g: g² = e})/2.
 
-    Certified exactly, in integers: the products Z·q(Λ), which also give h,
-    meet every x ∈ X exactly once (Z is a left transversal); every
-    generator of K maps B into B, so each labelled class lies inside one
-    class KgK ∪ Kg⁻¹K; and Σ_g counts[g] = |B|², the number of pairs
-    (y, x) ∈ B², each with one quotient y·x⁻¹.
+    Certified exactly, in integers: the table T[j, z] = z·q_j meets every
+    x ∈ X once (Z is a left transversal), so B, the union of T's C rows, has
+    |Z|·|C| points; and A ∩ gA = ∅, as x = g·y with x, y ∈ A puts g·y in B,
+    against y ∈ A = B ∖ g⁻¹B.  Every generator of K maps B into B, so each
+    labelled class lies inside one class KgK ∪ Kg⁻¹K; and Σ_g counts[g] =
+    |B|², the number of pairs (y, x) ∈ B², each with one quotient y·x⁻¹.
     """
     X = base.X
     alpha, beta = window
-    q_arr = base.q.image_subgroup
-    c_arr = q_arr[: window_cardinality(len(q_arr), alpha, beta)].copy()  # not a view of q's image
-    z_arr = np.asarray(left_coset_reps(X, q_arr), dtype=np.int64)
-    b_arr = np.unique(X.mul_many(z_arr[:, None], c_arr[None, :]).ravel())
-    certify("coset translates of C overlap", z_arr.size * c_arr.size - b_arr.size, 0)
+    q_arr = X.closure(base.q.gen_images) if base.q.image is None else base.q.image
+    c_rows = np.argsort(q_arr)[: window_cardinality(len(q_arr), alpha, beta)]  # C's rows of T
+    c_arr = q_arr[c_rows]
+    T = X.mul_many(np.asarray(left_coset_reps(X, q_arr), dtype=np.int64)[None, :], q_arr[:, None])
+    misplaced = np.bincount(T.ravel(), minlength=X.order) != 1
+    certify("coset representatives are not a left transversal", int(np.count_nonzero(misplaced)), 0)
+    b_mask = np.zeros(X.order, dtype=bool)
+    b_mask[T[c_rows]] = True
+    b_arr = np.flatnonzero(b_mask)
     b_density = Fraction(b_arr.size, X.order)
     certify("|B|/|X| lies below the window", alpha, b_density)
     certify("|B|/|X| lies above the window", b_density, beta)
 
     # maximizing |B ∖ g⁻¹B| = |B| - counts[g] means minimizing counts
-    counts = _swap_counts(X, z_arr, q_arr, c_arr, b_arr)
+    counts = _swap_counts(X, T, q_arr, c_arr, b_arr)
     g = int(np.argmin(counts))  # first minimum = smallest index
 
-    b_mask = np.zeros(X.order, dtype=bool)
-    b_mask[b_arr] = True
     gb = X.mul_many(np.int64(g), b_arr)
-    a_arr = b_arr[~b_mask[gb]]  # x ∈ B with gx ∉ B
+    moved = ~b_mask[gb]
+    a_arr, ga_arr = b_arr[moved], gb[moved]  # x ∈ B with gx ∉ B, and gx
     certify("|A| disagrees with |B ∖ g⁻¹B|", abs(a_arr.size - int(b_arr.size - counts[g])), 0)
     a_density = Fraction(a_arr.size, X.order)
     lower = b_density * (1 - b_density)
     certify("|A|/|X| fell below the certified floor", lower, a_density)
     certify("the certified floor fell below 5/42", Fraction(5, 42), lower)
 
-    ga_arr = X.mul_many(np.int64(g), a_arr)
-    certify("A and gA intersect", int(np.isin(ga_arr, a_arr).sum()), 0)
     image = np.arange(X.order, dtype=np.int64)
     image[a_arr] = ga_arr
     image[ga_arr] = a_arr
-    # A and gA are disjoint sets of distinct points, so θ is an involution
-    return SwapFamily(base, a_arr, g, Perm(image, _checked=True), c_arr, z_arr, b_arr)
+    return SwapFamily(base, a_arr, g, Perm(image, _checked=True), c_arr, q_arr, T, b_arr)
 
 
 def _swap_counts(
-    X: FinGroup, z_arr: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray
+    X: FinGroup, T: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray
 ) -> np.ndarray:
     """counts[g] = |B ∩ g⁻¹B| at every g ∈ X, B = Z·C, as one int64 array:
     Σ_z W[r·z] at the least element r of each class KgK ∪ Kg⁻¹K
     (`build_swap_family` has the proof and the certificates)."""
-    W = _coset_weights(X, z_arr, q_arr, c_arr)
+    z_arr = T[0]
+    W = _coset_weights(X, T, q_arr, c_arr)
     b_mask = np.zeros(X.order, dtype=bool)
     b_mask[b_arr] = True
     gens, label = _double_coset_labels(X, _stabilizer(X, z_arr, W, len(c_arr)))
@@ -239,19 +250,14 @@ def _double_coset_labels(X: FinGroup, K: np.ndarray) -> Tuple[List[int], np.ndar
     return gens, fold[label]
 
 
-def _coset_weights(
-    X: FinGroup, z_arr: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray
-) -> np.ndarray:
-    """W[x] = #{c ∈ C: h(x)·c ∈ C} at every x = z·h(x), after certifying that
-    the products Z·q(Λ) meet every element of X exactly once."""
-    prods = X.mul_many(z_arr[:, None], q_arr[None, :])
-    misplaced = np.bincount(prods.ravel(), minlength=X.order) != 1
-    certify("coset representatives are not a left transversal", int(np.count_nonzero(misplaced)), 0)
+def _coset_weights(X: FinGroup, T: np.ndarray, q_arr: np.ndarray, c_arr: np.ndarray) -> np.ndarray:
+    """W[x] = #{c ∈ C: h(x)·c ∈ C} at every x = z·h(x), read through the
+    coset table T[j, z] = z·q_j, whose row j holds the x with h(x) = q_j."""
     c_mask = np.zeros(X.order, dtype=bool)
     c_mask[c_arr] = True
     per_h = np.count_nonzero(c_mask[X.mul_many(q_arr[:, None], c_arr[None, :])], axis=1)
     W = np.empty(X.order, dtype=np.min_scalar_type(len(c_arr)))
-    W[prods] = per_h  # row z of prods is z·q(Λ), so column j holds the x with h(x) = q_j
+    W[T] = per_h[:, None]
     return W
 
 
@@ -277,12 +283,12 @@ def _stabilizer(X: FinGroup, z_arr: np.ndarray, W: np.ndarray, c_size: int) -> n
 def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
     """Exact defect of [θ, right-translation by h] for every h in q(Λ) = ⟨u⟩.
 
-    q(Λ) is listed as u's powers e, u, …, u^(m−1), and X in coset
-    coordinates x = z·u^j: one (m, |Z|) table T[j, z] = z·u^j, certified to
-    meet every x ∈ X exactly once, gives x the coordinate c(x) = j·|Z| + z.
-    R_h: x ↦ x·h for h = u^k moves z·u^j to z·u^(j+k mod m), row j of the
-    table to row j + k mod m.  Each defect is computed twice, and the two
-    must agree exactly:
+    X is read in the family's coset table T[j, z] = z·u^j, whose rows run
+    through u's powers e, u, …, u^(m−1) and which `build_swap_family`
+    certified to meet every x ∈ X once: x has the coordinate c(x) = j·|Z| + z.
+    R_h: x ↦ x·h for h = u^k moves z·u^j to z·u^(j+k mod m), row j of T to
+    row j + k mod m.  Each defect is computed twice, and the two must agree
+    exactly:
 
     - directly, as d(θ∘R_h, R_h∘θ).  One int32 key per point,
       D[j, z] = (c(θ(z·u^j)) − j·|Z|) mod |X| = ((j′ − j) mod m)·|Z| + z′ for
@@ -297,38 +303,33 @@ def _commutator_curve(fam: SwapFamily) -> Dict[int, Fraction]:
       entries where M and M with its rows shifted by k are both set; it is
       |S| at k = 0, and |S ∖ S·u^k| = |S| − #{x ∈ S: x·u^k ∈ S}.
 
-    No R_h, inverse or composition is formed.  Needs q to have one
-    generator image (Λ = ℤ), else ConfigError.
+    No R_h, inverse, composition or array product is formed; gA is θ's
+    image of A.  Needs q to have one generator image (Λ = ℤ), else
+    ConfigError.
     """
-    X = fam.base.X
+    X, T, theta = fam.base.X, fam.T, fam.t_image.image
     gens = fam.base.q.gen_images
     if len(gens) != 1:
         raise ConfigError(f"the commutator curve needs one generator image (Λ = ℤ); q has {len(gens)}")
-    image = fam.base.q.image  # e, u, …, u^(m−1), or None when q is onto X
-    powers = X.closure(gens) if image is None else image
-    m, width = len(powers), len(fam.Z)
-    T = X.mul_many(fam.Z[None, :], powers[:, None]).ravel()
-    misplaced = np.bincount(T, minlength=X.order) != 1
-    certify("the coset coordinates z·u^j are not a bijection onto X", int(np.count_nonzero(misplaced)), 0)
+    m, width = T.shape
     coord = np.empty(X.order, dtype=np.int64)
-    coord[T] = np.arange(X.order)
-    D = coord[fam.t_image.image[T]].reshape(m, width) - (np.arange(m) * width)[:, None]
-    D = (D % X.order).astype(np.int32)
+    coord[T] = np.arange(X.order).reshape(m, width)
+    D = ((coord[theta[T]] - (np.arange(m) * width)[:, None]) % X.order).astype(np.int32)
     a_mask, u_mask = np.zeros((2, X.order), dtype=bool)
-    a_mask[fam.A] = u_mask[fam.A] = u_mask[X.mul_many(np.int64(fam.g), fam.A)] = True
+    a_mask[fam.A] = u_mask[fam.A] = u_mask[theta[fam.A]] = True
 
     def shifted(v: np.ndarray, same) -> np.ndarray:
         """#{entries where same(v with its rows shifted by k, v)} for every k < m."""
         twice = np.concatenate([v, v])  # row j + k is v's row j + k mod m
         return np.array([np.count_nonzero(same(twice[k : k + m], v)) for k in range(m)])
 
-    a_hits, u_hits = (shifted(s[T].reshape(m, width), np.logical_and) for s in (a_mask, u_mask))
+    a_hits, u_hits = (shifted(s[T], np.logical_and) for s in (a_mask, u_mask))
     a_loss, u_loss = a_hits[0] - a_hits, u_hits[0] - u_hits  # |S ∖ S·u^k|
     # |X|·defect is 2|U ∖ Uh| when g² = e, else 2|A ∖ Ah| + |U ∖ Uh|
     rest = u_loss if X.mul(fam.g, fam.g) == X.identity_index else 2 * a_loss
     moved = shifted(D, np.not_equal)
     curve = {}
-    for h, direct, closed in zip(powers.tolist(), moved.tolist(), (u_loss + rest).tolist()):
+    for h, direct, closed in zip(fam.Q.tolist(), moved.tolist(), (u_loss + rest).tolist()):
         curve[h] = Fraction(direct, X.order)
         certify(f"closed-form defect disagrees at h={h}", abs(Fraction(closed, X.order) - curve[h]), 0)
     return dict(sorted(curve.items()))
@@ -382,8 +383,6 @@ def flagship_family(
     """
     X = sl2_mod(p)
     p_hom = MarkedHom(MarkedGroup.free(2), X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
-    if not p_hom.surjective:
-        raise NotSurjectiveError(f"F2 generators do not cover SL2(Z/{p}Z)")
     q_hom = MarkedHom(MarkedGroup.free(1), X, [X.index_of(1, 2, 0, 1)])
     fam = build_swap_family(build_bitranslation(X, p_hom, q_hom), window=window)
     report = defect_report(fam)

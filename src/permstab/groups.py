@@ -50,7 +50,6 @@ a group here supplies; `spectral` splits the Kazhdan blocks by it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -704,11 +703,6 @@ class MarkedHom:
         image = self.target.closure(self.gen_images)
         self.surjective = len(image) == self.target.order
         self.image = None if self.surjective else image
-
-    @functools.cached_property
-    def image_subgroup(self) -> np.ndarray:
-        """The image ⟨gen_images⟩, sorted, as int64; built on first read."""
-        return np.arange(self.target.order) if self.image is None else np.sort(self.image)
 
     def evaluate(self, word: Sequence[int]) -> int:
         x = self.target.identity_index

@@ -287,7 +287,7 @@ def test_criterion_7_distance_floor():
             assert inst.floor >= Fraction(1, 252)
             X = inst.X
             theta = inst.family.t_image
-            rhos = [X.right_perm(X.inv(h)) for h in inst.family.base.q.image_subgroup]
+            rhos = [X.right_perm(X.inv(h)) for h in np.sort(inst.family.base.q.image)]
             # sampled permutations commuting exactly with every right
             # translation: left translations (and the identity)
             samples = [X.identity_index, 1, X.generators[0], X.order // 2]

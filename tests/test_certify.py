@@ -51,16 +51,48 @@ FAULTS = {
         "families.flagship_family(7)\n",  # |C| = 2 of 7: |B|/|X| = 2/7 > 1/6
         "|B|/|X| lies above the window",
     ),
+    "families_below": (
+        "from permstab import families\n"
+        "families.window_cardinality = lambda order, alpha, beta: 0\n"
+        "families.flagship_family(7)\n",  # C = B = ∅
+        "|B|/|X| lies below the window",
+    ),
     "families_transversal": (
         "from permstab import families\n"
         "reps = families.left_coset_reps\n"
         "def moved(X, H):  # Z[1] moves into Z[0]'s coset: Z[0]·u\n"
         "    Z = reps(X, H)\n"
-        "    u = sorted(H)[1]  # at p = 7, C = {e}, so uC and C are disjoint\n"
-        "    return [Z[0], X.mul(Z[0], u)] + Z[2:]\n"
-        "families.left_coset_reps = moved  # B = Z·C has no overlap and keeps its size\n"
+        "    return [Z[0], X.mul(Z[0], sorted(H)[1])] + Z[2:]\n"
+        "families.left_coset_reps = moved\n"
         "families.flagship_family(7)\n",
         "coset representatives are not a left transversal",
+    ),
+    "families_a_size": (
+        "from permstab import families\n"
+        "swap_counts = families._swap_counts\n"
+        "families._swap_counts = lambda *args: swap_counts(*args) - 1  # same argmin g\n"
+        "families.flagship_family(7)\n",
+        "|A| disagrees with |B ∖ g⁻¹B|",
+    ),
+    "families_a_floor": (
+        "import numpy as np\n"
+        "from permstab import families\n"
+        "swap_counts = families._swap_counts\n"
+        "def at_identity(X, *args):  # g = e, so A = B ∖ B = ∅, as counts[e] = |B| says\n"
+        "    counts = swap_counts(X, *args)\n"
+        "    e = X.identity_index\n"
+        "    out = np.full_like(counts, counts[e] + 1)\n"
+        "    out[e] = counts[e]\n"
+        "    return out\n"
+        "families._swap_counts = at_identity\n"
+        "families.flagship_family(7)\n",
+        "|A|/|X| fell below the certified floor",
+    ),
+    "families_floor": (
+        "from fractions import Fraction\n"
+        "from permstab import families\n"
+        "families.flagship_family(43, window=(Fraction(1, 100), Fraction(1, 20)))\n",  # |B|/|X| = 1/43
+        "the certified floor fell below 5/42",
     ),
     "families_weights": (
         "from permstab import families\n"
@@ -88,15 +120,7 @@ FAULTS = {
         "fam = families.flagship_family(7).family\n"
         "fam.A = fam.A[1:]  # θ still swaps the dropped point with its g-translate\n"
         "families._commutator_curve(fam)\n",
-        "closed-form defect disagrees",
-    ),
-    "families_coordinates": (
-        "import numpy as np\n"
-        "from permstab import families\n"
-        "fam = families.flagship_family(7).family\n"
-        "fam.Z = np.concatenate([fam.Z[:1], fam.Z[:-1]])  # Z[0]'s coset twice, the last coset never\n"
-        "families._commutator_curve(fam)\n",
-        "the coset coordinates z·u^j are not a bijection onto X",
+        "closed-form defect disagrees at h=",
     ),
     "almost_invariant": (
         "import numpy as np\n"
@@ -152,6 +176,21 @@ FAULTS = {
         "the Cholesky certificate refuses a block",
     ),
 }
+
+
+def test_every_families_certificate_has_a_fault():
+    # each certify(...) name in families.py, an f-string by its leading
+    # constant, starts the expected message of some FAULTS case
+    names = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "permstab" / "families.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify":
+            name = node.args[0]
+            name = name.values[0] if isinstance(name, ast.JoinedStr) else name
+            assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(node)
+            names.append(name.value)
+    assert len(names) >= 9
+    expected = [message for _, message in FAULTS.values()]
+    assert [n for n in names if not any(m.startswith(n) for m in expected)] == []
 
 
 @pytest.mark.parametrize("module", sorted(FAULTS))

@@ -117,25 +117,51 @@ _INVOLUTION_WINDOWS = [
 def test_swap_family_matches_brute_force(carrier, window):
     X, base = _sl2_base(*carrier)
     fam = build_swap_family(base, window=window)
-    Z, Q, C, B = (
-        np.asarray(v, dtype=np.int64) for v in (fam.Z, base.q.image_subgroup, fam.C, fam.B)
-    )
+    B = fam.B
     # reference: counts[g] = |B ∩ g⁻¹B| from all |B|² quotients y·x⁻¹
     counts = np.bincount(
         X.mul_many(B[:, None], X.inv_many(B)[None, :]).ravel(), minlength=X.order
     )
-    got = _swap_counts(X, Z, Q, C, B)
+    got = _swap_counts(X, fam.T, fam.Q, fam.C, B)
     assert got.dtype == np.int64 and np.array_equal(got, counts)
     assert fam.g == int(np.argmin(counts))
     assert len(fam.A) == len(fam.B) - int(counts.min())
+    # the coset table T[j, z] = z·q_j, q(Λ) in closure order: Z is its row 0,
+    # C the |C| least elements of q(Λ) and B the union of T's C rows
+    assert fam.Q.tolist() == base.q.image.tolist() and fam.Q[0] == X.identity_index
+    assert fam.T.shape == (len(fam.Q), len(fam.Z)) and np.array_equal(fam.Z, fam.T[0])
+    for j, h in enumerate(fam.Q.tolist()):
+        assert fam.T[j].tolist() == [X.mul(z, h) for z in fam.Z.tolist()]
+    assert fam.C.tolist() == sorted(fam.Q.tolist())[: len(fam.C)]
+    rows = [fam.Q.tolist().index(c) for c in fam.C.tolist()]
+    assert B.tolist() == sorted(fam.T[rows].ravel().tolist())
+
+
+@pytest.mark.parametrize("p", [7, 13, 19])
+def test_two_generator_q_builds_the_same_family(p):
+    # Λ = ℤ² with both generators sent into ⟨u⟩: the rows of T come in BFS
+    # order, and the family is the one q = [u] gives
+    X, base = _sl2_base(p)
+    u = X.index_of(1, 2, 0, 1)
+    q2 = MarkedHom(MarkedGroup.free_abelian(2), X, [u, X.mul(u, u)])
+    one, two = build_swap_family(base), build_swap_family(build_bitranslation(X, base.p, q2))
+    for name in ("Z", "C", "B", "A"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert one.g == two.g
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_flagship_family_needs_surjective_p(p):
+    # the Sanov pair [[1,2],[0,1]], [[1,0],[2,1]] is trivial mod 2 and spans a proper subgroup mod 4
+    with pytest.raises(NotSurjectiveError, match=rf"onto the carrier group sl2\({p}\)$"):
+        flagship_family(p)
 
 
 @pytest.mark.parametrize("p", [7, 13, 19])
 def test_stabilizer_of_b_is_the_diagonal_torus(p):
     X, base = _sl2_base(p)
     fam = build_swap_family(base)
-    Z, Q, C = (np.asarray(v, dtype=np.int64) for v in (fam.Z, base.q.image_subgroup, fam.C))
-    K = _stabilizer(X, Z, _coset_weights(X, Z, Q, C), len(C))
+    K = _stabilizer(X, fam.Z, _coset_weights(X, fam.T, fam.Q, fam.C), len(fam.C))
     torus = sorted(X.index_of(lam, 0, 0, pow(lam, -1, p)) for lam in range(1, p))
     assert K.tolist() == torus
     b_mask = np.zeros(X.order, dtype=bool)
@@ -152,8 +178,7 @@ def _labeller_cases():
     yield X, np.array(sorted(X.index_of(lam, 0, 0, pow(lam, -1, 7)) for lam in range(1, 7))), 6, 1
     X, base = _sl2_base(*_INVOLUTION_CARRIER)
     fam = build_swap_family(base, window=_INVOLUTION_WINDOWS[0])
-    Q, C = base.q.image_subgroup, fam.C
-    yield X, _stabilizer(X, fam.Z, _coset_weights(X, fam.Z, Q, C), len(C)), 1, 1
+    yield X, _stabilizer(X, fam.Z, _coset_weights(X, fam.T, fam.Q, fam.C), len(fam.C)), 1, 1
     X = sl2_mod(5)
     i = X.index_of(0, 4, 1, 0)
     order4 = [x for x in X.elements() if X.element_order(x) == 4]
@@ -212,12 +237,12 @@ def test_commutator_curve_matches_direct(p):
     inst = flagship_family(p)
     base, theta = inst.family.base, inst.family.t_image
     direct = {}
-    for h in base.q.image_subgroup:
+    for h in np.sort(base.q.image):
         rho = base.X.right_perm(base.X.inv(h))
         direct[h] = hamming(compose(theta, rho), compose(rho, theta))
     assert len(direct) == p
     assert inst.report.commutator_curve == direct
-    assert list(inst.report.commutator_curve) == base.q.image_subgroup.tolist()
+    assert list(inst.report.commutator_curve) == np.sort(base.q.image).tolist()
 
 
 def test_q_image_is_closed_once(monkeypatch):
@@ -225,9 +250,8 @@ def test_q_image_is_closed_once(monkeypatch):
     # commutator curve read it instead of closing u again
     X, base = _sl2_base(13)
     q, u = base.q, base.q.gen_images[0]
-    assert q.image.dtype == np.int64 and q.image_subgroup.dtype == np.int64
+    assert q.image.dtype == np.int64
     assert len(q.image) == 13 and q.image[:3].tolist() == [X.identity_index, u, X.mul(u, u)]
-    assert q.image_subgroup.tolist() == sorted(q.image.tolist())
     assert base.p.surjective and base.p.image is None  # |X| entries are not kept
     seeds = []
     closure = FinGroup.closure
@@ -236,7 +260,7 @@ def test_q_image_is_closed_once(monkeypatch):
     # the one closure left spans greedy generators of the transversal; K, the
     # cyclic torus, is labelled along one generator with no closure
     assert len(seeds) == 1 and list(seeds[0]) != [u]
-    assert list(report.commutator_curve) == q.image_subgroup.tolist()
+    assert list(report.commutator_curve) == np.sort(q.image).tolist()
 
 
 def test_family_relator_defects():
@@ -305,7 +329,7 @@ def test_commutator_curve_needs_one_generator_image():
     u = X.index_of(1, 2, 0, 1)
     lam = MarkedGroup.free_abelian(2)
     q_hom = MarkedHom(lam, X, [u, X.mul(u, u)])
-    assert q_hom.image_subgroup.tolist() == base.q.image_subgroup.tolist()
+    assert np.sort(q_hom.image).tolist() == np.sort(base.q.image).tolist()
     fam = build_swap_family(build_bitranslation(X, base.p, q_hom))
     with pytest.raises(ConfigError, match=r"needs one generator image \(Λ = ℤ\); q has 2"):
         defect_report(fam)
@@ -334,7 +358,7 @@ def test_commuting_distance_floor_vs_samples():
     theta = inst.family.t_image
     for x in [X.identity_index, 1, 17, X.generators[0]]:
         psi = X.left_perm(x)
-        for h in inst.family.base.q.image_subgroup:
+        for h in np.sort(inst.family.base.q.image):
             rho = X.right_perm(X.inv(h))
             assert compose(psi, rho) == compose(rho, psi)
         assert hamming(theta, psi) >= floor
