@@ -42,6 +42,34 @@ def test_no_assert_in_src(path):
     assert not lines, f"{path.name}: assert at lines {lines}; use errors.certify"
 
 
+# (ℤ/2)⁶ inside Y = X + 4 points; K conjugates its right translations by the
+# swap of X's last point with Y's first point outside X, so ε = 3/64 and the
+# pipeline recovers it with set loss 1 and displacement 1, at κ = 2
+_Z2_6 = (
+    "import numpy as np\n"
+    "from fractions import Fraction\n"
+    "from permstab import rounding\n"
+    "from permstab.groups import cyclic, direct_product, right_regular\n"
+    "from permstab.perms import Perm\n"
+    "G = cyclic(2)\n"
+    "for _ in range(5):\n"
+    "    G = direct_product(G, cyclic(2))\n"
+    "tau = np.r_[0:63, 64, 63, 65:68]\n"
+    "gens = [Perm(tau[np.r_[right_regular(G).rows[g], 64:68]][tau]) for g in G.generators]\n"
+)
+# the action of ℤ/2 on {0}, {1, 2}, {3, 4}, {5} and a φ that matches {5} and
+# sends it to {0}, leaving {0}, {1, 2}, {3, 4} on one side and {1, 2}, {3, 4},
+# {5} on the other
+_C2_ORBITS = (
+    "import numpy as np\n"
+    "from permstab import rounding\n"
+    "from permstab.groups import PermAction, cyclic\n"
+    "from permstab.perms import Perm\n"
+    "G = cyclic(2)\n"
+    "act = PermAction(G, np.array([[0, 1, 2, 3, 4, 5], [0, 2, 1, 4, 3, 5]]))\n"
+    "phi = Perm([2, 5, 4, 1, 3, 0])\n"
+)
+
 # Each case injects one fault into a module under python -O and expects the
 # certificate that catches it.
 FAULTS = {
@@ -122,6 +150,116 @@ FAULTS = {
         "families._commutator_curve(fam)\n",
         "closed-form defect disagrees at h=",
     ),
+    "rounding_translation": (
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import nearest_right_translation\n"
+        "nearest_right_translation(cyclic(6), [1], Perm([3, 4, 1, 2, 5, 0]), kappa_lower=2.0)\n",
+        "right-translation bound violated",  # κ(ℤ/6, {1}) = 1, not 2
+    ),
+    "rounding_invariant": (
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import extract_conjugacy\n"
+        "a1 = [Perm([0, 1, 2]), Perm([1, 2, 0])]  # α₁(1)² ≠ id: not an action of ℤ/2\n"
+        "a2 = [Perm([0, 1, 2]), Perm([2, 1, 0])]\n"
+        "extract_conjugacy(cyclic(2), a1, a2, verify_actions=False)\n",  # X1 = {2}, α₁(1)·2 = 0
+        "X1 is not invariant",
+    ),
+    "rounding_equivariance": (
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import extract_conjugacy\n"
+        "a1 = [Perm([0, 1, 2]), Perm([1, 0, 2]), Perm([0, 1, 2])]  # not actions of ℤ/3\n"
+        "a2 = [Perm([0, 1, 2]), Perm([1, 2, 0]), Perm([0, 2, 1])]\n"
+        "extract_conjugacy(cyclic(3), a1, a2, verify_actions=False)\n",
+        "equivariance φ∘α₁(k) = α₂(k)∘φ fails on X1",
+    ),
+    "rounding_census": (
+        _C2_ORBITS
+        + "rounding._orbit_type = lambda fixes, orbit: (orbit[0],)  # every orbit its own type\n"
+        "rounding.commuting_extension(G, act, phi)\n",
+        "orbit-type censuses of the leftover parts disagree",
+    ),
+    "rounding_stabilizers": (
+        _C2_ORBITS
+        + "rounding._orbit_type = lambda fixes, orbit: ()  # one type: {1, 2} meets {0}\n"
+        "rounding.commuting_extension(G, act, phi)\n",
+        "orbit stabilizers are not conjugate",
+    ),
+    "rounding_orbit": (
+        _C2_ORBITS
+        + "orbits = rounding._orbits\n"
+        "rounding._orbits = lambda action: [o[::-1] for o in orbits(action)]  # unsorted\n"
+        "rounding.commuting_extension(G, act, phi)\n",
+        "the orbit of a1 is not o1",
+    ),
+    "rounding_transport": (
+        "import numpy as np\n"
+        "from permstab import rounding\n"
+        "from permstab.groups import PermAction, group_from_perm_generators\n"
+        "from permstab.perms import Perm\n"
+        "S3 = group_from_perm_generators([Perm([1, 2, 0]), Perm([1, 0, 2])])\n"
+        "relabel = np.array([1, 0, 2])  # 3 + i is the point relabel[i] of a second copy\n"
+        "second = 3 + np.argsort(relabel)[S3.rows[:, relabel]]\n"
+        "fixed = np.full((6, 1), 6)\n"
+        "act = PermAction(S3, np.hstack([S3.rows, second, fixed, fixed + 1]))\n"
+        "e = S3.identity_index\n"
+        "rounding._conjugator = lambda *args: e  # Stab(0) ≠ Stab(3)\n"
+        "rounding.commuting_extension(S3, act, Perm([4, 1, 5, 3, 2, 0, 6, 7]))\n",
+        "the transported orbit is not o2",
+    ),
+    "rounding_commute": (
+        "from permstab import rounding\n"
+        "from permstab.groups import cyclic, left_regular\n"
+        "from permstab.perms import Perm\n"
+        "bijection = rounding._equivariant_orbit_bijection\n"
+        "rounding._equivariant_orbit_bijection = lambda *args: bijection(*args)[::-1]\n"
+        "G = cyclic(3)  # φ conjugates the rotation to its inverse, so X1 = ∅\n"
+        "rounding.commuting_extension(G, left_regular(G), Perm([1, 0, 2]))\n",
+        "extension fails to commute with the action",
+    ),
+    "rounding_extension_bound": (
+        "from permstab import rounding\n"
+        "from permstab.groups import cyclic, left_regular\n"
+        "extract = rounding.extract_conjugacy\n"
+        "def unmatched(*args, **kwargs):  # X1 = ∅, so ψ is the identity\n"
+        "    res = extract(*args, **kwargs)\n"
+        "    res.X1 = []\n"
+        "    return res\n"
+        "rounding.extract_conjugacy = unmatched\n"
+        "G = cyclic(8)\n"
+        "rounding.commuting_extension(G, left_regular(G), G.right_perm(5))\n",
+        "commuting-extension distance bound violated",  # ε = 0
+    ),
+    "rounding_k0": (
+        "import numpy as np\n"
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import rigidity_pipeline\n"
+        "a = Perm(np.r_[14:21, 7:14, 0:7, 21:28])  # swaps X's [0, 7) out\n"
+        "b = Perm(np.r_[0:7, 21:28, 14:21, 7:14])  # swaps X's [7, 14) out: ab ∉ K₀\n"
+        "rigidity_pipeline(cyclic(14), [1], 28, [a, b], kappa_lower=2.0)\n",
+        "K₀ failed to close into a subgroup",  # ε = 1/14 passes only as κ(ℤ/14, {1}) is overstated
+    ),
+    "rounding_zero_defect": (
+        _Z2_6
+        + "rounding._measure_epsilon = lambda *args: Fraction(0)\n"
+        "rounding.rigidity_pipeline(G, list(range(1, 64)), 68, gens, kappa_lower=2.0)\n",
+        "zero-defect instance must be recovered exactly",
+    ),
+    "rounding_set_loss": (
+        _Z2_6
+        + "rounding._measure_epsilon = lambda *args: Fraction(1, 10**6)  # 4162·ε·64/16 < 1\n"
+        "rounding.rigidity_pipeline(G, list(range(1, 64)), 68, gens, kappa_lower=2.0)\n",
+        "set-loss bound (4162/κ⁴) violated",
+    ),
+    "rounding_displacement": (
+        _Z2_6
+        + "rounding._measure_epsilon = lambda *args: Fraction(1, 10**4)  # 2048·ε·64/16 < 1\n"
+        "rounding.rigidity_pipeline(G, list(range(1, 64)), 68, gens, kappa_lower=2.0)\n",
+        "displacement bound (2048/κ⁴) violated",  # while 4162·ε·64/16 > 1
+    ),
     "almost_invariant": (
         "import numpy as np\n"
         "from permstab import almost_invariant\n"
@@ -157,6 +295,17 @@ FAULTS = {
         "spectral.kazhdan_bracket(X, X.generators)\n",
         "the coordinates φ^f(R_C)·h^e are not a bijection onto G",
     ),
+    "spectral_closure": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "X = sl2_mod(8)\n"
+        "order = X.element_order\n"
+        "def claimed(g, within=None):  # every φ of the extended quotient claims order 1 modulo H\n"
+        "    return order(g) if within is None else order(g, within) ** 0\n"
+        "X.element_order = claimed\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",  # so φ^r(r_c) = r_c·h^e0 fails
+        "the coordinates φ^f(R_C)·h^e are not a bijection onto G",
+    ),
     "spectral_commutation": (
         "from permstab import spectral\n"
         "from permstab.groups import sl2_mod\n"
@@ -178,19 +327,30 @@ FAULTS = {
 }
 
 
-def test_every_families_certificate_has_a_fault():
-    # each certify(...) name in families.py, an f-string by its leading
-    # constant, starts the expected message of some FAULTS case
+# Bounds that no fault reaches through a seam.  Each carries a constant of the
+# paper, so it stays in src/ and runs on every call.  Both 16ε bounds of
+# extract_conjugacy hold with 2ε for any rows that are permutations: x ∉ X1,
+# or φ(x) ≠ x, needs α₁(k)x ≠ α₂(k)x for at least half of the k.
+UNREACHED = ("conjugacy set-loss bound violated", "displacement bound violated")
+
+
+@pytest.mark.parametrize(
+    "module, count", [("families.py", 9), ("rounding.py", 15)], ids=["families.py", "rounding.py"]
+)
+def test_every_certificate_has_a_fault(module, count):
+    # each certify(...) name, an f-string by its leading constant, starts the
+    # expected message of some FAULTS case or is an UNREACHED bound
     names = []
-    for node in ast.walk(ast.parse((ROOT / "src" / "permstab" / "families.py").read_text())):
+    for node in ast.walk(ast.parse((ROOT / "src" / "permstab" / module).read_text())):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify":
             name = node.args[0]
             name = name.values[0] if isinstance(name, ast.JoinedStr) else name
             assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(node)
             names.append(name.value)
-    assert len(names) >= 9
+    assert len(names) >= count
     expected = [message for _, message in FAULTS.values()]
-    assert [n for n in names if not any(m.startswith(n) for m in expected)] == []
+    missed = {n for n in names if not any(m.startswith(n) for m in expected)}
+    assert missed == set(UNREACHED) & set(names)
 
 
 @pytest.mark.parametrize("module", sorted(FAULTS))

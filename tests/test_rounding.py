@@ -4,6 +4,7 @@ and the full pipeline, cross-checked against brute-force minima."""
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -547,3 +548,46 @@ def test_measure_epsilon_matches_loop(y_extra, moved):
     K = group_from_perm_generators(k_gens)
     for S in ([1], [1, 4, 4]):
         assert _measure_epsilon(C, S, K, 9) == _measure_epsilon_loop(C, S, K, 9)
+
+
+@pytest.mark.parametrize("case", ["cyclic-wide-s", "cyclic-many-k"])
+def test_measure_epsilon_chunks_match_loop(case):
+    # K conjugates a right translation of ℤ/200 by the swap of X's last point
+    # with Y's first point outside X, so kx ∉ X for some x
+    G, h, S = {
+        "cyclic-wide-s": (cyclic(200), 50, list(range(1, 200))),  # |S|·|X| > CHUNK_ENTRIES
+        "cyclic-many-k": (cyclic(200), 1, [1, 3]),  # |K|·|X| > CHUNK_ENTRIES
+    }[case]
+    y_size = G.order + 4
+    tau = swap(y_size, G.order - 1, G.order)
+    K = group_from_perm_generators([compose(tau, compose(_embed(_beta(G, h), y_size), tau))])
+    assert (K.rows[:, : G.order] >= G.order).any()
+    eps = _measure_epsilon(G, S, K, G.order)  # first, so that lazy imports are not traced
+    assert eps == _measure_epsilon_loop(G, S, K, G.order) > 0
+    tracemalloc.start()
+    try:
+        _measure_epsilon(G, S, K, G.order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every temporary stays within CHUNK_ENTRIES int64 entries, a few at a time
+    assert peak <= 6 * 8 * groups.CHUNK_ENTRIES
+
+
+def test_pipeline_proves_each_fact_once(monkeypatch):
+    # the actions, δ and K₀'s inverses are certified by what comes before them
+    calls = {"PermAction.verify": 0, "GroupHom.verify": 0, "PermGroup.inv_many": 0}
+    for cls, name in ((groups.PermAction, "verify"), (groups.GroupHom, "verify"),
+                      (groups.PermGroup, "inv_many")):
+        def counted(*args, _key=f"{cls.__name__}.{name}", _fn=getattr(cls, name)):
+            calls[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    G = _z2k(6)
+    y_size = G.order + 4
+    tau = swap(y_size, G.order - 1, G.order)
+    k_gens = [compose(tau, compose(_embed(_beta(G, g), y_size), tau)) for g in G.generators]
+    res = rigidity_pipeline(G, list(range(1, G.order)), y_size, k_gens, kappa_lower=2.0)
+    assert res.set_loss == res.displacement == 1
+    assert calls == {"PermAction.verify": 0, "GroupHom.verify": 1, "PermGroup.inv_many": 0}
