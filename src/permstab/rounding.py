@@ -13,11 +13,15 @@ Four algorithms, in increasing ambition:
     bijection, with certified constants 4162/κ⁴ and 2048/κ⁴.
 
 The pipeline closes K once, reads K₀'s rows from it for δ, the invariant
-rounding of X and both K₀-actions, and certifies each fact once.  One kernel,
-`_translation_defects`, counts the translation defect of ε and of δ off
-r(y) = y⁻¹·φ(y), as φ(gx) = g·φ(x) exactly when r(gx) = r(x); no temporary
-of it exceeds groups.CHUNK_ENTRIES entries.  commuting_extension reads every
-stabilizer from one fixed-point matrix, action.rows == arange(n).
+rounding of X and both K₀-actions, and certifies each fact once.  K₀ is
+proven a subgroup on the columns K₀·s of greedily chosen generators s, never
+on its |K₀|² product table: e ∈ K₀ and K₀·S₀ ⊆ K₀ put every word in S₀
+inside K₀, so ⟨S₀⟩ ⊆ K₀, and ⟨S₀⟩, reached by a BFS over the columns,
+covers K₀; so K₀ = ⟨S₀⟩, at |K₀|·|S₀| products with |S₀| <= log₂|K₀|.
+One kernel, `_translation_defects`, counts the translation defect of ε and
+of δ off r(y) = y⁻¹·φ(y), as φ(gx) = g·φ(x) exactly when r(gx) = r(x); no
+temporary of it exceeds groups.CHUNK_ENTRIES entries.  commuting_extension
+reads every stabilizer from one fixed-point matrix, action.rows == arange(n).
 
 All set losses and displacements are counted exactly; the Kazhdan constant
 enters only through its certified lower bound, which is conservative.  Every
@@ -41,7 +45,7 @@ from .groups import (
     FinGroup,
     GroupHom,
     PermAction,
-    TableGroup,
+    PermGroup,
     group_from_perm_generators,
     rows_per_chunk,
     _orbits,
@@ -354,6 +358,41 @@ def _complete_to_perms(k_rows: np.ndarray, n_x: int) -> np.ndarray:
     return out
 
 
+def _subgroup_on_columns(K: PermGroup, k0: np.ndarray) -> PermGroup:
+    """K₀ = the elements k0 of K (increasing) as a PermGroup numbered by
+    position in k0, with its generators S₀ recorded as proven; raises
+    CertificateError "K₀ failed to close into a subgroup" when it is not one.
+
+    pos maps each element of K to its position in k0, or to −1.  The
+    positions are walked in increasing order, and each one the span so far
+    has not reached becomes a generator s, whose column pos[k0·s] is formed
+    once: |K₀|·|S₀| products, |S₀| <= log₂|K₀| as each generator at least
+    doubles the span.  A −1 in a column refutes closure.  The span grows by
+    a BFS over the columns, index gathers only.  Proof: e ∈ K₀ and
+    K₀·S₀ ⊆ K₀ put every word in S₀ inside K₀, so ⟨S₀⟩ ⊆ K₀; the BFS
+    reaches exactly ⟨S₀⟩, and it covers K₀, so K₀ = ⟨S₀⟩, a subgroup.
+    """
+    pos = np.full(K.order, -1, dtype=np.int64)
+    pos[k0] = np.arange(k0.size)
+    e = int(pos[K.identity_index])
+    certify("K₀ failed to close into a subgroup", int(e < 0), 0)
+    reached = np.zeros(k0.size, dtype=bool)
+    reached[e] = True
+    gens, cols = [], []
+    while not reached.all():
+        s = int(np.argmin(reached))  # the first position outside the span
+        col = pos[K.mul_many(k0, np.int64(k0[s]))]  # position i: k0[i]·s
+        certify("K₀ failed to close into a subgroup", int(np.count_nonzero(col < 0)), 0)
+        gens.append(s)
+        cols.append(col)
+        letters, frontier = np.stack(cols), np.flatnonzero(reached)
+        while frontier.size:
+            new = letters[:, frontier].ravel()
+            frontier = np.unique(new[~reached[new]])
+            reached[frontier] = True
+    return PermGroup(K.rows[k0], gens, name="K0", proven=True)
+
+
 def rigidity_pipeline(
     G: FinGroup,
     S: Sequence[int],
@@ -366,8 +405,11 @@ def rigidity_pipeline(
     X = G sits inside Y as the indices {0,…,|G|−1}; K < Sym(Y) is the closure
     of K_gens.  Requires the measured defect ε < κ⁴/200 (certified κ).
 
-    Each fact is certified once.  K₀ is closed under products, hence a
-    subgroup, and `delta.verify()` proves δ a homomorphism.  So α₁ (k on X₀,
+    Each fact is certified once.  K₀ is closed on the columns K₀·s of
+    greedily chosen generators s (`_subgroup_on_columns`), at |K₀|·|S₀|
+    products and never |K₀|²: e ∈ K₀ and K₀·S₀ ⊆ K₀ give ⟨S₀⟩ ⊆ K₀, and
+    ⟨S₀⟩ covers K₀, so K₀ = ⟨S₀⟩ is a subgroup.  `delta.verify()` proves δ
+    a homomorphism, without closing S₀ again.  So α₁ (k on X₀,
     certified K₀-invariant by `round_to_invariant`) and α₂ (β(δ(k)) on X),
     each the identity elsewhere on Z, are actions, and `extract_conjugacy`
     skips their checks; its certificate on Z₁ restricts to
@@ -391,22 +433,11 @@ def rigidity_pipeline(
             f"measured defect {float(eps):.6g} is not below κ⁴/200 = {kappa_lower**4 / 200:.6g}"
         )
 
-    # K₀ = {k : |X ∩ kX| >= |X|/2} holds e; closed under products, it is a
-    # subgroup, as k⁻¹ = k^(ord k − 1) in a finite group
+    # K₀ = {k : |X ∩ kX| >= |X|/2}, increasing, so that position i is K₀'s element i
     k0 = np.flatnonzero((K.rows[:, :n_x] < n_x).sum(axis=1) * 2 >= n_x)
-    K0 = k0.tolist()  # increasing, so searchsorted gives positions
-    prods = K.mul_many(k0[:, None], k0[None, :])
-    in_k0 = np.zeros(K.order, dtype=bool)
-    in_k0[k0] = True
-    certify("K₀ failed to close into a subgroup", int((~in_k0[prods]).sum()), 0)
-    K0_group = TableGroup(
-        np.searchsorted(k0, prods),
-        generators=[],
-        name="K0",
-        identity_index=int(np.searchsorted(k0, K.identity_index)),
-    )
-    K0_group.generators = K0_group.greedy_generators(K0_group.elements())[0]
-    k0_rows = K.rows[k0]
+    K0 = k0.tolist()
+    K0_group = _subgroup_on_columns(K, k0)
+    k0_rows = K0_group.rows
 
     # δ through right-translation rounding of every completed k̃ at once
     delta_img, _, beta = _nearest_right_translations(

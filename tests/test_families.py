@@ -181,7 +181,7 @@ def _labeller_cases():
     yield X, _stabilizer(X, fam.Z, _coset_weights(X, fam.T, fam.Q, fam.C), len(fam.C)), 1, 1
     X = sl2_mod(5)
     i = X.index_of(0, 4, 1, 0)
-    order4 = [x for x in X.elements() if X.element_order(x) == 4]
+    order4 = [x for x in range(X.order) if X.element_order(x) == 4]
     Q8 = next(Q for Q in (np.sort(X.closure([i, j])) for j in order4) if len(Q) == 8)
     yield X, Q8, 8, 2
 

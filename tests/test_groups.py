@@ -188,7 +188,7 @@ def test_sl2_kernel_matches_matrix_product(n):
         return found
 
     assert np.array_equal(X.entries.T, mats.reshape(-1, 4))  # row for row
-    assert [X.index_of(*m) for m in mats.reshape(-1, 4).tolist()] == list(X.elements())
+    assert [X.index_of(*m) for m in mats.reshape(-1, 4).tolist()] == list(range(X.order))
     rng = np.random.default_rng(n)
     xs = rng.integers(0, X.order, 40)
     ys = rng.integers(0, X.order, 30)
@@ -272,6 +272,43 @@ def test_direct_product():
     a = 1 * G.right.order + 2
     b = 2 * G.right.order + 3
     assert divmod(G.mul(a, b), G.right.order) == (0, 1)
+
+
+def _z2_power(k):
+    G = cyclic(2)
+    for _ in range(k - 1):
+        G = direct_product(G, cyclic(2))
+    return G
+
+
+@pytest.mark.parametrize(
+    "G",
+    [_z2_power(k) for k in range(2, 8)] + [direct_product(cyclic(4), sl2_mod(3))],
+    ids=[f"z2^{k}" for k in range(2, 8)] + ["cyclic(4)xsl2(3)"],
+)
+def test_small_direct_product_table_matches_factor_arithmetic(G):
+    # |G|² <= CHUNK_ENTRIES: every product and inverse is read from the table
+    # the factors filled, and equals the factor arithmetic
+    assert G.order**2 <= CHUNK_ENTRIES and G._table is not None
+    idx = np.arange(G.order)
+    want = G._factor_mul(idx[:, None], idx[None, :])
+    assert np.array_equal(G.mul_many(idx[:, None], idx[None, :]), want)
+    assert np.array_equal(G.inv_many(idx), G._factor_inv(idx))
+    a, b = G.order - 1, G.order // 2
+    assert G.mul(a, b) == want[a, b] and G.inv(b) == G._factor_inv(b)
+    m = G.right.order
+    i, j = np.divmod(want, m)
+    assert np.array_equal(i, G.left.mul_many(idx[:, None] // m, idx[None, :] // m))
+    assert np.array_equal(j, G.right.mul_many(idx[:, None] % m, idx[None, :] % m))
+
+
+def test_larger_direct_product_stays_arithmetic():
+    G = direct_product(cyclic(11), cyclic(12))  # 132² > CHUNK_ENTRIES
+    assert G._table is None and G._inv is None
+    idx = np.arange(G.order)
+    want = ((idx[:, None] // 12 + idx[None, :] // 12) % 11) * 12 + (idx[:, None] + idx[None, :]) % 12
+    assert np.array_equal(G.mul_many(idx[:, None], idx[None, :]), want)
+    assert np.array_equal(G.inv_many(idx), (-(idx // 12) % 11) * 12 + (-idx % 12))
 
 
 def test_group_from_perm_generators():
@@ -448,7 +485,7 @@ def test_action_verify_catches_one_corrupted_element():
     # Z/10000 acting on two points through x mod 2, wrong at x = 7 only; a
     # sample of 4096 random pairs drawn with seed 0 never touches 7
     G = cyclic(10000)
-    rows = np.array([[1, 0] if x % 2 else [0, 1] for x in G.elements()])
+    rows = np.array([[1, 0] if x % 2 else [0, 1] for x in range(G.order)])
     PermAction(G, rows).verify()
     rows[7] = [0, 1]
     with pytest.raises(NotAnActionError):
@@ -467,6 +504,26 @@ def test_verify_requires_generating_set():
         GroupHom(trivial, cyclic(2), [1]).verify()
     with pytest.raises(NotAnActionError, match="identity"):
         PermAction(trivial, [[1, 0]]).verify()
+
+
+def test_verify_skips_generation_only_for_the_proven_list(monkeypatch):
+    rows = group_from_perm_generators([from_cycles(4, [(0, 1, 2, 3)])]).rows  # e, c, c², c³
+    halves = groups.PermGroup(rows, [2])  # ⟨c²⟩ ≠ the group, and no record
+    with pytest.raises(NotAHomomorphismError, match="generators do not generate the group"):
+        GroupHom(halves, cyclic(4), np.arange(4)).verify()
+    closures = []
+    generates = groups.FinGroup.generates
+    monkeypatch.setattr(groups.FinGroup, "generates", lambda G, seed: closures.append(list(seed)) or generates(G, seed))
+    proven = groups.PermGroup(rows, [1], proven=True)
+    GroupHom(proven, cyclic(4), np.arange(4)).verify()
+    PermAction(proven, rows).verify()
+    assert closures == []
+    proven.generators = [2]  # reassigned: the record no longer covers it
+    with pytest.raises(NotAnActionError, match="generators do not generate the group"):
+        PermAction(proven, rows).verify()
+    proven.generators = [3]
+    GroupHom(proven, cyclic(4), np.arange(4) * 3 % 4).verify()
+    assert closures == [[2], [3]]
 
 
 def test_perm_action_rejects_non_actions():
@@ -580,7 +637,7 @@ def test_regular_actions_commute():
 
 def _brute_force_reps(G, H):
     """The smallest index of every x·H, by one product per (x, h)."""
-    return sorted({min(G.mul(x, h) for h in H) for x in G.elements()})
+    return sorted({min(G.mul(x, h) for h in H) for x in range(G.order)})
 
 
 def test_left_coset_reps():
@@ -617,7 +674,7 @@ SL2_5 = sl2_mod(5)
         # <[[1,1],[0,1]], -I>: Z/4 x Z/2 in a non-abelian group
         (SL2_4, SL2_4.closure([SL2_4.index_of(1, 1, 0, 1), SL2_4.index_of(3, 0, 0, 3)])),
         (SL2_5, [SL2_5.identity_index]),  # H = {e}
-        (SL2_5, list(SL2_5.elements())),  # H = G
+        (SL2_5, list(range(SL2_5.order))),  # H = G
     ],
 )
 def test_left_coset_reps_smallest_index(G, H):
@@ -625,7 +682,7 @@ def test_left_coset_reps_smallest_index(G, H):
     assert reps == _brute_force_reps(G, H)
     assert len(reps) * len(set(H)) == G.order
     if len(H) == 1:
-        assert reps == list(G.elements())
+        assert reps == list(range(G.order))
     if len(H) == G.order:
         assert reps == [0]
 

@@ -135,7 +135,7 @@ def test_nearest_translation_vs_bruteforce(n, seed):
         a, b = rng.choice(n, size=2, replace=False)
         phi = compose(swap(n, int(a), int(b)), phi)
     h, dist = nearest_right_translation(G, [1], phi)
-    brute = min(hamming(phi, _beta(G, x)) for x in G.elements())
+    brute = min(hamming(phi, _beta(G, x)) for x in range(G.order))
     assert dist >= brute
     # the certified bound holds with the exact abelian kappa
     kappa = 2 * np.sin(np.pi / n)
@@ -267,13 +267,13 @@ def test_extract_conjugacy_property(n, seed):
     assert Fraction(res.displacement) <= 16 * res.epsilon * n
     # the averaged matching matrix V[x1, x2] = |{k : α₁(k)x1 = α₂(k)x2}| / |K| is doubly stochastic
     match = np.zeros((n, n), dtype=np.int64)
-    for k in K.elements():
+    for k in range(K.order):
         for x in range(n):
             match[x, conj[k].image.tolist().index(act.rows[k, x])] += 1
     assert (match.sum(axis=1) == K.order).all() and (match.sum(axis=0) == K.order).all()
     # exact equivariance on X1
     x1 = set(res.X1)
-    for k in K.elements():
+    for k in range(K.order):
         for x in res.X1:
             kx = act.rows[k, x]
             assert kx in x1
@@ -302,7 +302,7 @@ def test_commuting_extension_vs_centralizer_bruteforce():
     psi, dist = commuting_extension(G, act, phi)
     for p in act.perms:
         assert compose(psi, p) == compose(p, psi)
-    brute = min(hamming(phi, _beta(G, h)) for h in G.elements())
+    brute = min(hamming(phi, _beta(G, h)) for h in range(G.order))
     assert brute <= dist
     eps = max(
         hamming(compose(p, phi), compose(phi, p)) for p in act.perms
@@ -337,18 +337,18 @@ def test_commuting_extension_nonregular_action():
 
 def _canonical_subgroup_key_loop(G, H):
     """Reference: the least conjugate c·H·c⁻¹ over every c ∈ G, as a sorted tuple."""
-    return min(tuple(sorted(G.mul(G.mul(c, h), G.inv(c)) for h in H)) for c in G.elements())
+    return min(tuple(sorted(G.mul(G.mul(c, h), G.inv(c)) for h in H)) for c in range(G.order))
 
 
 def _stabilizer_loop(action, point):
-    return [g for g in action.group.elements() if action.rows[g, point] == point]
+    return [g for g in range(action.group.order) if action.rows[g, point] == point]
 
 
 def _conjugator_loop(action, a1, a2):
     """Reference: the least c with c·Stab(a1)·c⁻¹ = Stab(a2), None when there is none."""
     G = action.group
     h1, h2 = _stabilizer_loop(action, a1), _stabilizer_loop(action, a2)
-    for c in G.elements():
+    for c in range(G.order):
         if sorted(G.mul(G.mul(c, h), G.inv(c)) for h in h1) == h2:
             return c
     return None
@@ -367,7 +367,7 @@ def _coset_action_rows(G, H_gens):
 def _mixed_actions():
     """Disjoint unions of coset actions with several orbit types, some repeated."""
     sym4 = group_from_perm_generators([from_cycles(4, [(0, 1, 2, 3)]), swap(4, 0, 1)])
-    element = {tuple(sym4.rows[g]): g for g in sym4.elements()}
+    element = {tuple(sym4.rows[g]): g for g in range(sym4.order)}
 
     def s4(*cycles):
         return element[tuple(from_cycles(4, cycles).image)]
@@ -520,7 +520,7 @@ def test_pipeline_closes_permutation_generators_once(monkeypatch):
 def _measure_epsilon_loop(G, S, K, n_x):
     # reference: one (k, g) pair at a time
     worst = 0
-    for ki in K.elements():
+    for ki in range(K.order):
         k = K.rows[ki]
         for g in S:
             bad = sum(
@@ -591,3 +591,79 @@ def test_pipeline_proves_each_fact_once(monkeypatch):
     res = rigidity_pipeline(G, list(range(1, G.order)), y_size, k_gens, kappa_lower=2.0)
     assert res.set_loss == res.displacement == 1
     assert calls == {"PermAction.verify": 0, "GroupHom.verify": 1, "PermGroup.inv_many": 0}
+
+
+def _k0_cases():
+    G = _z2k(6)  # the perturbed (ℤ/2)⁶ instance: |K₀| = 64 on 6 generators
+    y_size = G.order + 4
+    tau = swap(y_size, G.order - 1, G.order)
+    k_gens = [compose(tau, compose(_embed(_beta(G, g), y_size), tau)) for g in G.generators]
+    yield pytest.param(G.order, k_gens, id="z2^6")
+    C = cyclic(30)  # one column reaches all 30 positions
+    yield pytest.param(30, [_embed(_beta(C, 7), 33)], id="cyclic(30)")
+    # Sym(4) on points 5..8 beside X = ℤ/5, and X's own translations
+    sym4 = [_embed(_beta(cyclic(5), 1), 9), from_cycles(9, [(5, 6, 7, 8)]), swap(9, 5, 6)]
+    yield pytest.param(5, sym4, id="cyclic(5)xsym(4)")
+
+
+@pytest.mark.parametrize("n_x, k_gens", list(_k0_cases()))
+def test_k0_closes_on_generator_columns(monkeypatch, n_x, k_gens):
+    K = group_from_perm_generators(k_gens)
+    k0 = np.flatnonzero((K.rows[:, :n_x] < n_x).sum(axis=1) * 2 >= n_x)
+    sizes = []
+    mul_many = groups.PermGroup.mul_many
+    monkeypatch.setattr(
+        groups.PermGroup, "mul_many", lambda G, a, b: sizes.append(np.broadcast(a, b).size) or mul_many(G, a, b)
+    )
+    K0 = rounding._subgroup_on_columns(K, k0)
+    monkeypatch.undo()
+    # |K₀|·|S₀| products, one column of |K₀| per generator, |S₀| <= log₂|K₀|
+    assert sizes == [k0.size] * len(K0.generators)
+    assert len(K0.generators) <= math.log2(k0.size)
+    # the numbering, identity and generators of K₀'s whole table and the
+    # greedy rule over its elements
+    prods = np.searchsorted(k0, K.mul_many(k0[:, None], k0[None, :]))
+    table = groups.TableGroup(prods, [], identity_index=int(np.searchsorted(k0, K.identity_index)))
+    gens, spanned = table.greedy_generators(range(k0.size))
+    assert spanned.all()
+    assert K0.generators == gens == K0._generated_by and K0.identity_index == table.identity_index
+    idx = np.arange(k0.size)
+    assert np.array_equal(K0.mul_many(idx[:, None], idx[None, :]), prods)
+    assert np.array_equal(K0.rows, K.rows[k0])
+
+
+def test_k0_refuses_a_set_that_does_not_close():
+    # a swaps X's [0, 7) out and b swaps X's [7, 14) out: both keep half of X,
+    # and a·b keeps none of it
+    a = Perm(np.r_[14:21, 7:14, 0:7, 21:28])
+    b = Perm(np.r_[0:7, 21:28, 14:21, 7:14])
+    K = group_from_perm_generators([a, b])
+    k0 = np.flatnonzero((K.rows[:, :14] < 14).sum(axis=1) * 2 >= 14)
+    with pytest.raises(CertificateError, match="^K₀ failed to close into a subgroup"):
+        rounding._subgroup_on_columns(K, k0)
+    with pytest.raises(CertificateError, match="^K₀ failed to close into a subgroup"):
+        rounding._subgroup_on_columns(K, k0[1:])  # without e
+
+
+def test_pipeline_k_inside_k0_of_order_40320_fits_3gib():
+    # K = Sym(8) on the points 17..24 of Y, fixing X = ℤ/17, so K₀ = K; a
+    # |K₀|² product table would need 12.1 GiB.  The child runs under an
+    # address-space limit of 3 GiB, set on it alone.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "import numpy as np\n"
+        "from permstab.groups import cyclic\n"
+        "from permstab.perms import Perm\n"
+        "from permstab.rounding import rigidity_pipeline\n"
+        "cycle, swap = np.arange(32), np.arange(32)\n"
+        "cycle[17:25] = np.r_[18:25, 17]\n"
+        "swap[[17, 18]] = [18, 17]\n"
+        "res = rigidity_pipeline(cyclic(17), [1], 32, [Perm(cycle), Perm(swap)], kappa_lower=2.0)\n"
+        "print(len(res.K0), res.intermediates['K_order'], res.epsilon, res.set_loss, res.displacement)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["40320", "40320", "0", "0", "0"]
