@@ -25,19 +25,28 @@ subgroup, its double cosets, and the character blocks' cosets of ⟨h⟩ in
 `_cycle_min`.  `closure` returns an int64 array.  `GroupHom.verify` and
 `PermAction.verify` are one generator-wise check, `_verify_on_generators`;
 it skips closing the generators of a group whose construction proved that
-they generate it, as long as `generators` is still that list.
+they generate it, as long as `generators` is still that list.  `MarkedHom`
+reads its surjectivity off that record R when it can: every r ∈ R in the
+cyclic span of some generator image makes the map onto, with no BFS.
 
-`SL2Group` enumerates SL2(Z/n) in closed form, one top-left entry a at a
-time over arrays of n² entries (`_sl2_rows`).  With g = gcd(a, n) and
-m = n/g, the d with a·d ≡ 1 + bc (mod n) exist exactly when g divides
-1 + bc, and they are d₀ + k·m for k < g, d₀ = ((1 + bc)/g)·(a/g)⁻¹ mod m:
-so the elements with one prefix (a, b, c) are a contiguous run in
-lexicographic order, and d's place in its run is off[d, a] = d // m.  The
-count is certified against |SL2(Z/n)| = n³·Π(1 - ℓ⁻²), ℓ over the primes
-dividing n; the same formula refuses a modulus over the order cap before
-anything is enumerated.  It stores the entries a, b, c, d as four contiguous rows of int16,
-or of int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no
-longer fits int16.  Its kernel multiplies in that width and reduces mod n
+`SL2Group` records E = [[1,1],[0,1]] and F = [[1,0],[1,1]] as generating
+SL2(Z/n): SL2(Z) = ⟨E, F⟩ by Euclid's algorithm on the first column and
+−I = (EF⁻¹E)², and reduction SL2(Z) → SL2(Z/n) is onto (Shimura,
+*Introduction to the Arithmetic Theory of Automorphic Functions*, 1971,
+Lemma 1.38); the steps are in `SL2Group`'s docstring.  It enumerates
+SL2(Z/n) in closed form, one gcd class at a time (`_sl2_tables`).  With
+g = gcd(a, n) and m = n/g, the d with a·d ≡ 1 + bc (mod n) exist exactly
+when g divides 1 + bc, and they are d₀ + k·m for k < g,
+d₀ = ((1 + bc)/g)·(a/g)⁻¹ mod m: so the elements with one prefix (a, b, c)
+are a contiguous run in lexicographic order, and d's place in its run is
+off[d, a] = d // m.  The a with one g share the mask of (b, c), so a class
+is one outer product of the (a/g)⁻¹ by the (1 + bc)/g, two classes for a
+prime n instead of n masks of n² entries.  The count is certified against
+|SL2(Z/n)| = n³·Π(1 - ℓ⁻²), ℓ over the primes dividing n; the same formula
+refuses a modulus over the order cap before anything is enumerated.  It
+stores the entries a, b, c, d as four contiguous rows of int16, or of
+int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no longer
+fits int16.  Its kernel multiplies in that width and reduces mod n
 in place as x - (x // n)·n, since numpy's `//` by a scalar is a SIMD loop
 and its `%` is not.  It then finds the product's index as
 first[(a·n + b)·n + c] + off[d, a], into one int64 output.  A broadcast is
@@ -340,7 +349,22 @@ class DirectProductGroup(FinGroup):
 
 
 class SL2Group(FinGroup):
-    """SL2(Z/nZ), elements enumerated in lexicographic (a,b,c,d) order."""
+    """SL2(Z/nZ), elements enumerated in lexicographic (a,b,c,d) order.
+
+    The generators E = [[1,1],[0,1]] and F = [[1,0],[1,1]] are recorded as
+    generating the group (`_generated_by`), so `_verify_on_generators` does
+    not close them.  Proof:
+
+    1. SL2(Z) = ⟨E, F⟩.  Left multiplication by E^k maps the first column
+       (a, c) to (a + kc, c), and by F^k to (a, c + ka).  As gcd(a, c) = 1,
+       Euclid's algorithm takes the column to (±1, 0), so a word W in E, F
+       gives W·M = ±[[1, b'],[0, 1]] = ±E^(±b'), and −I = (EF⁻¹E)².
+    2. Reduction SL2(Z) → SL2(Z/n) is onto (G. Shimura, *Introduction to
+       the Arithmetic Theory of Automorphic Functions*, 1971, Lemma 1.38).
+    3. So the images of E and F generate SL2(Z/n); in a finite group the
+       inverses are positive powers, so the product closure of [E, F] is
+       all of it.
+    """
 
     def __init__(self, n: int):
         if n < 2:
@@ -351,22 +375,17 @@ class SL2Group(FinGroup):
         order = _sl2_order(n)
         if order > SL2_ORDER_CAP:
             raise CapacityError(f"|SL2(Z/{n}Z)| exceeds cap {SL2_ORDER_CAP}")
-        rows = np.concatenate([_sl2_rows(a, n) for a in range(n)], axis=1)
-        certify("|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)", abs(rows.shape[1] - order), 0)
+        self.entries, self._first = _sl2_tables(n)  # entries: rows a, b, c, d
+        certify("|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)", abs(self.entries.shape[1] - order), 0)
         self.order = order
-        width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
-        self.entries = rows.astype(width)  # rows a, b, c, d
-        prefix = (rows[0] * n + rows[1]) * n + rows[2]
-        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
-        self._first = np.full(n**3, -1, dtype=np.int32)
-        self._first[prefix[starts]] = starts
         ints = np.arange(n)
         self._off = (ints[:, None] // (n // np.gcd(ints, n))).ravel()  # at d·n + a
         decoded = self._lookup(self.entries[[3, 0, 1, 2]], np.empty(self.order, dtype=np.int64))
         misses = int(np.count_nonzero(decoded != np.arange(self.order)))
         certify("the lookup table misses an SL2 matrix", misses, 0)
         self.identity_index = self.index_of(1, 0, 0, 1)
-        self.generators = [self.index_of(1, 1, 0, 1), self.index_of(1, 0, 1, 1)]
+        self.generators = [self.index_of(1, 1, 0, 1), self.index_of(1, 0, 1, 1)]  # E, F
+        self._generated_by = list(self.generators)  # proven in the class docstring
         self.name = f"sl2({n})"
         self._abelian = False
 
@@ -456,15 +475,43 @@ def _sl2_order(n: int) -> int:
     return n**3 * math.prod(q * q - 1 for q in primes) // math.prod(q * q for q in primes)
 
 
-def _sl2_rows(a: int, n: int) -> np.ndarray:
-    """The a, b, c, d rows of SL2(Z/n) with top-left entry a, in lexicographic order."""
-    g = math.gcd(a, n)
-    m = n // g
+def _sl2_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(entries, first): the a, b, c, d rows of SL2(Z/n) in lexicographic
+    order, in the narrow entry width, and the int32 table first of n³
+    entries, where the run of each prefix (a, b, c) starts, −1 where none does.
+
+    One gcd class g = gcd(a, n) at a time.  Its a share one mask of (b, c),
+    g | 1 + bc, and one q = (1 + bc)/g; a = g·u with u a unit mod m = n/g,
+    and the d of (a, b, c) are d₀ + k·m for k < g, d₀ = q·u⁻¹ mod m.  So a
+    class is one outer product of its u⁻¹ by q mod m, in the entry width,
+    as q·u⁻¹ <= (m − 1)² fits it, and each a's run is one slice of it.
+    """
+    width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
+    gcds = np.array([math.gcd(a, n) for a in range(n)])
     b, c = np.divmod(np.arange(n * n), n)
-    q, r = np.divmod(b * c + 1, g)
-    ok = r == 0
-    d = (q[ok] * pow(a // g, -1, m) % m)[:, None] + m * np.arange(g)  # d₀ + k·m
-    return np.stack([np.full(d.size, a), np.repeat(b[ok], g), np.repeat(c[ok], g), d.ravel()])
+    bc1 = b * c + 1
+    classes = [(g, np.flatnonzero(gcds == g), np.flatnonzero(bc1 % g == 0)) for g in np.unique(gcds).tolist()]
+    run = np.empty(n, dtype=np.int32)
+    for g, a, ok in classes:
+        run[a] = ok.size * g
+    start = np.cumsum(run, dtype=np.int32) - run
+    first = np.empty((n, n * n), dtype=np.int32)
+    runs = [None] * n
+    for g, a, ok in classes:
+        m = n // g
+        inv = np.argmax((a // g)[:, None] * np.arange(m) % m == 1 % m, axis=1)  # u⁻¹ mod m
+        place = np.full(n * n, -1, dtype=np.int32)  # where (b, c) starts within a run
+        place[ok] = g * np.arange(ok.size)
+        first[a] = np.where(place < 0, -1, start[a, None] + place)
+        block = np.empty((4, len(a), ok.size * g), dtype=width)
+        block[0] = a[:, None]
+        block[1] = np.repeat(b[ok], g)
+        block[2] = np.repeat(c[ok], g)
+        d0 = _reduce(inv[:, None].astype(width) * (bc1[ok] // g % m).astype(width), m)
+        block[3] = (d0[:, :, None] + m * np.arange(g, dtype=width)).reshape(len(a), -1)
+        for i, x in enumerate(a.tolist()):
+            runs[x] = block[:, i]
+    return np.concatenate(runs, axis=1), first.ravel()
 
 
 def _reduce(x: np.ndarray, n: int) -> np.ndarray:
@@ -721,7 +768,16 @@ def product_with_free_z(gamma: MarkedGroup, lam: MarkedGroup) -> MarkedGroup:
 
 @dataclass
 class MarkedHom:
-    """Homomorphism from a marked (presented) group into a FinGroup."""
+    """Homomorphism from a marked (presented) group into a FinGroup.
+
+    `surjective` is read first off the target's generation record R
+    (`_generated_by`): when every r ∈ R lies in the cyclic span ⟨g⟩ of some
+    generator image g, each listed by doubling, then R ⊆ ⟨images⟩ and
+    ⟨R⟩ = X, so the map is onto.  For the Sanov pair in SL2(Z/p), p odd,
+    E = [[1,2],[0,1]]^((p+1)/2) and F = [[1,0],[2,1]]^((p+1)/2).  Otherwise
+    the closure of the images decides, and `image` keeps it when it is a
+    proper subgroup.
+    """
 
     marked: MarkedGroup
     target: FinGroup
@@ -737,9 +793,14 @@ class MarkedHom:
         for rel in self.marked.relators:
             if self.evaluate(rel) != self.target.identity_index:
                 raise NotAHomomorphismError(f"relator {rel} not satisfied by generator images")
-        image = self.target.closure(self.gen_images)
-        self.surjective = len(image) == self.target.order
-        self.image = None if self.surjective else image
+        X, record = self.target, self.target._generated_by
+        spans = [X.closure([g]) for g in self.gen_images] if record is not None else []
+        self.surjective = record is not None and all(any(r in s for s in spans) for r in record)
+        self.image = None
+        if not self.surjective:  # the closure of one image is its span
+            image = spans[0] if len(spans) == 1 else X.closure(self.gen_images)
+            self.surjective = len(image) == X.order
+            self.image = None if self.surjective else image
 
     def evaluate(self, word: Sequence[int]) -> int:
         x = self.target.identity_index

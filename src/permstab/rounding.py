@@ -367,10 +367,14 @@ def _subgroup_on_columns(K: PermGroup, k0: np.ndarray) -> PermGroup:
     positions are walked in increasing order, and each one the span so far
     has not reached becomes a generator s, whose column pos[k0·s] is formed
     once: |K₀|·|S₀| products, |S₀| <= log₂|K₀| as each generator at least
-    doubles the span.  A −1 in a column refutes closure.  The span grows by
-    a BFS over the columns, index gathers only.  Proof: e ∈ K₀ and
-    K₀·S₀ ⊆ K₀ put every word in S₀ inside K₀, so ⟨S₀⟩ ⊆ K₀; the BFS
-    reaches exactly ⟨S₀⟩, and it covers K₀, so K₀ = ⟨S₀⟩, a subgroup.
+    doubles the span.  A −1 in a column refutes closure.  The first
+    generator's span ⟨s⟩ is listed by doubling along its column: the block
+    {s^k : k < 2^j} joins its image under jump = s^(2^j), and jump squares,
+    so ⟨s⟩ of order m takes ⌈log₂ m⌉ rounds and a round that adds nothing
+    ends it.  Later spans grow by a BFS over the columns, index gathers
+    only.  Proof: e ∈ K₀ and K₀·S₀ ⊆ K₀ put every word in S₀ inside K₀, so
+    ⟨S₀⟩ ⊆ K₀; the doubling and the BFS reach exactly ⟨S₀⟩, and it covers
+    K₀, so K₀ = ⟨S₀⟩, a subgroup.
     """
     pos = np.full(K.order, -1, dtype=np.int64)
     pos[k0] = np.arange(k0.size)
@@ -385,6 +389,12 @@ def _subgroup_on_columns(K: PermGroup, k0: np.ndarray) -> PermGroup:
         certify("K₀ failed to close into a subgroup", int(np.count_nonzero(col < 0)), 0)
         gens.append(s)
         cols.append(col)
+        if len(cols) == 1:
+            jump = col
+            while not reached[grown := jump[reached]].all():
+                reached[grown] = True
+                jump = jump[jump]
+            continue
         letters, frontier = np.stack(cols), np.flatnonzero(reached)
         while frontier.size:
             new = letters[:, frontier].ravel()

@@ -1,5 +1,9 @@
 import sys
 
+import pytest
+
+from permstab.groups import FinGroup
+
 
 def pytest_terminal_summary(terminalreporter):
     mod = sys.modules.get("test_acceptance")
@@ -8,3 +12,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def spread_levels(monkeypatch):
+    """A list that gains the size of every `FinGroup._spread` level run from now on."""
+    levels = []
+    spread = FinGroup._spread
+
+    def counted(G, letters):
+        for level in spread(G, letters):
+            levels.append(len(level[0]))
+            yield level
+
+    monkeypatch.setattr(FinGroup, "_spread", counted)
+    return levels

@@ -276,9 +276,12 @@ FAULTS = {
     ),
     "groups_order": (
         "from permstab import groups\n"
-        "rows = groups._sl2_rows\n"
-        "groups._sl2_rows = lambda a, n: rows(a, n)[:, 1:] if a == 1 else rows(a, n)\n"
-        "groups.sl2_mod(5)  # [[1, 0], [0, 1]] is not enumerated\n",
+        "tables = groups._sl2_tables\n"
+        "def dropped(n):  # [[0, 1], [n - 1, 0]], the first matrix, is not enumerated\n"
+        "    entries, first = tables(n)\n"
+        "    return entries[:, 1:], first\n"
+        "groups._sl2_tables = dropped\n"
+        "groups.sl2_mod(5)\n",
         "|SL2(Z/n)| disagrees with n³·Π(1 - ℓ⁻²)",
     ),
     "spectral_coordinates": (

@@ -150,6 +150,18 @@ def test_two_generator_q_builds_the_same_family(p):
     assert one.g == two.g
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 19, 43])
+def test_flagship_pass_runs_no_bfs_level(spread_levels, p):
+    # p is onto by SL2's generation record, q's image is one cyclic closure,
+    # and p = 5 stops at the window (WindowEmptyError) after both
+    if p == 5:
+        with pytest.raises(WindowEmptyError):
+            flagship_family(p)
+    else:
+        flagship_family(p)
+    assert spread_levels == []
+
+
 @pytest.mark.parametrize("p", [2, 4])
 def test_flagship_family_needs_surjective_p(p):
     # the Sanov pair [[1,2],[0,1]], [[1,0],[2,1]] is trivial mod 2 and spans a proper subgroup mod 4

@@ -253,6 +253,85 @@ def test_sl2_kernel_memory_is_its_output():
         assert peak <= out.nbytes + 4 * 2**20
 
 
+def _sl2_rows(a, n):
+    """The a, b, c, d rows of SL2(Z/n) with top-left entry a, in lexicographic
+    order, one n² mask per a: the reference for the gcd-class enumeration."""
+    g = math.gcd(a, n)
+    m = n // g
+    b, c = np.divmod(np.arange(n * n), n)
+    q, r = np.divmod(b * c + 1, g)
+    ok = r == 0
+    d = (q[ok] * pow(a // g, -1, m) % m)[:, None] + m * np.arange(g)  # d₀ + k·m
+    return np.stack([np.full(d.size, a), np.repeat(b[ok], g), np.repeat(c[ok], g), d.ravel()])
+
+
+def test_sl2_tables_match_the_per_entry_reference():
+    # n = 59 is over the order cap, so the tables are built directly
+    for n in range(2, 61):
+        rows = np.concatenate([_sl2_rows(a, n) for a in range(n)], axis=1)
+        width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
+        entries, first = groups._sl2_tables(n)
+        assert entries.dtype == width and entries.tobytes() == rows.astype(width).tobytes(), n
+        prefix = (rows[0] * n + rows[1]) * n + rows[2]
+        starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+        want = np.full(n**3, -1, dtype=np.int32)
+        want[prefix[starts]] = starts
+        assert first.dtype == np.int32 and first.tobytes() == want.tobytes(), n
+
+
+def test_sl2_generation_record_holds_at_desk_scale():
+    # SL2(Z) = ⟨E, F⟩ and reduction mod n is onto: the record, checked by the plain BFS
+    for n in range(2, 41):
+        X = sl2_mod(n)
+        E, F = X.index_of(1, 1, 0, 1), X.index_of(1, 0, 1, 1)
+        assert X._generated_by == X.generators == [E, F], n
+        assert X.generates(X.generators), n
+
+
+def test_sl2_record_skips_only_the_closure(monkeypatch):
+    X = sl2_mod(5)
+    closures = []
+    generates = groups.FinGroup.generates
+    monkeypatch.setattr(groups.FinGroup, "generates", lambda G, seed: closures.append(list(seed)) or generates(G, seed))
+    trivial = np.full(X.order, cyclic(2).identity_index)
+    GroupHom(X, cyclic(2), trivial).verify()
+    bad = trivial.copy()
+    bad[X.generators[0]] = 1  # SL2(Z/5) is perfect: no nontrivial map to Z/2 is multiplicative
+    with pytest.raises(NotAHomomorphismError, match="not multiplicative"):
+        GroupHom(X, cyclic(2), bad).verify()
+    assert closures == []
+    E, F = X.generators
+    X.generators = [F, E]  # reassigned: the record no longer covers it
+    GroupHom(X, cyclic(2), trivial).verify()
+    X.generators = [E]
+    with pytest.raises(NotAHomomorphismError, match="generators do not generate the group"):
+        GroupHom(X, cyclic(2), trivial).verify()
+    assert closures == [[F, E], [E]]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_sanov_pair_is_onto_by_the_record(spread_levels, p):
+    # E = [[1,2],[0,1]]^((p+1)/2) and F = [[1,0],[2,1]]^((p+1)/2): no BFS level
+    X = sl2_mod(p)
+    h = MarkedHom(MarkedGroup.free(2), X, [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)])
+    assert h.surjective and h.image is None and spread_levels == []
+
+
+def test_surjectivity_falls_back_to_the_closure(spread_levels):
+    X = sl2_mod(7)
+    E, F = X.generators
+    EF = X.mul(E, F)
+    # ⟨EF⟩ and ⟨F⟩ miss E, so the cyclic test cannot decide, and the BFS finds ⟨EF, F⟩ = X
+    assert not any(E in X.closure([g]) for g in (EF, F))
+    onto = MarkedHom(MarkedGroup.free(2), X, [EF, F])
+    assert onto.surjective and onto.image is None and spread_levels != []
+    # a proper image keeps the closure, in closure order
+    E2 = X.mul(E, E)
+    proper = MarkedHom(MarkedGroup.free(2), X, [E, E2])
+    assert not proper.surjective and proper.image.dtype == np.int64
+    assert proper.image.tolist() == _bfs_closure(X, [E, E2])
+
+
 def test_sl2_tables_certified_at_construction(monkeypatch):
     # with every gcd(a, n) taken as 1, a non-unit a finds the wrong d in its run
     monkeypatch.setattr(np, "gcd", lambda a, n: np.ones_like(a))

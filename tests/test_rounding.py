@@ -601,6 +601,8 @@ def _k0_cases():
     yield pytest.param(G.order, k_gens, id="z2^6")
     C = cyclic(30)  # one column reaches all 30 positions
     yield pytest.param(30, [_embed(_beta(C, 7), 33)], id="cyclic(30)")
+    C = cyclic(66)  # the same, spanned by doubling in ⌈log₂ 66⌉ = 7 rounds
+    yield pytest.param(66, [_embed(_beta(C, 5), 70)], id="cyclic(66)")
     # Sym(4) on points 5..8 beside X = ℤ/5, and X's own translations
     sym4 = [_embed(_beta(cyclic(5), 1), 9), from_cycles(9, [(5, 6, 7, 8)]), swap(9, 5, 6)]
     yield pytest.param(5, sym4, id="cyclic(5)xsym(4)")
@@ -610,15 +612,18 @@ def _k0_cases():
 def test_k0_closes_on_generator_columns(monkeypatch, n_x, k_gens):
     K = group_from_perm_generators(k_gens)
     k0 = np.flatnonzero((K.rows[:, :n_x] < n_x).sum(axis=1) * 2 >= n_x)
-    sizes = []
-    mul_many = groups.PermGroup.mul_many
+    sizes, levels = [], []
+    mul_many, unique = groups.PermGroup.mul_many, np.unique
     monkeypatch.setattr(
         groups.PermGroup, "mul_many", lambda G, a, b: sizes.append(np.broadcast(a, b).size) or mul_many(G, a, b)
     )
+    monkeypatch.setattr(np, "unique", lambda x: levels.append(x.size) or unique(x))
     K0 = rounding._subgroup_on_columns(K, k0)
     monkeypatch.undo()
     # |K₀|·|S₀| products, one column of |K₀| per generator, |S₀| <= log₂|K₀|
     assert sizes == [k0.size] * len(K0.generators)
+    # the first generator's span comes by doubling: a BFS level only for later ones
+    assert (levels == []) == (len(K0.generators) == 1)
     assert len(K0.generators) <= math.log2(k0.size)
     # the numbering, identity and generators of K₀'s whole table and the
     # greedy rule over its elements
