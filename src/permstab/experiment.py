@@ -6,6 +6,15 @@ defects and floors, and writes three kinds of artifacts to the output
 directory: one JSON file per instance, a fixed-schema CSV table, and a
 human-readable summary.  Identical config and seed produce byte-identical
 output.  Per-instance failures are recorded and the run continues.
+
+One ordered declaration, FIELDS, drives all three: each field's name, CSV
+form, JSON flag, summary fragment and value read off p and the flagship
+instance.  `run_instance` returns the record in that order.  In the CSV, a
+`Fraction` is a `name_frac` and a 12-decimal `name` column, a float 12
+decimals, a bool lower case, anything else its `str`; the JSON writes a
+`Fraction` as its string; the summary line joins the fragments, formatted
+with the whole record.  A skipped prime renders the record {p} and its
+error.  Adding a field is one entry.
 """
 
 from __future__ import annotations
@@ -22,24 +31,41 @@ from .families import DEFAULT_WINDOW, flagship_family
 from .groups import cyclic
 from .spectral import kazhdan_abelian_exact
 
-CSV_COLUMNS = [
-    "instance",
-    "p",
-    "carrier_order",
-    "b_density_frac",
-    "b_density",
-    "a_density_frac",
-    "a_density",
-    "max_defect_frac",
-    "max_defect",
-    "floor_frac",
-    "floor",
-    "kappa_lambda",
-    "bound_ok",
-    "error",
+DEFECT_FLOOR = Fraction(1, 126)
+NOTE = ("note: these finite tables sample the defect/distance relation; "
+        "they exhibit evidence, not a certificate, about the asymptotic regime.")
+
+# name, CSV form, in the instance JSON, summary fragment, value read off (p, instance)
+FIELDS = [
+    ("p", str, True, "p={p}:", lambda p, inst: p),
+    ("carrier_order", str, False, "|X|={carrier_order}", lambda p, inst: inst.X.order),
+    ("b_density", Fraction, False, None, lambda p, inst: inst.family.b_density),
+    ("a_density", Fraction, False, None, lambda p, inst: inst.family.a_density),
+    ("max_defect", Fraction, False, "max_defect={max_defect} (>=1/126: {bound_ok})",
+     lambda p, inst: inst.report.max_commutator_defect),
+    ("floor", Fraction, True, "floor={floor}", lambda p, inst: inst.floor),
+    ("kappa_lambda", float, True, "kappa(Z/{p})={kappa_lambda:.6f}",
+     lambda p, inst: kazhdan_abelian_exact(cyclic(p), [1]).lower),
+    ("bound_ok", bool, True, None, lambda p, inst: inst.report.max_commutator_defect >= DEFECT_FLOOR),
+    ("family", None, True, None, lambda p, inst: inst.family.to_json()),
+    ("report", None, True, None, lambda p, inst: inst.report.to_json()),
 ]
 
-DEFECT_FLOOR = Fraction(1, 126)
+# CSV form -> {column suffix: cell of the value}
+CSV_FORMS = {
+    Fraction: {"_frac": str, "": lambda x: f"{float(x):.12f}"},
+    float: {"": lambda x: f"{x:.12f}"},
+    bool: {"": lambda x: str(x).lower()},
+    str: {"": str},
+    None: {},
+}
+
+
+def _csv_columns() -> List[str]:
+    return ["instance", *(name + s for name, form, *_ in FIELDS for s in CSV_FORMS[form]), "error"]
+
+
+CSV_COLUMNS = _csv_columns()
 
 
 def read_json(path: str):
@@ -104,27 +130,23 @@ class ExperimentConfig:
             raise ConfigError(f"invalid experiment config: {exc}") from exc
 
 
-def _dec(x: Fraction) -> str:
-    return f"{float(x):.12f}"
+def _csv_row(i: int, record: Dict, error: str = "") -> Dict[str, str]:
+    """The cells of the fields `record` holds; DictWriter leaves the rest empty."""
+    row = {"instance": str(i), "error": error}
+    for name, form, *_ in FIELDS:
+        if name in record:
+            row.update((name + s, cell(record[name])) for s, cell in CSV_FORMS[form].items())
+    return row
+
+
+def _summary(record: Dict) -> str:
+    return " ".join(frag.format(**record) for name, _, _, frag, _ in FIELDS if frag and name in record)
 
 
 def run_instance(p: int, window) -> Dict:
-    """One grid point: Kazhdan data for the Λ-quotient plus the swap family."""
+    """One grid point's record, in FIELDS order: the swap family and κ of its Λ-quotient."""
     inst = flagship_family(p, window=window)
-    report = inst.report
-    max_defect = report.max_commutator_defect
-    return {
-        "p": p,
-        "carrier_order": inst.X.order,
-        "kappa_lambda": kazhdan_abelian_exact(cyclic(p), [1]).lower,
-        "family": inst.family.to_json(),
-        "report": report.to_json(),
-        "b_density": inst.family.b_density,
-        "a_density": inst.family.a_density,
-        "max_defect": max_defect,
-        "floor": inst.floor,
-        "bound_ok": bool(max_defect >= DEFECT_FLOOR),
-    }
+    return {name: get(p, inst) for name, *_, get in FIELDS}
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
@@ -134,60 +156,26 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     except OSError as exc:  # out_dir names a file, or cannot be created
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     rows: List[Dict[str, str]] = []
-    summary_lines: List[str] = [
-        f"family=sl2-swap window={cfg.window[0]}..{cfg.window[1]} seed={cfg.seed}",
-        "",
-    ]
-    failures = 0
+    summary_lines = [f"family=sl2-swap window={cfg.window[0]}..{cfg.window[1]} seed={cfg.seed}", ""]
     for i, p in enumerate(cfg.primes):
-        row = {c: "" for c in CSV_COLUMNS}
-        row["instance"] = str(i)
-        row["p"] = str(p)
         try:
-            data = run_instance(p, cfg.window)
+            record, error = run_instance(p, cfg.window), ""
         except PermstabError as exc:
-            failures += 1
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            summary_lines.append(f"p={p}: SKIPPED ({row['error']})")
-            rows.append(row)
+            record, error = {"p": p}, f"{type(exc).__name__}: {exc}"
+        rows.append(_csv_row(i, record, error))
+        summary_lines.append(_summary(record) + (f" SKIPPED ({error})" if error else ""))
+        if error:
             continue
-        row["carrier_order"] = str(data["carrier_order"])
-        for key in ("b_density", "a_density", "max_defect", "floor"):
-            row[f"{key}_frac"], row[key] = str(data[key]), _dec(data[key])
-        row["kappa_lambda"] = f"{data['kappa_lambda']:.12f}"
-        row["bound_ok"] = str(data["bound_ok"]).lower()
-        rows.append(row)
+        data = {name: record[name] for name, _, in_json, *_ in FIELDS if in_json}
+        data = {k: str(v) if isinstance(v, Fraction) else v for k, v in data.items()}
         with open(os.path.join(cfg.out_dir, f"instance_p{p}.json"), "w") as f:
-            json.dump(
-                {
-                    "p": p,
-                    "family": data["family"],
-                    "report": data["report"],
-                    "kappa_lambda": data["kappa_lambda"],
-                    "floor": str(data["floor"]),
-                    "bound_ok": data["bound_ok"],
-                },
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
-        summary_lines.append(
-            f"p={p}: |X|={data['carrier_order']} "
-            f"max_defect={data['max_defect']} (>=1/126: {data['bound_ok']}) "
-            f"floor={data['floor']} kappa(Z/{p})={data['kappa_lambda']:.6f}"
-        )
+            f.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
     with open(os.path.join(cfg.out_dir, "grid.csv"), "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=_csv_columns())
         writer.writeheader()
         writer.writerows(rows)
-    summary_lines += [
-        "",
-        f"instances={len(cfg.primes)} completed={len(cfg.primes) - failures} "
-        f"skipped={failures}",
-        "note: these finite tables sample the defect/distance relation; "
-        "they exhibit evidence, not a certificate, about the asymptotic regime.",
-    ]
+    failures = sum(bool(row["error"]) for row in rows)
+    tally = f"instances={len(rows)} completed={len(rows) - failures} skipped={failures}"
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(summary_lines) + "\n")
+        f.write("\n".join([*summary_lines, "", tally, NOTE]) + "\n")
     return cfg.out_dir

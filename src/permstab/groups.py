@@ -44,12 +44,12 @@ is one outer product of the (a/g)⁻¹ by the (1 + bc)/g, two classes for a
 prime n instead of n masks of n² entries.  The count is certified against
 |SL2(Z/n)| = n³·Π(1 - ℓ⁻²), ℓ over the primes dividing n; the same formula
 refuses a modulus over the order cap before anything is enumerated.  It
-stores the entries a, b, c, d as four contiguous rows of int16, or of
-int32 once 2(n-1)², the largest x·y + z·w of reduced entries, no longer
-fits int16.  Its kernel multiplies in that width and reduces mod n
-in place as x - (x // n)·n, since numpy's `//` by a scalar is a SIMD loop
-and its `%` is not.  It then finds the product's index as
-first[(a·n + b)·n + c] + off[d, a], into one int64 output.  A broadcast is
+stores the entries a, b, c, d as four contiguous rows of int16: the order
+cap admits no modulus above 66, so 2(n-1)², the largest x·y + z·w of
+reduced entries, is at most 2·65² = 8,450.  Its kernel multiplies in int16
+and reduces mod n in place as x - (x // n)·n, since numpy's `//` by a
+scalar is a SIMD loop and its `%` is not.  It then finds the product's
+index as first[(a·n + b)·n + c] + off[d, a], into one int64 output.  A broadcast is
 done in blocks of about 4·CHUNK_ENTRIES products along its leading axis,
 so each block's narrow temporaries stay in cache, and a 2-D block with
 more rows than columns runs transposed, so that numpy's inner loop runs
@@ -477,16 +477,15 @@ def _sl2_order(n: int) -> int:
 
 def _sl2_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """(entries, first): the a, b, c, d rows of SL2(Z/n) in lexicographic
-    order, in the narrow entry width, and the int32 table first of n³
+    order, as int16, and the int32 table first of n³
     entries, where the run of each prefix (a, b, c) starts, −1 where none does.
 
     One gcd class g = gcd(a, n) at a time.  Its a share one mask of (b, c),
     g | 1 + bc, and one q = (1 + bc)/g; a = g·u with u a unit mod m = n/g,
     and the d of (a, b, c) are d₀ + k·m for k < g, d₀ = q·u⁻¹ mod m.  So a
-    class is one outer product of its u⁻¹ by q mod m, in the entry width,
-    as q·u⁻¹ <= (m − 1)² fits it, and each a's run is one slice of it.
+    class is one outer product of its u⁻¹ by q mod m, in int16, as
+    q·u⁻¹ <= (m − 1)² fits it, and each a's run is one slice of it.
     """
-    width = np.int16 if 2 * (n - 1) ** 2 <= np.iinfo(np.int16).max else np.int32
     gcds = np.array([math.gcd(a, n) for a in range(n)])
     b, c = np.divmod(np.arange(n * n), n)
     bc1 = b * c + 1
@@ -503,12 +502,12 @@ def _sl2_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
         place = np.full(n * n, -1, dtype=np.int32)  # where (b, c) starts within a run
         place[ok] = g * np.arange(ok.size)
         first[a] = np.where(place < 0, -1, start[a, None] + place)
-        block = np.empty((4, len(a), ok.size * g), dtype=width)
+        block = np.empty((4, len(a), ok.size * g), dtype=np.int16)
         block[0] = a[:, None]
         block[1] = np.repeat(b[ok], g)
         block[2] = np.repeat(c[ok], g)
-        d0 = _reduce(inv[:, None].astype(width) * (bc1[ok] // g % m).astype(width), m)
-        block[3] = (d0[:, :, None] + m * np.arange(g, dtype=width)).reshape(len(a), -1)
+        d0 = _reduce(inv[:, None].astype(np.int16) * (bc1[ok] // g % m).astype(np.int16), m)
+        block[3] = (d0[:, :, None] + m * np.arange(g, dtype=np.int16)).reshape(len(a), -1)
         for i, x in enumerate(a.tolist()):
             runs[x] = block[:, i]
     return np.concatenate(runs, axis=1), first.ravel()

@@ -267,6 +267,23 @@ FAULTS = {
         "almost_invariant.round_to_invariant(np.array([True, False, False]), rows)\n",
         "rounded set is not invariant",
     ),
+    "almost_invariant_bound": (
+        "import numpy as np\n"
+        "from permstab import almost_invariant\n"
+        "rows = np.array([[0, 0, 0, 3]])  # not a permutation: it sends all of X = {0, 1, 2} to 0\n"
+        "almost_invariant.round_to_invariant(np.array([True, True, True, False]), rows)\n",
+        "invariant rounding bound violated",  # X0 = {0}, while no h moves a point out of X
+    ),
+    "oracle": (
+        "import numpy as np\n"
+        "from permstab import oracle\n"
+        "from permstab.groups import MarkedGroup, MarkedMap\n"
+        "from permstab.perms import Perm\n"
+        "oracle._scan = lambda marked, targets: np.array([[1, 0, 2], [0, 2, 1]])  # (0 1), (1 2)\n"
+        "Z2 = MarkedGroup.free_abelian(2)\n"
+        "oracle.nearest_homomorphism_bruteforce(Z2, MarkedMap(Z2, [Perm([0, 1, 2])] * 2))\n",
+        "oracle images violate relator (1, 2, -1, -2)",  # (0 1) and (1 2) do not commute
+    ),
     "groups": (
         "from permstab.groups import sl2_mod\n"
         "X = sl2_mod(5)\n"
@@ -337,10 +354,29 @@ FAULTS = {
 UNREACHED = ("conjugacy set-loss bound violated", "displacement bound violated")
 
 
-@pytest.mark.parametrize(
-    "module, count", [("families.py", 9), ("rounding.py", 15)], ids=["families.py", "rounding.py"]
-)
-def test_every_certificate_has_a_fault(module, count):
+# every module of src/ that calls certify, with the number of calls it makes
+CERTIFIED = {
+    "almost_invariant.py": 2,
+    "families.py": 9,
+    "groups.py": 3,
+    "oracle.py": 1,
+    "rounding.py": 15,
+    "spectral.py": 4,
+}
+
+
+def test_every_certifying_module_is_guarded():
+    calls = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify"
+    }
+    assert calls == set(CERTIFIED)
+
+
+@pytest.mark.parametrize("module", sorted(CERTIFIED))
+def test_every_certificate_has_a_fault(module):
     # each certify(...) name, an f-string by its leading constant, starts the
     # expected message of some FAULTS case or is an UNREACHED bound
     names = []
@@ -350,7 +386,7 @@ def test_every_certificate_has_a_fault(module, count):
             name = name.values[0] if isinstance(name, ast.JoinedStr) else name
             assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(node)
             names.append(name.value)
-    assert len(names) >= count
+    assert len(names) >= CERTIFIED[module]
     expected = [message for _, message in FAULTS.values()]
     missed = {n for n in names if not any(m.startswith(n) for m in expected)}
     assert missed == set(UNREACHED) & set(names)

@@ -4,11 +4,12 @@ import csv
 import json
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from permstab import cli, families
+from permstab import cli, experiment, families
 from permstab.cli import main, parse_group_spec
 from permstab.errors import ConfigError
 from permstab.experiment import CSV_COLUMNS, ExperimentConfig, run_experiment
@@ -328,3 +329,22 @@ def test_grid_row_records_violated_certificate(tmp_path, monkeypatch):
     for p in ("7", "19"):
         assert rows[p]["error"] == "" and all(rows[p][c] for c in CSV_COLUMNS if c != "error")
         assert (out / f"instance_p{p}.json").exists()
+
+
+def test_one_field_entry_reaches_every_artifact(tmp_path, monkeypatch):
+    # a field added to the declaration alone gains its CSV columns, JSON key and summary fragment
+    probe = ("probe", Fraction, True, "probe={probe}", lambda p, inst: Fraction(p, 3))
+    monkeypatch.setattr(experiment, "FIELDS", [*experiment.FIELDS, probe])
+    out = tmp_path / "probe"
+    run_experiment(ExperimentConfig(primes=[5, 7], out_dir=str(out)))
+    with open(out / "grid.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = {row["p"]: row for row in reader}
+    assert reader.fieldnames == [*CSV_COLUMNS[:-1], "probe_frac", "probe", "error"]
+    assert (rows["7"]["probe_frac"], rows["7"]["probe"]) == ("7/3", "2.333333333333")
+    assert rows["5"]["error"].startswith("WindowEmptyError")
+    assert rows["5"]["probe_frac"] == rows["5"]["probe"] == ""
+    assert json.loads((out / "instance_p7.json").read_text())["probe"] == "7/3"
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[3].startswith("p=7: |X|=336 ") and lines[3].endswith(" probe=7/3")
+    assert lines[2].startswith("p=5: SKIPPED (WindowEmptyError")

@@ -159,6 +159,19 @@ def test_sl2_cap():
         sl2_mod(59)
 
 
+def test_sl2_entries_fit_int16_under_the_cap(monkeypatch):
+    # the largest modulus the cap admits is 66, where 2·65² = 8,450; from 1,291 on, n³
+    # overflows the int32 lookup key, which the constructor refuses first
+    largest = max(n for n in range(2, 1300) if groups._sl2_order(n) <= groups.SL2_ORDER_CAP)
+    assert largest == 66
+    assert 2 * (largest - 1) ** 2 <= np.iinfo(np.int16).max
+    assert sl2_mod(largest).entries.dtype == np.int16
+    # 2·129² = 33,282 would need int32; the cap refuses 130 before any table is built
+    monkeypatch.setattr(groups, "_sl2_tables", lambda n: pytest.fail("enumerated past the cap"))
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        sl2_mod(130)
+
+
 def _sl2_matrices(n):
     """Every matrix of SL2(Z/n) in lexicographic (a, b, c, d) order, as (N, 2, 2) int64."""
     b, c, d = np.indices((n, n, n)).reshape(3, -1)
