@@ -231,7 +231,8 @@ def _double_coset_labels(X: FinGroup, K: np.ndarray) -> Tuple[List[int], np.ndar
     A k ∈ K of order |K| generates K; then pointer doubling (`_cycle_min`)
     along x ↦ x·k gives the least element of xK, and along x ↦ k·x the
     least of those over Kx, the least of KxK.  Any other K goes through
-    `_min_labels` on x ↦ s·x and x ↦ x·s, s in `greedy_generators(K)`.
+    `_min_labels` on x ↦ s·x and x ↦ x·s, s in `greedy_generators(K)`,
+    none when K is no subgroup, which `_swap_counts`' certificates refute.
     As (KxK)⁻¹ = Kx⁻¹K, each least element r then takes min(r, label[r⁻¹]).
     """
     idx = np.arange(X.order)
@@ -241,7 +242,7 @@ def _double_coset_labels(X: FinGroup, K: np.ndarray) -> Tuple[List[int], np.ndar
         k = np.int64(gens[0])
         label = _cycle_min(X.mul_many(k, idx), len(K), _cycle_min(X.mul_many(idx, k), len(K))[0])[0]
     else:
-        gens, _ = X.greedy_generators(K)
+        gens = [int(K[s]) for s in X.greedy_generators(K) or []]
         steps = [X.mul_many(np.int64(s), idx) for s in gens]
         label = _min_labels(steps + [X.mul_many(idx, np.int64(s)) for s in gens], X.order)
     reps = np.flatnonzero(label == idx)

@@ -13,10 +13,13 @@ group built, as each rounding call builds its own.  `SL2Group` computes
 products with vectorized arithmetic; `PermGroup` composes its stored
 permutation rows in chunks, through buffers allocated once per call, and
 finds each product by one `searchsorted` over the rows' sorted byte keys.
-Closures of several elements go by one BFS, `FinGroup._spread`; the closure
-of one element g, and `group_from_perm_generators` with one generator, list
-e, g, g², … by doubling, and `spectral` builds its characters' word table
-from such closures, with no BFS.  An action is one (|G|, n) array of image rows.
+Closures of several elements go by one BFS, `FinGroup._spread`, one sorted
+array of new elements per level; the closure of one element g, and
+`group_from_perm_generators` with one generator, list e, g, g², … by
+doubling, and `spectral` builds its characters' word table from such
+closures, with no BFS.  `FinGroup.greedy_generators` alone picks generators
+of a known subgroup M and proves M closed, on the columns M·s of its
+generators s.  An action is one (|G|, n) array of image rows.
 Orbits, the cosets of a subgroup with several generators and the swap
 search's double cosets of such a subgroup (`families._double_coset_labels`)
 share one min-label propagation, `_min_labels`; the cosets of a cyclic
@@ -178,33 +181,21 @@ class FinGroup:
     def _spread(self, letters: Sequence[int]):
         """BFS from the identity by right multiplication with `letters`.
 
-        Yields one (new, parent, letter) triple of arrays per level, with
-        new = parent·letters[letter].  An element reached more than once is
-        credited to its first product in frontier order, then letter order,
-        so every element gets the same spanning word on every run.  No sort:
-        `owner` takes the least position of each unseen product by
-        `np.minimum.at`, and an element is a candidate on one level only, so
-        `owner` is never reset.
+        Yields each level's new elements, sorted, as one int64 array; the
+        last level yielded is empty.
         """
         letters = np.asarray(letters, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[self.identity_index] = True
-        owner = np.full(self.order, np.iinfo(np.int64).max)
         frontier = np.array([self.identity_index], dtype=np.int64)
         while frontier.size and letters.size:
             prods = self.mul_many(frontier[:, None], letters[None, :]).ravel()
-            fresh = np.flatnonzero(~seen[prods])
-            cand = prods[fresh]
-            np.minimum.at(owner, cand, fresh)
-            first = fresh[owner[cand] == fresh]
-            new = prods[first]
-            seen[new] = True
-            parent, letter = np.divmod(first, letters.size)
-            yield new, frontier[parent], letter
-            frontier = new
+            frontier = np.unique(prods[~seen[prods]])
+            seen[frontier] = True
+            yield frontier
 
     def closure(self, seed: Sequence[int]) -> np.ndarray:
-        """BFS product closure of a set of element indices, discovery order, as int64.
+        """BFS product closure of a set of element indices, level by level, as int64.
 
         A one-element seed g gives e, g, g², … by doubling: the block
         g¹ … g^b times its last element is g^(b+1) … g^(2b), so g of order m
@@ -217,28 +208,52 @@ class FinGroup:
             while not (powers == e).any():
                 powers = np.concatenate([powers, self.mul_many(powers[-1], powers)])
             return np.concatenate([e, powers[: int(np.argmax(powers == e))]])
-        return np.concatenate([e] + [new for new, _, _ in self._spread(seed)])
+        return np.concatenate([e, *self._spread(seed)])
 
     def generates(self, seed: Sequence[int]) -> bool:
         # no inverses needed: in a finite group s⁻¹ = s^(ord s − 1)
         return len(self.closure(list(seed))) == self.order
 
-    def greedy_generators(self, members: Sequence[int]) -> Tuple[List[int], np.ndarray]:
-        """Generators picked from `members` in order, each outside the span so far.
+    def greedy_generators(self, members: Sequence[int]) -> Optional[List[int]]:
+        """Generators of M = `members` (sorted, distinct element indices),
+        picked greedily, as positions in M; None when M is not a subgroup.
 
-        Returns (gens, spanned), spanned the mask of the subgroup they
-        generate.  Each new generator at least doubles the span, so there are
-        at most log2 of its order.  `members` is a subgroup exactly when
-        spanned.sum() equals its size, every member being in the span.
+        pos maps the group to positions in M, −1 outside it.  The first
+        position the span has not reached becomes a generator s, and its
+        column pos[M·s] is one `mul_many` of |M| products; |S| <= log₂|M|,
+        as each s at least doubles the span.  e ∉ M or a −1 in a column
+        refutes closure.  The first s's span is listed by doubling along its
+        column (the block {s^k : k < 2^j} joins its image under s^(2^j), and
+        a round that adds nothing ends it); later spans grow by a BFS over
+        the columns, by gathers only.  Proof: e ∈ M and M·S ⊆ M give
+        ⟨S⟩ ⊆ M, and ⟨S⟩ covers M, so M = ⟨S⟩ is a subgroup.
         """
-        gens: List[int] = []
-        spanned = np.zeros(self.order, dtype=bool)
-        spanned[self.identity_index] = True
-        for h in members:
-            if not spanned[h]:
-                gens.append(int(h))
-                spanned[self.closure(gens)] = True
-        return gens, spanned
+        members = np.asarray(members, dtype=np.int64)
+        pos = np.full(self.order, -1, dtype=np.int64)
+        pos[members] = np.arange(members.size)
+        reached = np.arange(members.size) == pos[self.identity_index]  # no position if e ∉ M
+        if not reached.any():
+            return None
+        gens, cols = [], []
+        while not reached.all():
+            s = int(np.argmin(reached))  # the first position outside the span
+            col = pos[self.mul_many(members, members[s])]  # position i: members[i]·s
+            if (col < 0).any():
+                return None
+            gens.append(s)
+            cols.append(col)
+            if len(cols) == 1:
+                jump = col
+                while not reached[grown := jump[reached]].all():
+                    reached[grown] = True
+                    jump = jump[jump]
+                continue
+            letters, frontier = np.stack(cols), np.flatnonzero(reached)
+            while frontier.size:
+                new = letters[:, frontier].ravel()
+                frontier = np.unique(new[~reached[new]])
+                reached[frontier] = True
+        return gens
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, order={self.order})"
@@ -926,12 +941,12 @@ def left_coset_reps(G: FinGroup, H: Sequence[int]) -> List[int]:
     order m each class is one m-cycle of x ↦ x·s, labelled by `_cycle_min`
     in ⌈log₂ m⌉ rounds; several generators go through `_min_labels`.
     """
-    members = sorted(set(int(h) for h in H))
-    gens, spanned = G.greedy_generators(members)
-    if int(spanned.sum()) != len(members):
+    members = np.unique(np.asarray(H, dtype=np.int64))
+    gens = G.greedy_generators(members)
+    if gens is None:
         raise NotASubgroupError("H is not a subgroup")
     idx = np.arange(G.order)
-    steps = [G.mul_many(idx, np.int64(s)) for s in gens]
+    steps = [G.mul_many(idx, members[s]) for s in gens]
     label = _cycle_min(steps[0], len(members))[0] if len(gens) == 1 else _min_labels(steps, G.order)
     return np.flatnonzero(label == idx).tolist()  # each class's least point labels itself
 

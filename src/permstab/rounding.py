@@ -14,10 +14,8 @@ Four algorithms, in increasing ambition:
 
 The pipeline closes K once, reads K₀'s rows from it for δ, the invariant
 rounding of X and both K₀-actions, and certifies each fact once.  K₀ is
-proven a subgroup on the columns K₀·s of greedily chosen generators s, never
-on its |K₀|² product table: e ∈ K₀ and K₀·S₀ ⊆ K₀ put every word in S₀
-inside K₀, so ⟨S₀⟩ ⊆ K₀, and ⟨S₀⟩, reached by a BFS over the columns,
-covers K₀; so K₀ = ⟨S₀⟩, at |K₀|·|S₀| products with |S₀| <= log₂|K₀|.
+proven a subgroup by `FinGroup.greedy_generators`, on the columns K₀·s of
+its generators s, at |K₀|·|S₀| products and never on its |K₀|² table.
 One kernel, `_translation_defects`, counts the translation defect of ε and
 of δ off r(y) = y⁻¹·φ(y), as φ(gx) = g·φ(x) exactly when r(gx) = r(x); no
 temporary of it exceeds groups.CHUNK_ENTRIES entries.  commuting_extension
@@ -358,51 +356,6 @@ def _complete_to_perms(k_rows: np.ndarray, n_x: int) -> np.ndarray:
     return out
 
 
-def _subgroup_on_columns(K: PermGroup, k0: np.ndarray) -> PermGroup:
-    """K₀ = the elements k0 of K (increasing) as a PermGroup numbered by
-    position in k0, with its generators S₀ recorded as proven; raises
-    CertificateError "K₀ failed to close into a subgroup" when it is not one.
-
-    pos maps each element of K to its position in k0, or to −1.  The
-    positions are walked in increasing order, and each one the span so far
-    has not reached becomes a generator s, whose column pos[k0·s] is formed
-    once: |K₀|·|S₀| products, |S₀| <= log₂|K₀| as each generator at least
-    doubles the span.  A −1 in a column refutes closure.  The first
-    generator's span ⟨s⟩ is listed by doubling along its column: the block
-    {s^k : k < 2^j} joins its image under jump = s^(2^j), and jump squares,
-    so ⟨s⟩ of order m takes ⌈log₂ m⌉ rounds and a round that adds nothing
-    ends it.  Later spans grow by a BFS over the columns, index gathers
-    only.  Proof: e ∈ K₀ and K₀·S₀ ⊆ K₀ put every word in S₀ inside K₀, so
-    ⟨S₀⟩ ⊆ K₀; the doubling and the BFS reach exactly ⟨S₀⟩, and it covers
-    K₀, so K₀ = ⟨S₀⟩, a subgroup.
-    """
-    pos = np.full(K.order, -1, dtype=np.int64)
-    pos[k0] = np.arange(k0.size)
-    e = int(pos[K.identity_index])
-    certify("K₀ failed to close into a subgroup", int(e < 0), 0)
-    reached = np.zeros(k0.size, dtype=bool)
-    reached[e] = True
-    gens, cols = [], []
-    while not reached.all():
-        s = int(np.argmin(reached))  # the first position outside the span
-        col = pos[K.mul_many(k0, np.int64(k0[s]))]  # position i: k0[i]·s
-        certify("K₀ failed to close into a subgroup", int(np.count_nonzero(col < 0)), 0)
-        gens.append(s)
-        cols.append(col)
-        if len(cols) == 1:
-            jump = col
-            while not reached[grown := jump[reached]].all():
-                reached[grown] = True
-                jump = jump[jump]
-            continue
-        letters, frontier = np.stack(cols), np.flatnonzero(reached)
-        while frontier.size:
-            new = letters[:, frontier].ravel()
-            frontier = np.unique(new[~reached[new]])
-            reached[frontier] = True
-    return PermGroup(K.rows[k0], gens, name="K0", proven=True)
-
-
 def rigidity_pipeline(
     G: FinGroup,
     S: Sequence[int],
@@ -415,10 +368,8 @@ def rigidity_pipeline(
     X = G sits inside Y as the indices {0,…,|G|−1}; K < Sym(Y) is the closure
     of K_gens.  Requires the measured defect ε < κ⁴/200 (certified κ).
 
-    Each fact is certified once.  K₀ is closed on the columns K₀·s of
-    greedily chosen generators s (`_subgroup_on_columns`), at |K₀|·|S₀|
-    products and never |K₀|²: e ∈ K₀ and K₀·S₀ ⊆ K₀ give ⟨S₀⟩ ⊆ K₀, and
-    ⟨S₀⟩ covers K₀, so K₀ = ⟨S₀⟩ is a subgroup.  `delta.verify()` proves δ
+    Each fact is certified once.  `greedy_generators` proves K₀ a subgroup
+    generated by S₀, at |K₀|·|S₀| products, and `delta.verify()` proves δ
     a homomorphism, without closing S₀ again.  So α₁ (k on X₀,
     certified K₀-invariant by `round_to_invariant`) and α₂ (β(δ(k)) on X),
     each the identity elsewhere on Z, are actions, and `extract_conjugacy`
@@ -446,7 +397,9 @@ def rigidity_pipeline(
     # K₀ = {k : |X ∩ kX| >= |X|/2}, increasing, so that position i is K₀'s element i
     k0 = np.flatnonzero((K.rows[:, :n_x] < n_x).sum(axis=1) * 2 >= n_x)
     K0 = k0.tolist()
-    K0_group = _subgroup_on_columns(K, k0)
+    gens = K.greedy_generators(k0)
+    certify("K₀ failed to close into a subgroup", int(gens is None), 0)
+    K0_group = PermGroup(K.rows[k0], gens, name="K0", proven=True)
     k0_rows = K0_group.rows
 
     # δ through right-translation rounding of every completed k̃ at once

@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+sys.dont_write_bytecode = True  # no src/permstab/__pycache__ left behind for a later run to import
+
 from permstab.groups import FinGroup
 
 
@@ -22,7 +24,7 @@ def spread_levels(monkeypatch):
 
     def counted(G, letters):
         for level in spread(G, letters):
-            levels.append(len(level[0]))
+            levels.append(len(level))
             yield level
 
     monkeypatch.setattr(FinGroup, "_spread", counted)

@@ -404,5 +404,5 @@ def test_injected_fault_raises_under_optimize(module):
         "raise SystemExit(1)\n"
     )
     env = {"PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-B", "-O", "-c", code], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()

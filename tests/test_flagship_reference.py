@@ -4,7 +4,9 @@
 and summary.txt that the `flagship_grid` workload checks a run against, with
 the run's seed echo recorded as ``seed=SEED``.  Files are compared as the
 benchmark reads them, as text with universal newlines: the CSV writer ends
-rows with \\r\\n, which the recorded copy holds as \\n.  The test only reads
+rows with \\r\\n, which the recorded copy holds as \\n.  So grid.csv is also
+read as bytes: every row must end in \\r\\n, and with those endings made
+\\n its bytes must equal the recorded copy's.  The test only reads
 `perfbench/`; a change that moves the artifacts re-records the reference
 with `perfbench/make_reference.py`, and this test follows.
 """
@@ -37,3 +39,6 @@ def test_flagship_artifacts_match_reference(tmp_path):
     ]
     for name in want:
         assert got[name] == want[name], name
+    grid = (out / "grid.csv").read_bytes()
+    assert grid.endswith(b"\r\n") and grid.count(b"\n") == grid.count(b"\r") == grid.count(b"\r\n")
+    assert grid.replace(b"\r\n", b"\n") == (REFERENCE / "grid.csv").read_bytes()

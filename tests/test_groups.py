@@ -114,7 +114,7 @@ def test_generates_empty_and_partial_seeds():
 
 def _bfs_closure(G, seed):
     """The closure as the BFS lists it: the identity, then each level of `_spread`."""
-    return [G.identity_index] + [h for new, _, _ in G._spread(seed) for h in new.tolist()]
+    return [G.identity_index] + [h for level in G._spread(seed) for h in level.tolist()]
 
 
 def _one_element_cases():
@@ -505,19 +505,12 @@ def test_group_from_perm_generators_cap(monkeypatch):
 
 
 def _python_bfs(G, letters):
-    """Each BFS level as ([new], [parent], [letter]), from scalar products in a Python loop."""
+    """Each BFS level's new elements, sorted, from scalar products in a Python loop."""
     seen, frontier, levels = {G.identity_index}, [G.identity_index], []
     while frontier:
-        level = ([], [], [])
-        for x in frontier:
-            for k, s in enumerate(letters):
-                y = G.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    for part, v in zip(level, (y, x, k)):
-                        part.append(v)
-        levels.append(level)
-        frontier = level[0]
+        frontier = sorted({G.mul(x, s) for x in frontier for s in letters} - seen)
+        seen.update(frontier)
+        levels.append(frontier)
     return levels
 
 
@@ -537,11 +530,9 @@ def test_spread_levels_match_python_bfs(name):
     if name == "cyclic:30":
         letter_sets.append([12, 20, 18])  # spans the subgroup of order 15
     for letters in letter_sets:
-        got = [
-            tuple(part.tolist() for part in level)
-            for level in G._spread(np.asarray(letters, dtype=np.int64))
-        ]
-        assert got == _python_bfs(G, letters)
+        got = list(G._spread(np.asarray(letters, dtype=np.int64)))
+        assert all(level.dtype == np.int64 for level in got)
+        assert [level.tolist() for level in got] == _python_bfs(G, letters)
 
 
 def _z4_table():
@@ -596,6 +587,29 @@ def test_verify_requires_generating_set():
         GroupHom(trivial, cyclic(2), [1]).verify()
     with pytest.raises(NotAnActionError, match="identity"):
         PermAction(trivial, [[1, 0]]).verify()
+
+
+def test_a_group_of_order_above_one_without_generators_is_refused():
+    # the closure of no generators is {e}, so no check may pass on the rest
+    for G in (cyclic(3), sl2_mod(5)):
+        G.generators = []
+        with pytest.raises(NotAHomomorphismError, match="generators do not generate the group"):
+            GroupHom(G, G, np.arange(G.order)).verify()
+        with pytest.raises(NotAnActionError, match="generators do not generate the group"):
+            left_regular(G).verify()
+
+
+def test_greedy_generators_are_positions_or_none():
+    X = sl2_mod(5)
+    e = X.identity_index
+    assert X.greedy_generators(np.delete(np.arange(X.order), e)) is None  # no e
+    assert X.greedy_generators([X.generators[0]]) is None  # no e, and no column to refute it
+    assert X.greedy_generators([e]) == []
+    Z12 = cyclic(12)
+    assert Z12.greedy_generators([0, 3, 6, 9]) == [1]  # the position of 3
+    assert Z12.greedy_generators([0, 3, 6]) is None  # 6 + 6 falls outside
+    # ⟨(0, 1)⟩ = positions 0..3, then (1, 0) at position 4
+    assert direct_product(cyclic(2), cyclic(4)).greedy_generators(range(8)) == [1, 4]
 
 
 def test_verify_skips_generation_only_for_the_proven_list(monkeypatch):

@@ -25,7 +25,7 @@ def test_importing_every_module_loads_only_numpy_beyond_stdlib():
         "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True
+        [sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["numpy", "permstab"]

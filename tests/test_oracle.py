@@ -146,6 +146,6 @@ def test_violated_certificate_raises_under_optimize():
         "raise SystemExit(1)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
+        [sys.executable, "-B", "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()

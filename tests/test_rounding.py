@@ -110,7 +110,7 @@ def test_nearest_translation_bound_trips_under_optimize():
         "raise SystemExit(1)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
+        [sys.executable, "-B", "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()
 
@@ -618,20 +618,25 @@ def test_k0_closes_on_generator_columns(monkeypatch, n_x, k_gens):
         groups.PermGroup, "mul_many", lambda G, a, b: sizes.append(np.broadcast(a, b).size) or mul_many(G, a, b)
     )
     monkeypatch.setattr(np, "unique", lambda x: levels.append(x.size) or unique(x))
-    K0 = rounding._subgroup_on_columns(K, k0)
+    gens = K.greedy_generators(k0)
     monkeypatch.undo()
     # |K₀|·|S₀| products, one column of |K₀| per generator, |S₀| <= log₂|K₀|
-    assert sizes == [k0.size] * len(K0.generators)
+    assert sizes == [k0.size] * len(gens)
     # the first generator's span comes by doubling: a BFS level only for later ones
-    assert (levels == []) == (len(K0.generators) == 1)
-    assert len(K0.generators) <= math.log2(k0.size)
-    # the numbering, identity and generators of K₀'s whole table and the
-    # greedy rule over its elements
+    assert (levels == []) == (len(gens) == 1)
+    assert len(gens) <= math.log2(k0.size)
+    # K₀ as the pipeline builds it, against the numbering and identity of its
+    # whole table and the greedy rule run by closures over its elements
+    K0 = groups.PermGroup(K.rows[k0], gens, name="K0", proven=True)
     prods = np.searchsorted(k0, K.mul_many(k0[:, None], k0[None, :]))
     table = groups.TableGroup(prods, [], identity_index=int(np.searchsorted(k0, K.identity_index)))
-    gens, spanned = table.greedy_generators(range(k0.size))
-    assert spanned.all()
-    assert K0.generators == gens == K0._generated_by and K0.identity_index == table.identity_index
+    want, spanned = [], {table.identity_index}
+    for h in range(k0.size):
+        if h not in spanned:
+            want.append(h)
+            spanned = set(table.closure(want).tolist())
+    assert spanned == set(range(k0.size))
+    assert K0.generators == want == K0._generated_by and K0.identity_index == table.identity_index
     idx = np.arange(k0.size)
     assert np.array_equal(K0.mul_many(idx[:, None], idx[None, :]), prods)
     assert np.array_equal(K0.rows, K.rows[k0])
@@ -644,10 +649,11 @@ def test_k0_refuses_a_set_that_does_not_close():
     b = Perm(np.r_[0:7, 21:28, 14:21, 7:14])
     K = group_from_perm_generators([a, b])
     k0 = np.flatnonzero((K.rows[:, :14] < 14).sum(axis=1) * 2 >= 14)
+    assert K.greedy_generators(k0) is None
+    assert K.greedy_generators(k0[1:]) is None  # without e
+    # κ(ℤ/14, {1}) overstated as 2 lets ε = 1/14 through to the certificate
     with pytest.raises(CertificateError, match="^K₀ failed to close into a subgroup"):
-        rounding._subgroup_on_columns(K, k0)
-    with pytest.raises(CertificateError, match="^K₀ failed to close into a subgroup"):
-        rounding._subgroup_on_columns(K, k0[1:])  # without e
+        rigidity_pipeline(cyclic(14), [1], 28, [a, b], kappa_lower=2.0)
 
 
 def test_pipeline_k_inside_k0_of_order_40320_fits_3gib():
@@ -669,6 +675,6 @@ def test_pipeline_k_inside_k0_of_order_40320_fits_3gib():
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["40320", "40320", "0", "0", "0"]

@@ -107,14 +107,24 @@ def test_characters_reject_inconsistent_candidates(n, gens, pinned):
 
 
 def _characters_bfs(G):
-    """Reference: E along each element's first BFS word over g_i and g_i⁻¹, and
-    the exponent rows kept by the relation scan over every candidate."""
+    """Reference: E along each element's first BFS word over g_i and g_i⁻¹,
+    found by a Python BFS of scalar products, and the exponent rows kept by
+    the relation scan over every candidate."""
     gens = list(G.generators)
     k = len(gens)
     E = np.zeros((G.order, k), dtype=np.int64)
     steps = np.concatenate([np.eye(k, dtype=np.int64), -np.eye(k, dtype=np.int64)])
-    for new, parent, letter in G._spread(gens + [G.inv(g) for g in gens]):
-        E[new] = E[parent] + steps[letter]
+    letters = gens + [G.inv(g) for g in gens]
+    seen, frontier = {G.identity_index}, [G.identity_index]
+    while frontier:
+        level = []
+        for x in frontier:
+            for step, s in zip(steps, letters):
+                if (y := G.mul(x, s)) not in seen:
+                    seen.add(y)
+                    level.append(y)
+                    E[y] = E[x] + step
+        frontier = level
     d = G.element_order(gens)
     L = math.lcm(*d.tolist())
     exps = np.indices(d).reshape(k, -1).T
@@ -502,7 +512,7 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(permstab.__file__).resolve().parents[1])
     code = "import sys, permstab; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
