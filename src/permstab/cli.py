@@ -97,7 +97,7 @@ def _parse_window(s: Optional[str]):
 
 def _emit(data: dict, out: Optional[str]):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if out:
+    if out is not None:  # an empty --out is a path that cannot be written
         try:
             with open(out, "w") as f:
                 f.write(text)
@@ -109,7 +109,7 @@ def _emit(data: dict, out: Optional[str]):
 
 def cmd_kazhdan(args) -> int:
     G = parse_group_spec(args.group)
-    S = _element_indices(G, args.gens.split(",")) if args.gens else list(G.generators)
+    S = list(G.generators) if args.gens is None else _element_indices(G, args.gens.split(","))
     br = kazhdan(G, S, tol=args.tol)
     bounds = {"lower": br.lower, "upper": br.upper, "lambda1": br.lambda1}
     _emit({"group": args.group, "generators": S, "method": br.method, **bounds}, args.out)
@@ -171,7 +171,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    if args.out:
+    if args.out is not None:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed

@@ -334,6 +334,14 @@ FAULTS = {
         "spectral.kazhdan_bracket(X, X.generators)\n",
         "φ does not commute with L",
     ),
+    "spectral_reflection": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "X = sl2_mod(13)  # N = 84 cosets of h, wide enough for real forms\n"
+        "X.reflection_many = X.inv_many  # sends E, F to E⁻¹, F⁻¹ as ρ does, but (xy)⁻¹ = y⁻¹x⁻¹\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "ρ̃ is not an involution that commutes with L",
+    ),
     "spectral": (
         "import numpy as np\n"
         "from permstab import spectral\n"
@@ -361,7 +369,7 @@ CERTIFIED = {
     "groups.py": 3,
     "oracle.py": 1,
     "rounding.py": 15,
-    "spectral.py": 4,
+    "spectral.py": 5,
 }
 
 

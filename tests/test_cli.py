@@ -296,6 +296,26 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: cannot write")
 
 
+@pytest.mark.parametrize("args", [
+    ["kazhdan", "--group", "sl2:5", "--gens", ""],  # not the canonical generators
+    ["kazhdan", "--group", "sl2:5", "--out", ""],  # not standard output
+    ["defect", "--prime", "7", "--out", ""],
+])
+def test_empty_values_are_config_errors(args, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and captured.out == ""
+
+
+def test_run_with_empty_out_is_a_config_error(tmp_path, capsys):
+    # an empty --out names no directory; the config's out_dir is not written instead
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"primes": [7], "out_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg_path), "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(primes=[1])

@@ -1,5 +1,7 @@
 """Kazhdan constants: exact abelian values and certified Laplacian brackets."""
 
+import collections
+import copy
 import itertools
 import json
 import math
@@ -321,6 +323,8 @@ def test_twisted_split_halves_the_widest_blocks():
     assert blocks.cols.shape[1] == 924
     widths = {j: {s.shape[1] for s in blocks.stacks(j)} for j in blocks.orbit_reps().tolist()}
     assert widths == {0: {22}, 1: {462}, 2: {462}, 43: {22}}
+    # J fixes both sub-blocks of blocks 1 and 2, so each is one real stack
+    assert [(s.shape, s.dtype) for s in blocks.stacks(1) + blocks.stacks(2)] == [((2, 462, 462), np.float64)] * 2
 
 
 def test_twisted_map_that_fixes_a_coset_is_passed_over():
@@ -349,6 +353,72 @@ def test_split_without_beta_when_beta_does_not_permute_s():
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _without_reflection(G):
+    """The same group with no ρ, so every sub-block keeps its complex form."""
+    H = copy.copy(G)
+    H.reflection_many = None
+    return H
+
+
+@pytest.mark.parametrize(
+    "G, S", TWISTED + [(G, G.generators) for G in BLOCK_GROUPS] + [(sl2_mod(43), sl2_mod(43).generators)],
+    ids=str,
+)
+def test_real_forms_reproduce_their_sub_blocks_spectra(monkeypatch, G, S):
+    # every sub-block J fixes becomes a real symmetric stack entry with the
+    # eigenvalues of the complex B_{j,l} it replaces; every other sub-block is
+    # byte-identical to the one built without ρ
+    if G.order < 10_000:
+        monkeypatch.setattr(spectral, "REAL_FORM_WIDTH", 0)
+    with_rho, without = _CharacterBlocks.of(G, S), _CharacterBlocks.of(_without_reflection(G), S)
+    forms = 0
+    for j in with_rho.orbit_reps().tolist():
+        got, want = with_rho.stacks(j), without.stacks(j)
+        real = [s for s in got if s.dtype == np.float64]
+        plain = [s for s in want if s.dtype == np.float64]
+        complex_got = [b for s in got if s.dtype == np.complex128 for b in s]
+        if plain:  # the real stack starts with the sub-blocks that were real already
+            assert np.array_equal(real[0][: len(plain[0])], plain[0])
+        new = [b for s in real for b in s][sum(len(s) for s in plain) :]
+        forms += len(new)
+        for b in [b for s in want if s.dtype == np.complex128 for b in s]:
+            if complex_got and np.array_equal(b, complex_got[0]):
+                complex_got.pop(0)
+            else:  # the next real form, in l order
+                np.testing.assert_allclose(np.linalg.eigvalsh(new.pop(0)), np.linalg.eigvalsh(b), rtol=0, atol=1e-10)
+        assert new == [] and complex_got == []
+    assert (forms > 0) == (G.reflection_many is not None)
+
+
+def test_stacks_without_reflection_when_rho_does_not_permute_s(monkeypatch):
+    # ρ(u·ℓ) = u⁻¹ℓ⁻¹ is not in {u, u·ℓ}±, so no J: the stacks are those of a
+    # group that supplies no ρ
+    monkeypatch.setattr(spectral, "REAL_FORM_WIDTH", 0)
+    X = sl2_mod(7)
+    E, F = X.generators
+    S = [E, X.mul(E, F)]
+    got, want = _CharacterBlocks.of(X, S), _CharacterBlocks.of(_without_reflection(X), S)
+    for j in range(got.m):
+        a, b = got.stacks(j), want.stacks(j)
+        assert len(a) == len(b) and all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
+
+
+def test_certificate_refuses_a_level_above_a_real_form(monkeypatch):
+    # the real forms of sl2_mod(13)'s blocks 1, 2, 4 and 5 are certified at their
+    # least eigenvalue and refused 1e-6 above it, with Rump's real constant
+    monkeypatch.setattr(spectral, "REAL_FORM_WIDTH", 0)
+    X = sl2_mod(13)
+    blocks = _CharacterBlocks.of(X, X.generators)
+    for j in (1, 2, 4, 5):
+        (stack,) = blocks.stacks(j)
+        assert stack.dtype == np.float64 and stack.shape == (2, 42, 42)
+        for l in range(len(stack)):
+            least = spectral._least(stack[l : l + 1], False)
+            level = spectral._certified_levels(stack[l : l + 1].copy(), least, 0)
+            assert 0 < least - level[0] < 1e-9
+            assert spectral._certified_levels(stack[l : l + 1].copy(), least + 1e-6, 0) is None
 
 
 @pytest.mark.parametrize("G", BLOCK_GROUPS, ids=str)
@@ -399,12 +469,13 @@ def test_blocks_match_round_by_round_reference(G):
 
 
 def _count_lapack(monkeypatch):
-    calls = {"eigvalsh": 0, "cholesky": 0}
+    """The (dtype, shape) of every stack eigvalsh and cholesky are called on."""
+    calls = {"eigvalsh": [], "cholesky": []}
     for name in calls:
         real = getattr(np.linalg, name)
 
         def counted(a, _real=real, _name=name):
-            calls[_name] += 1
+            calls[_name].append((a.dtype, a.shape))
             return _real(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -412,26 +483,37 @@ def _count_lapack(monkeypatch):
 
 
 @pytest.mark.parametrize("G, retries", [
-    (sl2_mod(13), 0), (sl2_mod(19), 0), (_dihedral(12), 1), (cyclic(20000), 0),
-], ids=["sl2_13", "sl2_19", "dihedral_12", "cyclic_20000"])
+    (sl2_mod(13), 0), (sl2_mod(19), 0), (_dihedral(12), 1), (cyclic(20000), 0), (sl2_mod(43), 0),
+], ids=["sl2_13", "sl2_19", "dihedral_12", "cyclic_20000", "sl2_43"])
 def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, retries):
     # eigvalsh runs on block 0's stacks alone, unless a stack is refused and
     # gets its own; each stack of each orbit block gets one Cholesky, each
-    # refused one a second; N = 1 blocks need neither
+    # refused one a second, of the same dtype; N = 1 blocks need neither
     blocks = _CharacterBlocks.of(G, G.generators)
-    stacks = 0 if blocks.cols.shape[1] == 1 else sum(
-        len(blocks.stacks(j)) for j in blocks.orbit_reps().tolist()
-    )
-    first = 0 if blocks.cols.shape[1] == 1 else len(blocks.stacks(0))
+    dense = blocks.cols.shape[1] > 1
+    stacks = [s.dtype for j in blocks.orbit_reps().tolist() for s in blocks.stacks(j)] if dense else []
+    first = [s.dtype for s in blocks.stacks(0)] if dense else []
     calls = _count_lapack(monkeypatch)
     lam, solved, _ = spectral._lambda1(G, G.generators)
     assert solved == len(blocks.orbit_reps())
-    assert calls == {"eigvalsh": first + retries, "cholesky": stacks + retries}
+    eig, chol = (collections.Counter(dtype for dtype, _ in calls[name]) for name in ("eigvalsh", "cholesky"))
+    refused = eig - collections.Counter(first)
+    assert sum(refused.values()) == retries and eig == collections.Counter(first) + refused
+    assert chol == collections.Counter(stacks) + refused
     if G.is_abelian:
         exact = kazhdan_abelian_exact(G, G.generators)
         br = kazhdan_bracket(G, G.generators)
         assert br.lower <= exact.lower <= br.upper
         assert abs(br.lambda1 - exact.lambda1) < 1e-12
+
+
+def test_sl2_43_factors_its_widest_sub_blocks_in_real_form(monkeypatch):
+    # the four 462-wide sub-blocks of blocks 1 and 2 go to LAPACK as two real stacks
+    X = sl2_mod(43)
+    calls = _count_lapack(monkeypatch)
+    spectral._lambda1(X, X.generators)
+    assert [c for c in calls["cholesky"] if c[1][1] == 462] == [(np.float64, (2, 462, 462))] * 2
+    assert all(shape[1] == 22 for _, shape in calls["eigvalsh"])  # block 0 alone
 
 
 def test_certificate_refuses_a_level_above_the_block():
@@ -476,7 +558,8 @@ def test_bracket_matches_reference_file():
 
 
 def test_bracket_matches_reference_lambda1():
-    # λ1 recorded in perfbench/reference/kazhdan_sl2.json (LOBPCG for 13 and 43)
+    # λ1 recorded in perfbench/reference/kazhdan_sl2.json, where the values for 13
+    # and 43 came from an iterative solver that the blocks' dense eigvalsh replaced
     reference = {11: 0.38196601125009766, 13: 0.3248691294333531, 43: 0.16616505151860148}
     for p, lam1 in reference.items():
         X = sl2_mod(p)
@@ -491,7 +574,7 @@ def test_bracket_lower_end_keeps_margin():
         br = kazhdan_bracket(G, G.generators, tol=tol)
         lam, _, mu = spectral._lambda1(G, G.generators)
         k = len(set(G.generators))
-        eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the spectral module docstring
+        eps = 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the spectral module docstring
         # the lower end stands on the certified level μ, strictly below λ̃, less ε:
         # sqrt((μ - ε)/k) - tol with every step rounded down
         assert mu < lam == br.lambda1
