@@ -16,6 +16,9 @@ the Laplacian L = 2k·I - Σ_{t∈S±} λ(t), k = |S|, on the mean-zero subspace
 of ℓ²(G), whose smallest eigenvalue is λ1.  For unit ξ orthogonal to
 constants, Σ_s ||π(s)ξ - ξ||² = <Lξ, ξ> >= λ1 forces max_s ||π(s)ξ - ξ|| >=
 sqrt(λ1/k), while the minimizing eigenvector witnesses max_s <= sqrt(λ1).
+SL₂(𝔽_p) with p >= 5 prime takes blocks from its irreducible
+representations (the last part below); every other group, composite SL₂(ℤ/n)
+included, takes the character blocks that follow.
 
 L commutes with right translation by h of order m: ℓ²(G) = ⊕_j V_j,
 V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
@@ -140,6 +143,77 @@ lowers λ̃, and one more try; a second refusal raises CertificateError.
 math.nextafter.  When N = 1 the blocks are read off as one array; each is
 the real 1×1 matrix of its real part, so its Cholesky is the sign test
 fl(fl(a - μ_j) - c_j) > 0.
+
+SL₂(𝔽_p), p >= 5 prime, reads S's entries mod p into int64 and builds no
+element table.  ℓ²(G) holds every irreducible representation, the trivial
+one once, so λ1 is the least eigenvalue of L = 2k·I - Σ_{t∈S±} π(t) over
+the nontrivial irreducible π.  Every one of them is a constituent of one of
+two families (W. Fulton and J. Harris, Representation Theory, 1991, §5.2):
+
+- the principal series V_χ = {F on 𝔽_p² ∖ 0 : F(λv) = χ(λ)F(v)},
+  (π(g)F)(v) = F(g⁻¹v), p + 1 wide, for χ_j(γ^c) = exp(2πi·jc/(p - 1)) with γ
+  a generator of 𝔽_p^×.  On the basis F(v_x) over the points x of P¹(𝔽_p),
+  v_x = (x, 1) and v_p = (1, 0), π(t⁻¹) is monomial: t·v_x = γ^c·v_{t·x}
+  puts χ_j(γ^c) at (x, t·x), the integer numerator j·c over p - 1 that
+  `_Terms` fills in;
+- the norm-one torus T ⊂ 𝔽_{p²}^× (order p + 1) acts on the Weil
+  representation of SL₂(𝔽_p) on ℓ²(𝔽_{p²}) for the norm form N and ψ(a) =
+  exp(2πi·a/p) (P. Gérardin, Weil representations associated to finite
+  fields, J. Algebra 46, 1977; D. Bump, Automorphic Forms and
+  Representations, 1997, §4.1): [[a,b],[0,d]] sends f to f(a·)·ψ(ab·N), and
+  for c ≠ 0 [[a,b],[c,d]] has the kernel -ψ((a·N(z) + d·N(y) - Tr(z·ȳ))/c)/p.
+  W_θ = {f : f(tz) = θ(t)f(z)} for θ ≠ 1, p - 1 wide, holds the cuspidal
+  representations.
+
+So there is one block per pair {χ, χ⁻¹}, j = 0 … (p - 1)/2, and one per pair
+{θ, θ⁻¹} of nontrivial characters of T, about p + 1 in all.  χ⁻¹'s block is
+the complex conjugate of χ's, with the same spectrum, and W_{θ⁻¹} ≅
+conj(W_θ): conjugation turns ψ into ψ(-·), that is N into -N, and f ↦ f(z0·)
+with N(z0) = -1 commutes with T and carries one kernel to the other.  No
+constituent but V_1's constants is trivial: a G-invariant F is constant, as
+G is transitive on 𝔽_p² ∖ 0, and a G-invariant f is fixed by every
+[[1,b],[0,1]], so it lives on N(z) = 0, at z = 0, where θ ≠ 1 makes it 0.
+The constants are lifted by s = ⌈4k/(p + 1)⌉ as B_{0,0}'s are above.
+
+W_θ is taken in torus-orbit coordinates: g0 generates 𝔽_{p²}^× (certified
+by its p² - 1 distinct powers), t0 = g0^(p-1) generates T, and F(n) =
+√(p + 1)·f(g0^n), n < p - 1, picks one point of each T-orbit, N(g0^n) =
+γ^n with γ = g0^(p+1).  With g0^m = t0^q·g0^r, r < p - 1, an entry of
+π(g) is one phase over p(p + 1) (a ψ and a power of θ(t0)), times
+J_θ(g0^r)/p for c ≠ 0, where J_θ(y) = Σ_{t∈T} θ(t)·ψ(-Tr(y·t̄)) at
+y = g0^n·conj(g0^n')/c and J_θ(y·t′) = θ(t′)·J_θ(y): p - 1 sums of p + 1
+phases per θ, O(p²) terms, not O(p³).  A test checks the relations of the
+computed matrices (π(s)π(s⁻¹) = I, (E·w)³ = I, π(xy) = π(x)π(y)) at small p;
+the lower end rests on the cited theorems and on these exact certificates:
+
+- the principal series: for every t ∈ S± and point x, t·v_x ≡ γ^c·v_{t·x}
+  (mod p) with γ^c read from a table certified to be k ↦ γ^k for a generator
+  γ (exp[k+1] = γ·exp[k] cyclically, p - 1 distinct values), so each term is
+  π(t⁻¹)'s entry for a character χ_j; and the cocycle identity c(s⁻¹, s·x) +
+  c(s, x) ≡ 0 (mod p - 1) at s⁻¹·(s·x) = x pairs the rows as S±.  A wrong
+  numerator fails the first compare;
+- the Cholesky of each stack, as above.
+
+Entry error.  A phase is read from one table of exp(iθ̂) at numerators below
+D = p(p + 1), each within 22u.  The principal series has E <= 2k(22 + 6k)u
+as the blocks B_{j,l} above.  A torus sum Ĵ of p + 1 phases, in any order,
+errs by at most (p + 1)(22u + γ_p(1 + 22u)) <= (p + 1)(p + 23)u, |J| <= p + 1;
+dividing by p adds u|Ĵ|/p, and one complex product with a phase adds
+√2·γ₂·1.21 < 3.5u and 22u·1.21 < 26.7u.  So every computed entry of π_θ(s)
+is within τ = (p + 1)(p + 56)u/p of the exact one and has modulus < 1.21.
+The stack is 2k·I - Σ_{s∈S} (π̂_θ(s) + π̂_θ(s)ᴴ), and π(s⁻¹) = π(s)ᴴ as the
+Weil representation is unitary; its 2k subtractions per entry, of partial
+sums below 4.42k, add 9k²u.  LAPACK reads the lower triangle, so E is
+Hermitian with entries below 2kτ + 9k²u, and ||E||₂ <= ||E||_∞ <=
+(p - 1)(2kτ + 9k²u) <= kp(2p + 112 + 9k)u, which is also above the principal
+series' E.  Every a_ii <= 6k (s <= 1.67k), so ε = k(p(2p + 9k + 112) + 7)u.
+
+`lambda1` is λ̃ from `eigvalsh` on the principal stacks, Ind 1's constants
+excluded; the cuspidal stack is certified at it, and a refused stack gets
+its own `eigvalsh` and one more try, as above.  The upper end keeps δ, a
+model as on the other path: these blocks are at most p + 1 wide, and δ's
+share for P - p - 1 more rows covers ε while p <= 59 and k <= 3.  The path
+raises CapacityError when p + 1 > DENSE_DIM_CAP, before any block is built.
 """
 
 from __future__ import annotations
@@ -160,7 +234,7 @@ from .errors import (
     PermstabError,
     certify,
 )
-from .groups import FinGroup, _cycle_min
+from .groups import FinGroup, SL2Group, _cycle_min
 
 DENSE_DIM_CAP = 2000
 DEFAULT_TOL = 1e-8
@@ -181,8 +255,13 @@ class KazhdanBracket:
     method: str  # "abelian-exact" or "laplacian-bracket"
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 2.0 + 1e-12):
-            raise ValueError("bracket must satisfy 0 <= lower <= upper <= 2")
+        top = 2.0 + 1e-12
+        if not 0.0 <= self.lower <= self.upper <= top:  # float compares are exact; NaN fails them
+            excess = 1  # NaN or an infinite end
+            if math.isfinite(self.lower) and math.isfinite(self.upper):
+                lower, upper = Fraction(self.lower), Fraction(self.upper)  # exact for floats
+                excess = max(-lower, lower - upper, upper - Fraction(top))
+            certify("bracket must satisfy 0 <= lower <= upper <= 2", excess, 0)
 
 
 def _require_generating(G: FinGroup, S: Sequence[int]):
@@ -557,27 +636,33 @@ def _certified_levels(stack: np.ndarray, lam: float, lift: int) -> Optional[np.n
     return levels
 
 
-def _certify_block(blocks: _CharacterBlocks, j: int, lam: float) -> Tuple[float, float]:
-    """(λ̃, the least level certified on V_j): one Cholesky per stack.
+def _certify_stacks(stacks: List[np.ndarray], lifts: List[int], lam: float, rebuild) -> Tuple[float, float]:
+    """(λ̃, the least level certified on the stacks): one Cholesky per stack at λ̃.
 
-    Block 0 sets λ̃ first.  A refused stack gets its own eigvalsh, which
-    lowers λ̃, and one more try; a second refusal raises CertificateError.
+    A refused stack i is rebuilt by rebuild(i) and gets its own eigvalsh,
+    which lowers λ̃, and one more try; a second refusal raises
+    CertificateError.
     """
-    stacks = blocks.stacks(j)
-    lifts = [0] * len(stacks)
-    if j == 0:
-        lifts[0] = -(-2 * len(blocks.cols) // stacks[0].shape[1])  # s = ⌈4k/w⌉, 2k = len(cols)
-        lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks, lifts))
     mu = math.inf
     for i, lift in enumerate(lifts):
         levels = _certified_levels(stacks[i], lam, lift)
         if levels is None:
-            stacks[i] = blocks.stacks(j)[i]
+            stacks[i] = rebuild(i)
             lam = min(lam, _least(stacks[i], bool(lift)))
             levels = _certified_levels(stacks[i], lam, lift)
             certify("the Cholesky certificate refuses a block", int(levels is None), 0)
         mu = min(mu, float(levels.min()))
     return lam, mu
+
+
+def _certify_block(blocks: _CharacterBlocks, j: int, lam: float) -> Tuple[float, float]:
+    """(λ̃, the least level certified on V_j): one Cholesky per stack; block 0 sets λ̃ first."""
+    stacks = blocks.stacks(j)
+    lifts = [0] * len(stacks)
+    if j == 0:
+        lifts[0] = -(-2 * len(blocks.cols) // stacks[0].shape[1])  # s = ⌈4k/w⌉, 2k = len(cols)
+        lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks, lifts))
+    return _certify_stacks(stacks, lifts, lam, lambda i: blocks.stacks(j)[i])
 
 
 def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
@@ -605,26 +690,211 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
     return lam, len(reps), mu
 
 
+def _general_levels(G: FinGroup, S: Sequence[int]) -> Tuple[float, float, float]:
+    """(λ̃, μ, ε) of the character blocks."""
+    k = len(set(int(s) for s in S))
+    lam, _, mu = _lambda1(G, S)
+    return lam, mu, 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the module docstring
+
+
+def _prime_modulus(G: FinGroup) -> Optional[int]:
+    """p when G is SL₂(𝔽_p) for a prime p >= 5, which takes the representation path; else None."""
+    n = G.modulus if isinstance(G, SL2Group) else 0
+    return n if n >= 5 and all(n % q for q in range(2, math.isqrt(n) + 1)) else None
+
+
+class _Field(NamedTuple):
+    """𝔽_{p²} = 𝔽_p(√ε) read through discrete logarithms to a generator g0 of 𝔽_{p²}^×."""
+
+    p: int
+    trace: np.ndarray  # Tr(g0^m) = 2x mod p for g0^m = x + y√ε, m < p² - 1
+    exp: np.ndarray  # γ^k mod p for k < p - 1, γ = g0^(p+1) = N(g0)
+    log: np.ndarray  # log[γ^k] = k; log[0] = 0 is never a phase
+    roots: np.ndarray  # the phase exp(2πi·num/D) at num < D = p(p + 1), computed as _Terms.fill does
+
+    @classmethod
+    def of(cls, p: int) -> "_Field":
+        """The tables for the least non-square ε and g0 = `_generator`'s, its p² - 1 powers certified distinct."""
+        eps = min(set(range(1, p)) - {x * x % p for x in range(1, p)})
+        x0, y0 = _generator(p, eps)
+        xs, ys = np.array([1], dtype=np.int64), np.array([0], dtype=np.int64)
+        while xs.size < p * p - 1:  # g0^(n + i) = g0^n·g0^i, n = xs.size
+            xn, yn = (xs[-1] * x0 + eps * ys[-1] * y0) % p, (xs[-1] * y0 + ys[-1] * x0) % p
+            xs, ys = np.append(xs, (xn * xs + eps * yn * ys) % p), np.append(ys, (xn * ys + yn * xs) % p)
+        xs, ys = xs[: p * p - 1], ys[: p * p - 1]
+        repeats = p * p - 1 - np.unique(xs + p * ys).size
+        certify("g0 does not generate 𝔽_{p²}^×", int(repeats), 0)
+        exp = xs[:: p + 1]  # g0^((p+1)k) = γ^k lies in 𝔽_p
+        log = np.zeros(p, dtype=np.int64)
+        log[exp] = np.arange(p - 1)
+        D = p * (p + 1)
+        return cls(p, 2 * xs % p, exp, log, np.exp(1j * (2 * np.pi * np.arange(D) / D)))
+
+
+def _generator(p: int, eps: int) -> Tuple[int, int]:
+    """(x, y) of the first x + y√ε, in the order of x + p·y, of order p² - 1 in 𝔽_{p²}^×."""
+    order = p * p - 1
+    primes = [q for q in range(2, p + 1) if order % q == 0 and all(q % r for r in range(2, math.isqrt(q) + 1))]
+    return next(
+        (z % p, z // p) for z in range(1, p * p)
+        if all(_fp2_pow(z % p, z // p, order // q, p, eps) != (1, 0) for q in primes)
+    )
+
+
+def _fp2_pow(x: int, y: int, e: int, p: int, eps: int) -> Tuple[int, int]:
+    """(x + y√ε)^e in 𝔽_p(√ε), by squaring."""
+    rx, ry = 1, 0
+    while e:
+        if e & 1:
+            rx, ry = (rx * x + eps * ry * y) % p, (rx * y + ry * x) % p
+        x, y, e = (x * x + eps * y * y) % p, 2 * x * y % p, e >> 1
+    return rx, ry
+
+
+def _principal_terms(field: _Field, rows: np.ndarray) -> _Terms:
+    """The terms of Σ_t π(t) on Ind χ over P¹(𝔽_p), rows t = (a, b, c, d) in (s, s⁻¹) pairs.
+
+    Point x < p is the line of v_x = (x, 1), point p that of (1, 0); t's term
+    sits at (x, t·x) with numerator c over p - 1, where t·v_x = γ^c·v_{t·x}.
+    Certified exactly (module docstring), so a wrong numerator raises
+    CertificateError.
+    """
+    p = field.p
+    a, b, c, d = (rows[:, i, None] for i in range(4))
+    x = np.arange(p + 1)
+    top, bottom = np.where(x < p, x, 1), (x < p).astype(np.int64)
+    u, w = (a * top + b * bottom) % p, (c * top + d * bottom) % p  # t·v_x
+    image = np.where(w != 0, u * field.exp[-field.log[w] % (p - 1)] % p, p)
+    num = field.log[np.where(w != 0, w, u)]
+    scale = field.exp[num]
+    wrong = np.count_nonzero(u != scale * np.where(image < p, image, 1) % p)
+    wrong += np.count_nonzero(w != scale * (image < p))
+    back, there = num[1::2], image[1::2]  # s⁻¹ at s·x: c(s⁻¹, s·x) + c(s, x) ≡ 0
+    paired = np.take_along_axis(there, image[::2], 1), np.take_along_axis(back, image[::2], 1)
+    wrong += np.count_nonzero(paired[0] != x) + np.count_nonzero((paired[1] + num[::2]) % (p - 1))
+    powers = field.exp
+    wrong += np.count_nonzero(np.roll(powers, -1) != powers[1] * powers % p) + p - 1 - np.unique(powers).size
+    certify("the principal-series phases fail the cocycle identity", int(wrong), 0)
+    return _Terms((x * (p + 1) + image).ravel(), num.ravel(), 0, p - 1, p + 1)
+
+
+def _principal_stack(terms: _Terms, js: Sequence[int], kind, diagonal: int) -> np.ndarray:
+    """L on Ind χ_j for each j, χ_j(γ) = exp(2πi·j/(p - 1)), as a stack of `kind`."""
+    width = terms.width
+    stack = np.zeros((len(js), width * width), dtype=kind)
+    stack[:, :: width + 1] = diagonal
+    terms.fill(stack, np.asarray(js), 0)
+    return stack.reshape(-1, width, width)
+
+
+def _torus_sums(field: _Field, js: np.ndarray) -> np.ndarray:
+    """J_θ(g0^n)/p for θ = θ_j, θ_j(t0) = exp(2πi·j/(p + 1)), t0 = g0^(p-1), and n < p - 1.
+
+    J_θ(y) = Σ_{t∈T} θ(t)·ψ(-Tr(y·t̄)), with t = t0^s and t̄ = g0^(-(p-1)s);
+    each term is one phase over p(p + 1).
+    """
+    p = field.p
+    s = np.arange(p + 1)
+    tr = field.trace[(np.arange(p - 1)[:, None] - (p - 1) * s) % (p * p - 1)]
+    num = (p * js[:, None, None] * s + (p + 1) * (-tr % p)) % (p * (p + 1))
+    return field.roots[num].sum(axis=2) / p
+
+
+def _weil(field: _Field, g: Sequence[int], js: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """π_θ(g) on W_θ for each θ = θ_j, in the coordinates F(n) = √(p + 1)·f(g0^n), n < p - 1.
+
+    `sums` is `_torus_sums(field, js)`.  With x = g0^n, z = g0^m and
+    g0^m = t0^q·g0^r: for c = 0 the entry at (n, r) is ψ(ab·N(x))·θ(t0)^q,
+    m = n + (p + 1)·log a; otherwise the entry at (n, n') is
+    -ψ((a·N(x) + d·N(x'))/c)·θ(t0)^q·J_θ(g0^r)/p, g0^m = x·x̄'/c.
+    """
+    p = field.p
+    a, b, c, d = (int(v) % p for v in g)
+    n, D = np.arange(p - 1), p * (p + 1)
+    norm, j = field.exp, js[:, None, None]
+    if c == 0:
+        q, r = np.divmod((n + (p + 1) * field.log[a]) % (p * p - 1), p - 1)
+        out = np.zeros((len(js), p - 1, p - 1), dtype=np.complex128)
+        num = ((p + 1) * (a * b * norm % p) + p * j * q) % D
+        out[:, n, r] = field.roots[num[:, 0]]
+        return out
+    q, r = np.divmod((n[:, None] + p * n - (p + 1) * field.log[c]) % (p * p - 1), p - 1)
+    inv = int(field.exp[-field.log[c] % (p - 1)])
+    num = ((p + 1) * ((a * norm[:, None] + d * norm) * inv % p) + p * j * q) % D
+    out = sums[:, r]
+    out *= field.roots[num]
+    return np.negative(out, out=out)
+
+
+def _cuspidal_stack(field: _Field, mats: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """L = 2k·I - Σ_{s∈S} (π_θ(s) + π_θ(s)ᴴ) on W_θ for each θ = θ_j."""
+    width = field.p - 1
+    stack = np.zeros((len(js), width, width), dtype=np.complex128)
+    stack.reshape(len(js), -1)[:, :: width + 1] = 2 * len(mats)
+    sums = _torus_sums(field, js)
+    for g in mats.tolist():
+        image = _weil(field, g, js, sums)
+        stack -= image
+        stack -= np.conjugate(image, out=image).swapaxes(1, 2)
+    return stack
+
+
+def _prime_levels(p: int, mats) -> Tuple[float, float, float]:
+    """(λ̃, μ, ε) of L = 2k·I - Σ_{t∈S±} π(t) over SL₂(𝔽_p)'s representations (module docstring).
+
+    `mats` holds S as rows (a, b, c, d) of integers, read mod p.  Raises
+    CapacityError when p + 1 > DENSE_DIM_CAP, before any block is built, and
+    CertificateError when a certificate fails, as for a row of determinant ≠ 1,
+    whose [[d, -b], [-c, a]] is then not its inverse.
+    """
+    if p + 1 > DENSE_DIM_CAP:
+        raise CapacityError(f"representation blocks of size {p + 1} exceed {DENSE_DIM_CAP}")
+    mats = np.asarray(mats, dtype=np.int64).reshape(-1, 4) % p
+    a, b, c, d = mats.T
+    k = len(mats)
+    rows = np.stack([mats, np.stack([d, -b, -c, a], axis=1) % p], axis=1).reshape(-1, 4)  # s, s⁻¹
+    field = _Field.of(p)
+    terms, half = _principal_terms(field, rows), (p - 1) // 2
+    cusp = np.arange(1, (p + 3) // 2)
+    builders = [
+        functools.partial(_principal_stack, terms, [0, half], np.float64, 2 * k),
+        functools.partial(_principal_stack, terms, range(1, half), np.complex128, 2 * k),
+        functools.partial(_cuspidal_stack, field, mats, cusp),
+    ]
+    stacks = [build() for build in builders]
+    lifts = [-(-4 * k // (p + 1)), 0, 0]  # s = ⌈4k/w⌉ on Ind 1's constants
+    lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks[:2], lifts))
+    lam, mu = _certify_stacks(stacks, lifts, lam, lambda i: builders[i]())
+    return lam, mu, k * (p * (2 * p + 9 * k + 112) + 7) * 2.0**-53  # ε of the module docstring
+
+
 def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> KazhdanBracket:
     """Certified Kazhdan bracket from the Laplacian spectral gap.
 
-    A certified μ - ε > 0 already proves that S generates G: a disconnected
-    Cayley graph puts a second 0 in L's spectrum on mean-zero functions.  So
-    S's closure runs only when that certificate fails or raises, to name a
-    non-generating S as the fault.
+    SL₂(𝔽_p), p >= 5 prime, takes its irreducible representations; every
+    other group takes the character blocks.  A certified μ - ε > 0 already
+    proves that S generates G: a disconnected Cayley graph puts a second 0
+    in L's spectrum on mean-zero functions.  So S's closure runs only when
+    that certificate fails or raises, to name a non-generating S as the
+    fault.
     """
-    if G.order > SPECTRAL_CAP:
+    p = _prime_modulus(G)
+    if p is None and G.order > SPECTRAL_CAP:
         raise CapacityError(f"group order {G.order} exceeds spectral cap {SPECTRAL_CAP}")
+    gens = sorted(set(int(v) for v in S))
     try:
-        lam, _, mu = _lambda1(G, S)
+        lam, mu, eps = _general_levels(G, S) if p is None else _prime_levels(p, G.entries[:, gens].T)
     except PermstabError:
         _require_generating(G, S)
         raise
-    lam1 = max(lam, 0.0)
-    k = len(set(int(v) for v in S))
-    eps = 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the module docstring
     if mu <= eps:  # fl(μ - ε) <= 0 exactly when μ <= ε
         _require_generating(G, S)
+    return _bracket(lam, mu, eps, len(gens), tol)
+
+
+def _bracket(lam: float, mu: float, eps: float, k: int, tol: float) -> KazhdanBracket:
+    """[sqrt((μ - ε)/k) - tol, sqrt(λ̃ + δ) + tol], the lower end rounded down at every step."""
+    lam1 = max(lam, 0.0)
     slack = _down(_down(mu - eps) / k)
     lower = max(_down(_down(math.sqrt(max(slack, 0.0))) - tol), 0.0)
     delta = 2 * k * (4 * DENSE_DIM_CAP + 25 * k + 51) * 2.0**-53  # δ of the module docstring

@@ -312,7 +312,7 @@ FAULTS = {
         "    return lead, back\n"
         "spectral._cycle_min = turned\n"
         "X = sl2_mod(5)\n"
-        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "spectral._lambda1(X, X.generators)\n",
         "the coordinates φ^f(R_C)·h^e are not a bijection onto G",
     ),
     "spectral_closure": (
@@ -331,7 +331,7 @@ FAULTS = {
         "from permstab.groups import sl2_mod\n"
         "X = sl2_mod(5)\n"
         "X.automorphism_many = X.inv_many  # permutes S±, but (xy)⁻¹ = y⁻¹x⁻¹\n"
-        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "spectral._lambda1(X, X.generators)\n",
         "φ does not commute with L",
     ),
     "spectral_reflection": (
@@ -339,7 +339,7 @@ FAULTS = {
         "from permstab.groups import sl2_mod\n"
         "X = sl2_mod(13)  # N = 84 cosets of h, wide enough for real forms\n"
         "X.reflection_many = X.inv_many  # sends E, F to E⁻¹, F⁻¹ as ρ does, but (xy)⁻¹ = y⁻¹x⁻¹\n"
-        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "spectral._lambda1(X, X.generators)\n",
         "ρ̃ is not an involution that commutes with L",
     ),
     "spectral": (
@@ -349,8 +349,34 @@ FAULTS = {
         "eigvalsh = np.linalg.eigvalsh\n"
         "np.linalg.eigvalsh = lambda a: eigvalsh(a) + 1e-6  # mu 1e-6 above lambda1\n"
         "X = sl2_mod(13)\n"
-        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "spectral._lambda1(X, X.generators)\n",
         "the Cholesky certificate refuses a block",
+    ),
+    "spectral_cocycle": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "of = spectral._Field.of\n"
+        "def corrupted(p):  # F's multiplier 2 at x = 1 gets the phase numerator of 4\n"
+        "    field = of(p)\n"
+        "    field.log[2] += 1\n"
+        "    return field\n"
+        "spectral._Field.of = corrupted\n"
+        "X = sl2_mod(5)\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "the principal-series phases fail the cocycle identity",
+    ),
+    "spectral_generator": (
+        "from permstab import spectral\n"
+        "from permstab.groups import sl2_mod\n"
+        "spectral._generator = lambda p, eps: (p - 1, 0)  # -1 has order 2\n"
+        "X = sl2_mod(5)\n"
+        "spectral.kazhdan_bracket(X, X.generators)\n",
+        "g0 does not generate 𝔽_{p²}^×",
+    ),
+    "spectral_bracket": (
+        "from permstab import spectral\n"
+        "spectral.KazhdanBracket(lower=0.5, upper=0.25, lambda1=0.0, method='laplacian-bracket')\n",
+        "bracket must satisfy 0 <= lower <= upper <= 2",
     ),
 }
 
@@ -369,7 +395,7 @@ CERTIFIED = {
     "groups.py": 3,
     "oracle.py": 1,
     "rounding.py": 15,
-    "spectral.py": 5,
+    "spectral.py": 8,
 }
 
 

@@ -9,15 +9,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permstab
 from permstab import spectral
 from permstab.errors import CapacityError, CertificateError, NonGeneratingError, NotAbelianError
 from permstab.groups import (
     FinGroup,
+    SL2Group,
     TableGroup,
     cyclic,
     direct_product,
@@ -572,9 +576,13 @@ def test_bracket_lower_end_keeps_margin():
     for G in (sl2_mod(5), direct_product(sl2_mod(3), cyclic(2))):
         tol = 1e-8
         br = kazhdan_bracket(G, G.generators, tol=tol)
-        lam, _, mu = spectral._lambda1(G, G.generators)
         k = len(set(G.generators))
-        eps = 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the spectral module docstring
+        if G.order == 120:  # SL2(F_5) takes its representations, with their own μ and ε
+            lam, mu, eps = spectral._prime_levels(5, G.entries[:, sorted(G.generators)].T)
+            assert eps == k * (5 * (10 + 9 * k + 112) + 7) * 2.0**-53  # ε of the spectral module docstring
+        else:
+            lam, _, mu = spectral._lambda1(G, G.generators)
+            eps = 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the spectral module docstring
         # the lower end stands on the certified level μ, strictly below λ̃, less ε:
         # sqrt((μ - ε)/k) - tol with every step rounded down
         assert mu < lam == br.lambda1
@@ -583,7 +591,7 @@ def test_bracket_lower_end_keeps_margin():
 
 
 def test_bracket_block_cap(monkeypatch):
-    X = sl2_mod(5)  # h = -u of order 10: blocks of size 12
+    X = sl2_mod(4)  # composite, so character blocks: h of order 4, blocks of size 12
     monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 11)
     with pytest.raises(CapacityError):
         kazhdan_bracket(X, X.generators)
@@ -607,3 +615,167 @@ def test_lambda1_monotone_in_generators():
     small = kazhdan_abelian_exact(G, [1]).lambda1
     large = kazhdan_abelian_exact(G, [1, 3]).lambda1
     assert large >= small - 1e-12
+
+
+# SL2(F_p), p >= 5 prime: blocks from the irreducible representations
+
+PRIMES = [p for p in range(5, 54) if all(p % q for q in range(2, p))]
+
+
+def _sanov_pair(X):
+    return [X.index_of(1, 2, 0, 1), X.index_of(1, 0, 2, 1)]
+
+
+def _character_bracket(X, S):
+    """kazhdan_bracket's result on the character blocks, as for every group but SL2(F_p)."""
+    with mock.patch.object(spectral, "_prime_modulus", lambda G: None):
+        return kazhdan_bracket(X, S)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_representations_agree_with_character_blocks(p):
+    X = sl2_mod(p)
+    assert spectral._prime_modulus(X) == p
+    for S in (list(X.generators), _sanov_pair(X)):
+        new, old = kazhdan_bracket(X, S), _character_bracket(X, S)
+        assert abs(new.lambda1 - old.lambda1) < 1e-9
+        assert abs(new.lower - old.lower) < 1e-8
+        assert 0 < new.lower <= new.upper and new.method == old.method
+
+
+def _mul(g, h, p):
+    a, b, c, d = g
+    e, f, x, y = h
+    return ((a * e + b * x) % p, (a * f + b * y) % p, (c * e + d * x) % p, (c * f + d * y) % p)
+
+
+def _inv(g, p):
+    a, b, c, d = g
+    return (d, -b % p, -c % p, a)
+
+
+def _principal(field, g, j):
+    """π(g⁻¹) on Ind χ_j, dense, from the certified terms of the pair (g, g⁻¹)."""
+    p = field.p
+    terms = spectral._principal_terms(field, np.array([g, _inv(g, p)]))
+    out = np.zeros((p + 1) ** 2, dtype=np.complex128)
+    out[terms.at[: p + 1]] = np.exp(2j * np.pi * j * terms.turn[: p + 1] / (p - 1))
+    return out.reshape(p + 1, p + 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_representation_matrices_obey_the_group_law(p):
+    field = spectral._Field.of(p)
+    js = np.arange(1, p + 1)  # every nontrivial character of T
+    sums = spectral._torus_sums(field, js)
+
+    def weil(g):
+        return spectral._weil(field, g, js, sums)
+
+    E, w = (1, 1, 0, 1), (0, 1, p - 1, 0)
+    eye = np.eye(p - 1)
+    Ew = weil(E) @ weil(w)
+    assert np.abs(Ew @ Ew @ Ew - eye).max() < 1e-9
+    assert np.abs(weil(w) @ weil(w) - weil((p - 1, 0, 0, p - 1))).max() < 1e-9  # w² = -I
+    rng = np.random.default_rng(p)
+    letters = [E, (1, 0, 1, 1), w, (2, 0, 0, (p + 1) // 2)]
+    letters += [_inv(g, p) for g in letters]
+    for _ in range(6):
+        x, y = ((1, 0, 0, 1), (1, 0, 0, 1))
+        for _ in range(5):
+            x = _mul(x, letters[rng.integers(len(letters))], p)
+            y = _mul(y, letters[rng.integers(len(letters))], p)
+        assert np.abs(weil(x) @ weil(_inv(x, p)) - eye).max() < 1e-9
+        assert np.abs(weil(_inv(x, p)) - weil(x).conj().swapaxes(1, 2)).max() < 1e-9  # unitary
+        assert np.abs(weil(_mul(x, y, p)) - weil(x) @ weil(y)).max() < 1e-9
+        for j in range(p - 1):  # the terms at (x, t·x) are π(t⁻¹)'s, so π(t⁻¹) reverses products
+            assert np.abs(_principal(field, x, j) @ _principal(field, _inv(x, p), j) - np.eye(p + 1)).max() < 1e-9
+            product = _principal(field, y, j) @ _principal(field, x, j)
+            assert np.abs(_principal(field, _mul(x, y, p), j) - product).max() < 1e-9
+
+
+def test_representations_reach_past_the_order_cap(monkeypatch):
+    # S's entries are read mod p into int64: no SL2Group, whose int16 entries
+    # overflow from n = 130, is built
+    def refused(self, n):
+        raise AssertionError("an SL2Group was built")
+
+    monkeypatch.setattr(SL2Group, "__init__", refused)
+    k = 2
+    lam, mu, eps = spectral._prime_levels(101, [[1, 2, 0, 1], [1, 0, 2, 1]])
+    br = spectral._bracket(lam, mu, eps, k, spectral.DEFAULT_TOL)
+    assert br.lower > 0
+    assert br.lambda1 <= 0.475029  # the principal-series minimum at p = 101
+
+
+def test_representations_refuse_wide_blocks_before_building_one(monkeypatch):
+    X = sl2_mod(5)
+    built = []
+    real = spectral._Field.of
+    monkeypatch.setattr(spectral._Field, "of", lambda p: built.append(p) or real(p))
+    monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 5)  # p + 1 = 6
+    with pytest.raises(CapacityError, match="representation blocks of size 6 exceed 5"):
+        kazhdan_bracket(X, X.generators)
+    assert built == []
+    monkeypatch.setattr(spectral, "DENSE_DIM_CAP", 6)
+    assert kazhdan_bracket(X, X.generators).lambda1 > 0
+    assert built == [5]
+
+
+def test_sl2_43_takes_no_block_wider_than_p_plus_one(monkeypatch):
+    # a silent fallback to the character blocks, 462 wide at sl2:43, fails here
+    X = sl2_mod(43)
+    calls = _count_lapack(monkeypatch)
+    kazhdan_bracket(X, X.generators)
+    assert calls["eigvalsh"] == [(np.float64, (2, 44, 44)), (np.complex128, (20, 44, 44))]
+    assert len(calls["cholesky"]) == 3
+    assert max(shape[-1] for name in calls for _, shape in calls[name]) <= 44
+
+
+SMALL = {p: sl2_mod(p) for p in (5, 7, 11, 13)}
+
+
+def _both_paths(X, S):
+    """Each path's bracket, or NonGeneratingError when it raises that."""
+    out = []
+    for run in (kazhdan_bracket, _character_bracket):
+        try:
+            out.append(run(X, S))
+        except NonGeneratingError:
+            out.append(NonGeneratingError)
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SMALL)).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, SMALL[p].order - 1), min_size=1, max_size=3))
+))
+def test_representations_agree_on_random_generators(case):
+    p, S = case
+    new, old = _both_paths(SMALL[p], S)
+    if NonGeneratingError in (new, old):
+        assert new is old is NonGeneratingError
+    else:
+        assert abs(new.lambda1 - old.lambda1) < 1e-9
+        assert abs(new.lower - old.lower) < 1e-8
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SMALL)).flatmap(
+    lambda p: st.tuples(
+        st.just(p), st.lists(st.tuples(st.integers(1, p - 1), st.integers(0, p - 1)), min_size=1, max_size=3)
+    )
+))
+def test_borel_generators_raise_on_both_paths(case):
+    p, entries = case
+    X = SMALL[p]
+    S = [X.index_of(a, b, 0, pow(a, -1, p)) for a, b in entries]  # upper triangular
+    assert _both_paths(X, S) == [NonGeneratingError, NonGeneratingError]
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (0.5, 0.25), (math.nan, 1.0), (0.1, math.inf), (-1e-300, 0.0), (0.0, 2.0 + 1e-11),
+])
+def test_bracket_refuses_ends_out_of_order(lower, upper):
+    with pytest.raises(CertificateError, match="^bracket must satisfy 0 <= lower <= upper <= 2"):
+        spectral.KazhdanBracket(lower=lower, upper=upper, lambda1=0.0, method="laplacian-bracket")
