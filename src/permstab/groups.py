@@ -63,12 +63,7 @@ but broadcast inside the arithmetic.  `first`, an int32 table of n³
 entries (318 KB at n = 43), holds where each run starts.  Construction
 certifies that the tables send every element's entries back
 to its index; index arrays come back as int64.  The same `_blockwise`
-runs `inv_many` and the two closed-form involutive automorphisms a group
-here supplies: `automorphism_many`, the transpose-inverse β(x) = (xᵀ)⁻¹ =
-[[d,-c],[-b,a]], an automorphism as ((xy)ᵀ)⁻¹ = (xᵀ)⁻¹(yᵀ)⁻¹, by which
-`spectral` splits the Kazhdan blocks; and `reflection_many`, the
-conjugation ρ(x) = diag(-1,1)·x·diag(-1,1) = [[a,-b],[-c,d]], which sends
-E and F to their inverses and gives `spectral`'s sub-blocks real forms.
+runs `inv_many`.
 """
 
 from __future__ import annotations
@@ -127,11 +122,6 @@ class FinGroup:
 
     def inv_many(self, a) -> np.ndarray:
         raise NotImplementedError
-
-    # β and δ, two involutive automorphisms in closed form, vectorized like
-    # inv_many; None for a group that supplies none
-    automorphism_many = None
-    reflection_many = None
 
     # -- derived helpers ----------------------------------------------------
 
@@ -477,20 +467,6 @@ class SL2Group(FinGroup):
         # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
         return self._blockwise(
             lambda A: (A[0], A[3], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
-        )
-
-    def automorphism_many(self, a) -> np.ndarray:
-        n = self.modulus
-        # β(x) = (xᵀ)⁻¹ sends [[a,b],[c,d]] to [[d,-c],[-b,a]]
-        return self._blockwise(
-            lambda A: (A[0], A[3], _reduce(n - A[2], n), _reduce(n - A[1], n)), a
-        )
-
-    def reflection_many(self, a) -> np.ndarray:
-        n = self.modulus
-        # δ(x) = D·x·D⁻¹, D = diag(-1, 1), sends [[a,b],[c,d]] to [[a,-b],[-c,d]]
-        return self._blockwise(
-            lambda A: (A[3], A[0], _reduce(n - A[1], n), _reduce(n - A[2], n)), a
         )
 
 

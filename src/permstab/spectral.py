@@ -24,19 +24,15 @@ L commutes with right translation by h of order m: ℓ²(G) = ⊕_j V_j,
 V_j = {f : f(xh) = ω^j f(x)}, ω = e^{2πi/m}, and on the basis indexed by the
 cosets of H = ⟨h⟩ L acts on V_j by an N×N Hermitian block B_j, N = |G|/m.
 
-Each V_j splits once more, by automorphism-twisted right translations.  Let
-α be an automorphism of G with α(S±) = S±, and g ∈ G with α(h)·g = g·h^a.
-Then φ(x) = α(x)·g has φ(t·x) = α(t)·φ(x) and φ(x·h) = φ(x)·h^a, so
-Φ: f ↦ f∘φ commutes with L and maps V_j onto V_{ja}; conjugation maps V_j
-onto V_{-j}.  So with A the set of these a, one block per orbit of ℤ/m
-under ±A is enough.  α is the identity, or `groups`' transpose-inverse β of
-SL₂(ℤ/n) when β permutes S±, as it does the canonical pair u, ℓ (β(u) =
-ℓ⁻¹) and the Sanov pair; β is an automorphism as ((xy)ᵀ)⁻¹ = (xᵀ)⁻¹(yᵀ)⁻¹.
-The φ modulo H form Q, which holds N(H)/H, and Φ maps V_j to itself for φ
-in Stab_j = {φ ∈ Q : j(a - 1) ≡ 0 mod m}.  Take the first φ ∈ Stab_j of
-the largest order r modulo H, untwisted ones first, whose powers fix no
-coset of H (a twisted one may); φ^r = h^e0, and K = ⟨φ⟩H.  Φ^r is ω^{j·e0}
-on V_j, so V_j = ⊕_{l<r} V_{j,l} with Φ = ζ_l on V_{j,l}, ζ_l =
+Each V_j splits once more, by right translations that normalize H.  For g
+in the normalizer N(H), h·g = g·h^a, φ(x) = x·g has φ(t·x) = t·φ(x) and
+φ(x·h) = φ(x)·h^a, so Φ: f ↦ f∘φ commutes with L and maps V_j onto V_{ja};
+conjugation maps V_j onto V_{-j}.  So with A the set of these a, one block
+per orbit of ℤ/m under ±A is enough.  The φ modulo H form Q = N(H)/H, and
+Φ maps V_j to itself for φ in Stab_j = {φ ∈ Q : j(a - 1) ≡ 0 mod m}.  Take
+the first φ ∈ Stab_j of the largest order r modulo H; φ^r = h^e0, no φ^f
+with 0 < f < r fixes a coset of H, as g^f ∉ H, and K = ⟨φ⟩H.  Φ^r is
+ω^{j·e0} on V_j, so V_j = ⊕_{l<r} V_{j,l} with Φ = ζ_l on V_{j,l}, ζ_l =
 exp(2πi(j·e0 + l·m)/(r·m)).  Every x is φ^f(R_C)·h^e, once, with R_C the
 representative of an orbit of K, f < r and e < m, and f in V_{j,l} has
 f(φ^f(R_C)·h^e) = ζ_l^f·ω^{je}·f(R_C).  So on the basis indexed by the N/r
@@ -46,51 +42,20 @@ l·m) + j·e·r) mod r·m, one integer over one denominator.  When Stab_j = H,
 r = 1 and B_{j,0} = B_j.  B_{j,l} is real when ω^j and ζ_l are ±1; V_{0,0}
 holds the constants, the vector 𝟙 of B_{0,0}.
 
-An antiunitary symmetry gives most other B_{j,l} a real form.  `groups`'
-reflection ρ(x) = diag(-1, 1)·x·diag(-1, 1) of SL₂(ℤ/n), [[a,b],[c,d]] ↦
-[[a,-b],[-c,d]], is an involutive automorphism sending E^k, F^k to E^-k,
-F^-k, so it permutes S± for the canonical and the Sanov pair and inverts
-the h chosen from them.  With ρ̃(r_c·h^e) = ρ(r_c)·h^-e, ρ̃(t·x) =
-ρ(t)·ρ̃(x), and J: f ↦ conj(f∘ρ̃) is antiunitary, commutes with L, maps
-each V_j onto itself and has J² = 1.  When ρ̃φρ̃ = φ·h^c0, JΦJ = ω^{j·c0}Φ
-on V_j, so J maps V_{j,l} onto the eigenspace of Φ for conj(ω^{j·c0}ζ_l):
-onto itself exactly when ζ_l²·ω^{j·c0} = 1, i.e. 2(j·e0 + l·m) + j·c0·r ≡ 0
-mod r·m.  Then, with ρ̃(R_C) = φ^f(R_C')·h^e, J acts on the coordinates
-f(R_C) as f(R_C) ↦ ψ_C·conj f(R_C'), ψ_C = exp(2πi·U_C/(r·m)), U_C =
--(f·(j·e0 + l·m) + j·r·e); J² = 1 makes C ↦ C' an involution with ψ_C' =
-ψ_C.  The columns of T, s_C·e_C with s_C = exp(πi·U_C/(r·m)) when C' = C,
-and (e_C + ψ_C·e_C')/√2 and i(e_C - ψ_C·e_C')/√2 when C < C', are
-orthonormal and fixed by J.  So A = TᴴB_{j,l}T is unitarily equivalent to
-B_{j,l}, and it is real, as ⟨b, Bb'⟩ = conj⟨Jb, JBb'⟩ = conj⟨b, Bb'⟩ for
-J-fixed b, b': a real symmetric matrix of the same order w.  Row C of T has
-at most two entries, each of modulus 1 or 1/√2 with a phase over 4·r·m, so
-each term of B_{j,l} at (C, D) becomes at most four terms of A, one per
-entry of row C and entry of row D, with an integer numerator over 4·r·m
-and the product of the two moduli, 1, 1/√2 or 1/2.  Other sub-blocks stay
-complex: those J does not fix, and every one when ρ does not permute S±,
-does not invert h, or ρ̃φρ̃ ∉ φ·H, or when the sub-blocks are narrower
-than REAL_FORM_WIDTH, below which the real form costs more to build than
-it saves in LAPACK.
-
-Nothing here trusts β's or ρ's kernel.  φ is defined by its data, φ(r_c) =
-α(r_c)·g = r_c'·h^d for each coset representative r_c, and φ(x·h) =
-φ(x)·h^a; π(t) = α(t) is checked to permute S± as a multiset.  Two exact
-compares of (2k, N) integer arrays certify, for every r_c and t ∈ S±, that
-φ carries the term t·r_c = r_c'·h^e of L to π(t)·φ(r_c): the same coset
-and the same exponent mod m.  Then φ(t·x) = π(t)·φ(x) for every x, and Φ
-commutes with L.  The coordinates are certified exactly too: each coset
-r_c·H is φ^f(R_C)·H for the (C, f) it is given, φ^r(r_c) = r_c·h^e0 for
-every c, and |K-orbits|·r = N.  The first runs for every φ a split tries,
-twisted or not, the second for every φ it uses.  ρ̃ is defined by ρ(r_c)
-alone, and the same compares with a = -1 certify ρ̃(t·x) = ρ(t)·ρ̃(x); two
-more of N integers certify ρ̃² = id, so J² = 1.  That ρ permutes S±, that
-ρ(h)·h = e and that ρ̃φρ̃(r_c) = φ(r_c)·h^c0 with one c0 for every c are
-exact integer tests too; each decides only whether J is used.
+Nothing here trusts the products that define φ.  φ is defined by its
+data, φ(r_c) = r_c·g = r_c'·h^d for each coset representative r_c, and
+φ(x·h) = φ(x)·h^a.  Two exact compares of (2k, N) integer arrays certify,
+for every r_c and t ∈ S±, that φ carries the term t·r_c = r_c'·h^e of L to
+t·φ(r_c): the same coset and the same exponent mod m.  Then φ(t·x) =
+t·φ(x) for every x, and Φ commutes with L.  The coordinates are certified
+exactly too: each coset r_c·H is φ^f(R_C)·H for the (C, f) it is given,
+φ^r(r_c) = r_c·h^e0 for every c, and |K-orbits|·r = N.  Both run for every
+φ a split uses.
 
 `lambda1` is λ̃, the least eigenvalue other than the constant's that
 `eigvalsh` finds on the sub-blocks it runs on: those of block 0, and any
 whose certificate fails (every block when N = 1).  The upper end trusts it
-to δ = 2k(4P + 25k + 51)u, the model of LAPACK's backward error
+to δ = 2k(4P + 6k + 23)u, the model of LAPACK's backward error
 p(N)·ε·||B||₂ (Users' Guide §4.7), with u = 2⁻⁵³, the input error E below
 and P = DENSE_DIM_CAP, which still bounds N = |G|/m and so every order
 N/r that `eigvalsh` runs on.
@@ -111,8 +76,8 @@ it errs by at most γ_{2N+1} times the sum of the moduli of its terms; since
 (|x_r y_r| + |x_i y_i|)² + (|x_i y_r| + |x_r y_i|)² <= 2|x|²|y|², the complex
 error is at most √2·γ_{2N+1}(|R||R|ᴴ + cI), and the same lines prove the
 theorem for Hermitian A with n = 2N + 1 and g = √2·γ_n (the code takes
-99/70 > √2).  A real form is real symmetric, so it takes the real
-constant, n = w + 1 and g = γ_n, with about half the complex one's shift.
+99/70 > √2).  A real sub-block, one with ω^j and ζ_l = ±1, takes the real
+constant, n = w + 1 and g = γ_n, about half the complex one's shift.
 
 The blocks are computed as B̂_{j,l}: a phase exp(iθ̂), θ̂ = fl(fl(2π̂·num)/D)
 with D = r·m, is within 19u + 2 ulp < 22u of the exact one, a bound that
@@ -120,14 +85,7 @@ needs only an integer numerator 0 <= num < D, exact in binary64 as
 D <= |G| < 2⁵³.  Each of an entry's c terms adds an error < √2·u·4k;
 t ↔ t⁻¹ pairs the terms of (C, C') and (C', C), so each row of the lower
 triangle that LAPACK reads has 2k terms and E = B̂ - B has ||E||₂ <= ||E||_∞
-<= 2k(22 + 6k)u (E = 0 on the integer block B_{0,0}).  A real form Â takes
-a term's cosine over D = 4·r·m < 2⁵³, within 22u, times its modulus 1, 1/2
-or fl(1/√2): an error < 25u times the modulus.  A row of A draws on at most
-two rows of B, so on at most 8k terms whose moduli sum to at most 4k (a
-term from row C or C' of a pair carries 1/√2 times at most 2/√2), and every
-partial sum of an entry is below 2k + 4k(1 + 25u) < 6.01k; the same t ↔ t⁻¹
-pairing then gives ||Â - A||₂ <= 4k·25u + 8k·6.01k·u < 2k(50 + 25k)u, the
-larger E of the two kinds.  A sub-block of order
+<= 2k(22 + 6k)u (E = 0 on the integer block B_{0,0}).  A sub-block of order
 w = N/r is certified as A = B̂_{j,l}, or B̂_{0,0} + s𝟙𝟙ᵀ with the exact
 integer s = ⌈4k/w⌉, which lifts the constant's eigenvalue 0 to sw >= 4k >=
 ||L||₂ and leaves 𝟙⊥ alone.  With c Rump's shift for tr(A), rounded up,
@@ -135,7 +93,7 @@ and μ_{j,l} = max(λ̃ - 2c, 0), the Cholesky of fl(fl(A - μ_{j,l} I) - cI)
 running to completion proves fl(A - μ_{j,l} I) ≻ 0 (whose trace is at most
 tr(A)).  That rounding moves A - μ_{j,l} I by at most u(a_ii - μ_{j,l}) <
 7ku, every a_ii <= 6k, so on mean-zero functions L ≻ μ - ε with μ the least
-μ_{j,l} and ε = 2k(54 + 25k)u >= ||E||₂ + 7ku.  The real and the complex
+μ_{j,l} and ε = 2k(26 + 6k)u >= ||E||₂ + 7ku.  The real and the complex
 sub-blocks of V_j are stacked, and one Cholesky per stack certifies every
 sub-block in it.  A stack refused at λ̃ gets its own `eigvalsh`, which
 lowers λ̃, and one more try; a second refusal raises CertificateError.
@@ -212,7 +170,8 @@ series' E.  Every a_ii <= 6k (s <= 1.67k), so ε = k(p(2p + 9k + 112) + 7)u.
 excluded; the cuspidal stack is certified at it, and a refused stack gets
 its own `eigvalsh` and one more try, as above.  The upper end keeps δ, a
 model as on the other path: these blocks are at most p + 1 wide, and δ's
-share for P - p - 1 more rows covers ε while p <= 59 and k <= 3.  The path
+share for the P - p - 1 rows they lack, 8k(P - p - 1)u, covers ε, as
+8(P - p - 1) >= p(2p + 9k + 112) + 7 while p <= 59 and k <= 3.  The path
 raises CapacityError when p + 1 > DENSE_DIM_CAP, before any block is built.
 """
 
@@ -240,9 +199,6 @@ DENSE_DIM_CAP = 2000
 DEFAULT_TOL = 1e-8
 SPECTRAL_CAP = 200_000  # largest group order kazhdan_bracket accepts
 CHARACTER_CAP = 10_000_000  # most root-of-unity assignments _characters scans
-# narrowest sub-block that J's real form replaces: below it, building the real
-# form costs more than the complex Cholesky and eigvalsh it saves
-REAL_FORM_WIDTH = 64
 
 
 @dataclass
@@ -344,7 +300,7 @@ class _CharacterBlocks:
     m: int  # the order of h
     cols: np.ndarray  # (2k, N): the coset c' of t·r_c = r_c'·h^e, t ∈ S±
     exps: np.ndarray  # (2k, N): its exponent e
-    twist: np.ndarray  # a with α(h)·g = g·h^a, for each φ = α(·)·g of the extended quotient Q
+    twist: np.ndarray  # a with h·g = g·h^a, for each coset gH of Q = N(H)/H
     powers: np.ndarray  # A, the twists of Q
     splits: dict  # Stab_j, as the mask it keeps of `twist` -> V_j's coordinates x = φ^f(R_C)·h^e
 
@@ -374,79 +330,39 @@ class _CharacterBlocks:
         coset[reps] = np.arange(reps.size)
         coset = coset[rep]
         steps = np.stack([gens, G.inv_many(gens)], axis=1).ravel()  # s, s⁻¹ for each s
-        # α ∈ {id, β}, β only when it permutes S±: lifted[α] holds α(h) and
-        # α(r_c), and perm[α] the row of α(t) for each row t
-        lifted, perm, beta = [np.append(h, reps)], [np.arange(steps.size)], G.automorphism_many
-        if beta is not None:
-            image = beta(np.append(steps, lifted[0]))
-            rows = _rows_of(steps, image[: steps.size])
-            if rows is not None:
-                perm.append(rows)
-                lifted.append(image[steps.size :])
-        lifted = np.stack(lifted)
-        moved = G.mul_many(np.append(steps, lifted[:, 0])[:, None], reps[None, :])
-        moved, moved_h = moved[: steps.size], moved[steps.size :]  # t·r_c, then α(h)·r_c
-        # Q: the maps φ = α(·)·g with α(h)·g = g·h^a, modulo H, untwisted ones
-        # first; a and the order modulo H are constant on each coset gH, so
-        # the representatives carry them
-        twisted, inside = np.nonzero(coset[moved_h] == np.arange(reps.size))
-        twist = -back[moved_h[twisted, inside]] % m
-        g = reps[inside]
-        # a twisted φ = β(·)·g has φ² = x ↦ x·β(g)·g, as β is an involution
-        base = np.where(twisted == 1, G.mul_many(lifted[twisted, inside + 1], g), g)
-        order = G.element_order(base, coset == coset[G.identity_index]) * (1 + twisted)
+        moved = G.mul_many(np.append(steps, h)[:, None], reps[None, :])
+        moved, moved_h = moved[:-1], moved[-1]  # t·r_c, then h·r_c
+        # Q: the cosets r_c·H with h·r_c = r_c·h^a; a and the order modulo H
+        # are constant on each coset, so the representatives carry them
+        inside = np.flatnonzero(coset[moved_h] == np.arange(reps.size))
+        twist, g = -back[moved_h[inside]] % m, reps[inside]
+        order = G.element_order(g, coset == coset[G.identity_index])
         blocks = cls(m, coset[moved], -back[moved] % m, twist, np.unique(twist), {})
-        # ρ̃(r_c·h^e) = ρ(r_c)·h^(-e), when ρ permutes S± and ρ(h)·h = e, and
-        # N is wide enough for a real form
-        mirror, rho, N = None, G.reflection_many, reps.size
-        if rho is not None and N >= REAL_FORM_WIDTH:
-            image = rho(np.concatenate([steps, [h], reps]))
-            rows, dh, e = _rows_of(steps, image[: steps.size]), image[steps.size], G.identity_index
-            if rows is not None and coset[dh] == coset[e] and (back[dh] - back[e] - 1) % m == 0:
-                mirror = coset[image[steps.size + 1 :]], -back[image[steps.size + 1 :]] % m
-                there, up = mirror  # ρ̃(r_c) = r_there·h^up; ρ̃² = id, so J² = 1
-                wrong = blocks._misses(there, up, -1, rows)
-                wrong += np.count_nonzero(there[there] != np.arange(N)) + np.count_nonzero((up[there] - up) % m)
-                certify("ρ̃ is not an involution that commutes with L", int(wrong), 0)
         # Stab_j depends on gcd(j, m) alone, and every gcd meets an orbit
         for d in np.unique(np.gcd(blocks.orbit_reps(), m)).tolist():
             stab = blocks._stabilizer(d)
-            if stab.tobytes() in blocks.splits:
-                continue
-            # the first φ of the largest order that acts freely on the cosets
-            for pick in np.flatnonzero(stab)[np.argsort(-order[stab], kind="stable")].tolist():
-                y = G.mul_many(lifted[twisted[pick], 1:], np.int64(g[pick]))  # φ(r_c) = α(r_c)·g
-                args = coset[y], -back[y] % m, int(twist[pick]), int(order[pick]), perm[twisted[pick]]
-                coordinates = blocks._coordinates(*args, mirror)
-                if coordinates is not None:
-                    blocks.splits[stab.tobytes()] = coordinates
-                    break
+            if stab.tobytes() not in blocks.splits:
+                pick = np.flatnonzero(stab)[order[stab].argmax()]  # the first φ of the largest order
+                y = G.mul_many(reps, g[pick])  # φ(r_c) = r_c·g
+                coordinates = blocks._coordinates(coset[y], -back[y] % m, int(twist[pick]), int(order[pick]))
+                blocks.splits[stab.tobytes()] = coordinates
         return blocks
 
-    def _misses(self, step, shift, a: int, perm) -> int:
-        """How many terms t·r_c of L the map r_c·h^e ↦ r_step[c]·h^(shift[c] + a·e) does
-        not carry to π(t)·(its image of r_c), perm[t] the row of π(t)."""
-        m, cols, exps = self.m, self.cols, self.exps
-        wrong = np.count_nonzero(cols[perm][:, step] != step[cols])
-        wrong += np.count_nonzero((exps[perm][:, step] + shift - shift[cols] - a * exps) % m)
-        return int(wrong)
+    def _coordinates(self, step, shift, a: int, r: int) -> tuple:
+        """(r, e0, terms): the coordinates x = φ^f(R_C)·h^e.
 
-    def _coordinates(self, step, shift, a: int, r: int, perm, mirror) -> Optional[tuple]:
-        """(r, e0, terms, twin): the coordinates x = φ^f(R_C)·h^e, or None.
-
-        φ(r_c) = r_{step[c]}·h^{shift[c]} and φ(x·h) = φ(x)·h^a define φ on G;
-        φ has order r modulo H, and perm[t] is the row of π(t) = α(t).  None
-        when ⟨φ⟩ does not act freely on the cosets of H.  Otherwise the
-        cosets c ↦ step[c] form r-cycles, one per orbit of ⟨φ⟩H, whose least
-        member R_C represents it, r_c·H = φ^f(R_C)·H for f = turns[c], and
-        φ^r(x) = x·h^e0.  t·R_C = φ^f(R_C')·h^e gives B_{j,l}'s terms, at
-        (C, C') with turn f and rise e.  `mirror` is ρ̃(r_c) = r_c'·h^e as
-        (c', e), or None; twin is (c0, the terms of the real forms) when
-        ρ̃φρ̃ = φ·h^c0, and None otherwise.
+        φ(r_c) = r_{step[c]}·h^{shift[c]} and φ(x·h) = φ(x)·h^a define φ on G,
+        and φ has order r modulo H.  The cosets c ↦ step[c] form r-cycles, one
+        per orbit of ⟨φ⟩H, whose least member R_C represents it,
+        r_c·H = φ^f(R_C)·H for f = turns[c], and φ^r(x) = x·h^e0.
+        t·R_C = φ^f(R_C')·h^e gives B_{j,l}'s terms, at (C, C') with turn f
+        and rise e.
         """
         m, cols, exps = self.m, self.cols, self.exps
-        # φ(t·r_c) = φ(r_c')·h^(a·e) must be π(t)·φ(r_c) = π(t)·r_step·h^shift
-        certify("φ does not commute with L", self._misses(step, shift, a, perm), 0)
+        # φ(t·r_c) = φ(r_c')·h^(a·e) must be t·φ(r_c) = t·r_step·h^shift
+        wrong = np.count_nonzero(cols[:, step] != step[cols])
+        wrong += np.count_nonzero((exps[:, step] + shift - shift[cols] - a * exps) % m)
+        certify("φ does not commute with L", int(wrong), 0)
         N = len(step)
         at, power, path, rise = np.arange(N), np.zeros(N, dtype=np.int64), [], []
         for _ in range(r):  # φ^f(r_c) = r_path·h^rise
@@ -454,8 +370,6 @@ class _CharacterBlocks:
             rise.append(power)
             at, power = step[at], (shift[at] + a * power) % m
         path, rise = np.stack(path, axis=1), np.stack(rise, axis=1)
-        if (path[:, 1:] == path[:, :1]).any():
-            return None  # a twisted φ^f, 0 < f < r, fixes a coset
         lead, steps = _cycle_min(step, r)
         turns = -steps % r  # r_c·H = φ^f(R_C)·H with R_C = r_lead
         heads = np.flatnonzero(lead == np.arange(N))
@@ -467,15 +381,7 @@ class _CharacterBlocks:
         width = heads.size
         at = np.arange(0, width * width, width)[:, None] + label[near]
         rises = (exps[:, heads].T - rise[near]) % m
-        terms = _Terms(at.ravel(), turns[near].ravel(), rises.ravel(), r * m, width)
-        twin = None
-        if mirror is not None and width >= REAL_FORM_WIDTH:  # ρ̃φρ̃(r_c) = φ(r_c)·h^c0?
-            there, up = mirror
-            c0 = (up[step[there]] - shift[there] - a * up - shift) % m
-            if np.array_equal(there[step[there]], step) and not (c0 - c0[0]).any():
-                there, up = there[heads], up[heads]  # ρ̃(R_C) = φ^f(R_C')·h^e
-                twin = int(c0[0]), _real_form(terms, label[there], turns[there], (up - rise[there]) % m)
-        return r, int(power[0]), terms, twin
+        return r, int(power[0]), _Terms(at.ravel(), turns[near].ravel(), rises.ravel(), r * m, width)
 
     def _stabilizer(self, j: int) -> np.ndarray:
         """Stab_j, as the mask of the φ in Q with j(a - 1) ≡ 0 mod m."""
@@ -484,28 +390,17 @@ class _CharacterBlocks:
     def stacks(self, j: int) -> List[np.ndarray]:
         """V_j's sub-blocks B_{j,l}, l < r, stacked real ones first, then complex ones.
 
-        B_{j,l} is real when ω^j and ζ_l are ±1; one that J fixes joins the
-        real stack as its real form TᴴB_{j,l}T, after those.  For j = 0 the
-        real stack starts with B_{0,0}, the sub-block of the constants.
+        B_{j,l} is real when ω^j and ζ_l are ±1.  For j = 0 the real stack
+        starts with B_{0,0}, the sub-block of the constants.
         """
-        r, e0, terms, twin = self.splits[self._stabilizer(j).tobytes()]
+        r, e0, terms = self.splits[self._stabilizer(j).tobytes()]
         zeta = (j * e0 + np.arange(r) * self.m) % terms.size  # ζ_l = exp(2πi·zeta/(r·m))
         real = (2 * zeta % terms.size == 0) & (2 * j % self.m == 0)
-        fixed = np.zeros(r, dtype=bool)
-        if twin is not None:  # J fixes V_{j,l} when ζ_l²·ω^(j·c0) = 1
-            fixed = ~real & ((2 * zeta + j * r * twin[0]) % terms.size == 0)
-            twin = twin[1]
-        out, width = [], terms.width
-        for kind, parts in (np.float64, [(terms, real), (twin, fixed)]), (np.complex128, [(terms, ~real & ~fixed)]):
-            sizes = [np.count_nonzero(part) for _, part in parts]
-            if sum(sizes):
-                stack = np.zeros((sum(sizes), width * width), dtype=kind)
-                stack[:, :: width + 1] = len(self.cols)
-                for (source, part), start, size in zip(parts, np.cumsum([0] + sizes), sizes):
-                    if size:
-                        source.fill(stack[start : start + size], zeta[part], j * r)
-                out.append(stack.reshape(-1, width, width))
-        return out
+        return [
+            _stack(terms, zeta[part], j * r, kind, len(self.cols))
+            for part, kind in ((real, np.float64), (~real, np.complex128))
+            if part.any()
+        ]
 
     def orbit_reps(self) -> np.ndarray:
         """The smallest j of each orbit of ℤ/m under multiplication by ±A."""
@@ -514,70 +409,29 @@ class _CharacterBlocks:
 
 
 class _Terms(NamedTuple):
-    """Terms exp(2πi·(base + ζ·turn + jr·rise)/size)·scale at flat places `at` of a w×w block."""
+    """Terms exp(2πi·(ζ·turn + jr·rise)/size) at flat places `at` of a w×w block."""
 
     at: np.ndarray
     turn: np.ndarray
     rise: np.ndarray
     size: int
     width: int
-    base: object = 0
-    scale: object = None
 
     def fill(self, out: np.ndarray, zeta: np.ndarray, jr: int) -> None:
         """Subtract the terms for each ζ, their real parts when `out` is real, from out, in order."""
-        num = (self.base + zeta[:, None] * self.turn + jr * self.rise) % self.size
+        num = (zeta[:, None] * self.turn + jr * self.rise) % self.size
         angle = 2 * np.pi * num / self.size
         entries = np.exp(1j * angle) if out.dtype.kind == "c" else np.cos(angle)
-        if self.scale is not None:
-            entries = entries * self.scale
         np.subtract.at(out, (np.arange(len(out))[:, None], self.at), entries)
 
 
-# Row C of T by its kind, C > C' = mate[C], C = C' or C < C', and its two
-# entries (module docstring): their columns are (C', C), (C, C) or (C, C'),
-# their phases exp(2πi·q/(4·size)) have q = coef·U_C + const·size, and their
-# moduli are √½ to the power `halves`, 3 marking the entry that is 0
-_COEF = np.array([[4, 4], [2, 0], [0, 0]])
-_CONST = np.array([[0, 3], [0, 0], [0, 1]])
-_HALVES = np.array([[1, 1], [0, 3], [1, 1]])
-# the product of the moduli of an entry of row C and one of row D, exactly
-_SCALE = np.array([1.0, math.sqrt(0.5), 0.5, 0.0])[np.minimum(np.add.outer(_HALVES, _HALVES), 3)]
-
-
-def _real_form(terms: _Terms, mate: np.ndarray, turn: np.ndarray, rise: np.ndarray) -> _Terms:
-    """The terms of TᴴB_{j,l}T for the terms of B_{j,l} and ρ̃(R_C) = φ^turn(R_mate)·h^rise.
-
-    With U_C = -(ζ·turn + jr·rise), a term of B at (C, D) with numerator
-    num becomes four, one per entry (C, a) of row C of T and (D, b) of row
-    D: at their two columns, with numerator 4·num - q(C, a) + q(D, b) over
-    4·size and the product of their moduli, in order.
-    """
+def _stack(terms: _Terms, zeta: np.ndarray, jr: int, kind, diagonal: int) -> np.ndarray:
+    """diagonal·I minus the terms for each ζ, as a (len(ζ), w, w) stack of `kind`."""
     width = terms.width
-    own = np.arange(width)
-    kind = np.sign(mate - own) + 1
-    coef, column = _COEF[kind], np.stack([np.minimum(own, mate), np.maximum(own, mate)], axis=1)
-    lift = np.stack([coef * turn[:, None], coef * rise[:, None], _CONST[kind] * terms.size, column])
-    a, b = np.arange(2)[:, None], np.arange(2)
-    D = (terms.at % width).reshape(width, -1)  # the column of term (C, t)
-    row, col = lift[:, :, None, :, None], lift[:, D, None, :]  # over (C, t, a, b)
-    return _Terms(
-        (row[3] * width + col[3]).ravel(),
-        (4 * terms.turn.reshape(width, -1, 1, 1) + row[0] - col[0]).ravel(),
-        (4 * terms.rise.reshape(width, -1, 1, 1) + row[1] - col[1]).ravel(),
-        4 * terms.size,
-        width,
-        (col[2] - row[2]).ravel(),
-        _SCALE[kind[:, None, None, None], a, kind[D][..., None, None], b].ravel(),
-    )
-
-
-def _rows_of(steps: np.ndarray, image: np.ndarray) -> Optional[np.ndarray]:
-    """The row of `steps` holding each element of `image`, or None unless they are one multiset."""
-    if not np.array_equal(np.sort(image), np.sort(steps)):
-        return None
-    rows = np.argsort(steps, kind="stable")
-    return rows[np.searchsorted(steps[rows], image)]
+    stack = np.zeros((len(zeta), width * width), dtype=kind)
+    stack[:, :: width + 1] = diagonal
+    terms.fill(stack, zeta, jr)
+    return stack.reshape(-1, width, width)
 
 
 def _up(x):
@@ -616,11 +470,12 @@ def _least(stack: np.ndarray, constant: bool) -> float:
 
 
 def _certified_levels(stack: np.ndarray, lam: float, lift: int) -> Optional[np.ndarray]:
-    """μ of each sub-block of the stack if one Cholesky of the stack completes, else None.
+    """μ of each sub-block of the stack if one Cholesky of a shifted copy completes, else None.
 
-    Shifts the stack in place; a positive `lift` is B_{0,0}'s s, added to every entry of stack[0].
+    A positive `lift` is B_{0,0}'s s, added to every entry of the copy's first sub-block.
     """
     count, size, _ = stack.shape
+    stack = stack.copy()
     if lift:
         stack[0] += lift
     diag = stack.reshape(count, -1)[:, :: size + 1]
@@ -636,20 +491,18 @@ def _certified_levels(stack: np.ndarray, lam: float, lift: int) -> Optional[np.n
     return levels
 
 
-def _certify_stacks(stacks: List[np.ndarray], lifts: List[int], lam: float, rebuild) -> Tuple[float, float]:
+def _certify_stacks(stacks: List[np.ndarray], lifts: List[int], lam: float) -> Tuple[float, float]:
     """(λ̃, the least level certified on the stacks): one Cholesky per stack at λ̃.
 
-    A refused stack i is rebuilt by rebuild(i) and gets its own eigvalsh,
-    which lowers λ̃, and one more try; a second refusal raises
-    CertificateError.
+    A refused stack gets its own eigvalsh, which lowers λ̃, and one more
+    try; a second refusal raises CertificateError.
     """
     mu = math.inf
-    for i, lift in enumerate(lifts):
-        levels = _certified_levels(stacks[i], lam, lift)
+    for stack, lift in zip(stacks, lifts):
+        levels = _certified_levels(stack, lam, lift)
         if levels is None:
-            stacks[i] = rebuild(i)
-            lam = min(lam, _least(stacks[i], bool(lift)))
-            levels = _certified_levels(stacks[i], lam, lift)
+            lam = min(lam, _least(stack, bool(lift)))
+            levels = _certified_levels(stack, lam, lift)
             certify("the Cholesky certificate refuses a block", int(levels is None), 0)
         mu = min(mu, float(levels.min()))
     return lam, mu
@@ -662,7 +515,7 @@ def _certify_block(blocks: _CharacterBlocks, j: int, lam: float) -> Tuple[float,
     if j == 0:
         lifts[0] = -(-2 * len(blocks.cols) // stacks[0].shape[1])  # s = ⌈4k/w⌉, 2k = len(cols)
         lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks, lifts))
-    return _certify_stacks(stacks, lifts, lam, lambda i: blocks.stacks(j)[i])
+    return _certify_stacks(stacks, lifts, lam)
 
 
 def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
@@ -694,7 +547,7 @@ def _general_levels(G: FinGroup, S: Sequence[int]) -> Tuple[float, float, float]
     """(λ̃, μ, ε) of the character blocks."""
     k = len(set(int(s) for s in S))
     lam, _, mu = _lambda1(G, S)
-    return lam, mu, 2 * k * (54 + 25 * k) * 2.0**-53  # ε of the module docstring
+    return lam, mu, 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the module docstring
 
 
 def _prime_modulus(G: FinGroup) -> Optional[int]:
@@ -778,15 +631,6 @@ def _principal_terms(field: _Field, rows: np.ndarray) -> _Terms:
     return _Terms((x * (p + 1) + image).ravel(), num.ravel(), 0, p - 1, p + 1)
 
 
-def _principal_stack(terms: _Terms, js: Sequence[int], kind, diagonal: int) -> np.ndarray:
-    """L on Ind χ_j for each j, χ_j(γ) = exp(2πi·j/(p - 1)), as a stack of `kind`."""
-    width = terms.width
-    stack = np.zeros((len(js), width * width), dtype=kind)
-    stack[:, :: width + 1] = diagonal
-    terms.fill(stack, np.asarray(js), 0)
-    return stack.reshape(-1, width, width)
-
-
 def _torus_sums(field: _Field, js: np.ndarray) -> np.ndarray:
     """J_θ(g0^n)/p for θ = θ_j, θ_j(t0) = exp(2πi·j/(p + 1)), t0 = g0^(p-1), and n < p - 1.
 
@@ -855,16 +699,14 @@ def _prime_levels(p: int, mats) -> Tuple[float, float, float]:
     rows = np.stack([mats, np.stack([d, -b, -c, a], axis=1) % p], axis=1).reshape(-1, 4)  # s, s⁻¹
     field = _Field.of(p)
     terms, half = _principal_terms(field, rows), (p - 1) // 2
-    cusp = np.arange(1, (p + 3) // 2)
-    builders = [
-        functools.partial(_principal_stack, terms, [0, half], np.float64, 2 * k),
-        functools.partial(_principal_stack, terms, range(1, half), np.complex128, 2 * k),
-        functools.partial(_cuspidal_stack, field, mats, cusp),
+    stacks = [
+        _stack(terms, np.array([0, half]), 0, np.float64, 2 * k),
+        _stack(terms, np.arange(1, half), 0, np.complex128, 2 * k),
+        _cuspidal_stack(field, mats, np.arange(1, (p + 3) // 2)),
     ]
-    stacks = [build() for build in builders]
     lifts = [-(-4 * k // (p + 1)), 0, 0]  # s = ⌈4k/w⌉ on Ind 1's constants
     lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks[:2], lifts))
-    lam, mu = _certify_stacks(stacks, lifts, lam, lambda i: builders[i]())
+    lam, mu = _certify_stacks(stacks, lifts, lam)
     return lam, mu, k * (p * (2 * p + 9 * k + 112) + 7) * 2.0**-53  # ε of the module docstring
 
 
@@ -897,7 +739,7 @@ def _bracket(lam: float, mu: float, eps: float, k: int, tol: float) -> KazhdanBr
     lam1 = max(lam, 0.0)
     slack = _down(_down(mu - eps) / k)
     lower = max(_down(_down(math.sqrt(max(slack, 0.0))) - tol), 0.0)
-    delta = 2 * k * (4 * DENSE_DIM_CAP + 25 * k + 51) * 2.0**-53  # δ of the module docstring
+    delta = 2 * k * (4 * DENSE_DIM_CAP + 6 * k + 23) * 2.0**-53  # δ of the module docstring
     upper = min(math.sqrt(lam1 + delta) + tol, 2.0)
     return KazhdanBracket(lower=lower, upper=upper, lambda1=lam1, method="laplacian-bracket")
 

@@ -305,7 +305,7 @@ FAULTS = {
         "from permstab import spectral\n"
         "from permstab.groups import sl2_mod\n"
         "cycle_min = spectral._cycle_min\n"
-        "def turned(step, m):  # every split of SL2(Z/5) has r = 2, and h has order 10\n"
+        "def turned(step, m):  # block 0 of SL2(Z/5) splits with r = 2, and h has order 10\n"
         "    lead, back = cycle_min(step, m)\n"
         "    if m == 2:\n"
         "        back[0] = 1 - back[0]  # coset 0 claims R_C·n^f with the wrong f\n"
@@ -320,27 +320,26 @@ FAULTS = {
         "from permstab.groups import sl2_mod\n"
         "X = sl2_mod(8)\n"
         "order = X.element_order\n"
-        "def claimed(g, within=None):  # every φ of the extended quotient claims order 1 modulo H\n"
-        "    return order(g) if within is None else order(g, within) ** 0\n"
+        "def claimed(g, within=None):  # every φ of N(H)/H claims one more than its order modulo H\n"
+        "    return order(g) if within is None else order(g, within) + 1\n"
         "X.element_order = claimed\n"
         "spectral.kazhdan_bracket(X, X.generators)\n",  # so φ^r(r_c) = r_c·h^e0 fails
         "the coordinates φ^f(R_C)·h^e are not a bijection onto G",
     ),
     "spectral_commutation": (
+        "import numpy as np\n"
         "from permstab import spectral\n"
         "from permstab.groups import sl2_mod\n"
-        "X = sl2_mod(5)\n"
-        "X.automorphism_many = X.inv_many  # permutes S±, but (xy)⁻¹ = y⁻¹x⁻¹\n"
+        "X = sl2_mod(5)  # h has order 10, so N = 12 coset representatives r_c\n"
+        "mul_many = X.mul_many\n"
+        "def slipped(a, b):  # φ(r_c) = r_c·g swaps the images of r_0 and r_1\n"
+        "    out = mul_many(a, b)\n"
+        "    if np.ndim(b) == 0 and np.size(a) == 12:\n"
+        "        out[[0, 1]] = out[[1, 0]]\n"
+        "    return out\n"
+        "X.mul_many = slipped\n"
         "spectral._lambda1(X, X.generators)\n",
         "φ does not commute with L",
-    ),
-    "spectral_reflection": (
-        "from permstab import spectral\n"
-        "from permstab.groups import sl2_mod\n"
-        "X = sl2_mod(13)  # N = 84 cosets of h, wide enough for real forms\n"
-        "X.reflection_many = X.inv_many  # sends E, F to E⁻¹, F⁻¹ as ρ does, but (xy)⁻¹ = y⁻¹x⁻¹\n"
-        "spectral._lambda1(X, X.generators)\n",
-        "ρ̃ is not an involution that commutes with L",
     ),
     "spectral": (
         "import numpy as np\n"
@@ -395,7 +394,7 @@ CERTIFIED = {
     "groups.py": 3,
     "oracle.py": 1,
     "rounding.py": 15,
-    "spectral.py": 8,
+    "spectral.py": 7,
 }
 
 

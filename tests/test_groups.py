@@ -228,40 +228,12 @@ def test_sl2_kernel_matches_matrix_product(n):
         (X.mul_many(tall, tall[::-1]), index(mats[tall] @ mats[tall[::-1]])),
         (X.inv_many(every), index(adjugate)),
         (X.inv_many(long), index(adjugate[long])),
-        # β(x) = (xᵀ)⁻¹ = [[d, -c], [-b, a]]
-        (X.automorphism_many(every), index(np.swapaxes(adjugate, 1, 2))),
-        (X.automorphism_many(long), index(np.swapaxes(adjugate, 1, 2)[long])),
-        # ρ(x) = diag(-1, 1)·x·diag(-1, 1) = [[a, -b], [-c, d]]
-        (X.reflection_many(every), index(mats * [[1, -1], [-1, 1]])),
-        (X.reflection_many(long), index(mats[long] * [[1, -1], [-1, 1]])),
     ]:
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
     assert np.ndim(X.mul_many(np.int64(xs[0]), np.int64(ys[0]))) == 0
     assert X.mul(int(xs[0]), int(ys[0])) == expected[0, 0]
     assert X.inv(int(g)) == index(adjugate[g])
-
-
-@pytest.mark.parametrize("n", list(range(2, 17)) + [43])
-def test_transpose_inverse_is_an_involutive_automorphism(n):
-    X = sl2_mod(n)
-    every = np.arange(X.order)
-    beta = X.automorphism_many(every)
-    assert np.array_equal(beta[beta], every)  # an involution, so a bijection
-    GroupHom(X, X, beta).verify()  # the exact generator-wise check
-    assert cyclic(n).automorphism_many is None  # no other group supplies one
-
-
-@pytest.mark.parametrize("n", list(range(2, 17)) + [43])
-def test_reflection_is_an_involutive_automorphism_inverting_e_and_f(n):
-    X = sl2_mod(n)
-    every = np.arange(X.order)
-    rho = X.reflection_many(every)
-    assert np.array_equal(rho[rho], every)  # an involution, so a bijection
-    GroupHom(X, X, rho).verify()  # the exact generator-wise check
-    E, F = X.generators
-    assert rho[[E, F]].tolist() == [X.inv(E), X.inv(F)]
-    assert cyclic(n).reflection_many is None  # no other group supplies one
 
 
 def test_sl2_kernel_memory_is_its_output():
