@@ -144,11 +144,9 @@ class ConjugacyResult:
 def _action_of(K: FinGroup, action) -> PermAction:
     """`action` itself when it is a PermAction of K, else K acting by its rows or Perms."""
     if isinstance(action, PermAction):
-        if action.group is K:
-            return action
-        if action.group.order != K.order:
+        if action.group is not K:
             raise ValueError("action does not belong to the given group")
-        return PermAction(K, action.rows)
+        return action
     return PermAction(K, np.stack([p.image for p in action]))
 
 

@@ -53,8 +53,8 @@ exactly too: each coset r_c·H is φ^f(R_C)·H for the (C, f) it is given,
 φ a split uses.
 
 `lambda1` is λ̃, the least eigenvalue other than the constant's that
-`eigvalsh` finds on the sub-blocks it runs on: those of block 0, and any
-whose certificate fails (every block when N = 1).  The upper end trusts it
+`eigvalsh` finds on the sub-blocks it runs on: those of block 0 (every
+block when N = 1), and any whose certificate fails.  The upper end trusts it
 to δ = 2k(4P + 6k + 23)u, the model of LAPACK's backward error
 p(N)·ε·||B||₂ (Users' Guide §4.7), with u = 2⁻⁵³, the input error E below
 and P = DENSE_DIM_CAP, which still bounds N = |G|/m and so every order
@@ -94,13 +94,15 @@ running to completion proves fl(A - μ_{j,l} I) ≻ 0 (whose trace is at most
 tr(A)).  That rounding moves A - μ_{j,l} I by at most u(a_ii - μ_{j,l}) <
 7ku, every a_ii <= 6k, so on mean-zero functions L ≻ μ - ε with μ the least
 μ_{j,l} and ε = 2k(26 + 6k)u >= ||E||₂ + 7ku.  The real and the complex
-sub-blocks of V_j are stacked, and one Cholesky per stack certifies every
-sub-block in it.  A stack refused at λ̃ gets its own `eigvalsh`, which
-lowers λ̃, and one more try; a second refusal raises CertificateError.
-`lower` is sqrt((μ - ε)/k) - tol with every operation rounded down by
-math.nextafter.  When N = 1 the blocks are read off as one array; each is
-the real 1×1 matrix of its real part, so its Cholesky is the sign test
-fl(fl(a - μ_j) - c_j) > 0.
+sub-blocks of V_j are stacked, and one `_certify` certifies the stacks of
+both paths: it sets λ̃ by `eigvalsh` on the first stacks it is given, V₀'s
+here, then runs one Cholesky per stack, which certifies every sub-block in
+it, and takes the stacks of the other V_j one at a time.  A stack refused
+at λ̃ gets its own `eigvalsh`, which lowers λ̃, and one more try; a second
+refusal raises CertificateError.  When N = 1 each V_j is the real 1×1
+matrix of its real part, and all of them form one (R, 1, 1) float64 stack
+whose first row, B_{0,0}, is lifted by s = 4k.  `lower` is
+sqrt((μ - ε)/k) - tol with every operation rounded down by math.nextafter.
 
 SL₂(𝔽_p), p >= 5 prime, reads S's entries mod p into int64 and builds no
 element table.  ℓ²(G) holds every irreducible representation, the trivial
@@ -166,22 +168,25 @@ Hermitian with entries below 2kτ + 9k²u, and ||E||₂ <= ||E||_∞ <=
 (p - 1)(2kτ + 9k²u) <= kp(2p + 112 + 9k)u, which is also above the principal
 series' E.  Every a_ii <= 6k (s <= 1.67k), so ε = k(p(2p + 9k + 112) + 7)u.
 
-`lambda1` is λ̃ from `eigvalsh` on the principal stacks, Ind 1's constants
-excluded; the cuspidal stack is certified at it, and a refused stack gets
-its own `eigvalsh` and one more try, as above.  The upper end keeps δ, a
-model as on the other path: these blocks are at most p + 1 wide, and δ's
-share for the P - p - 1 rows they lack, 8k(P - p - 1)u, covers ε, as
-8(P - p - 1) >= p(2p + 9k + 112) + 7 while p <= 59 and k <= 3.  The path
-raises CapacityError when p + 1 > DENSE_DIM_CAP, before any block is built.
+`_certify` takes the principal stacks first, so `lambda1` is λ̃ from
+`eigvalsh` on them, Ind 1's constants excluded; then the cuspidal stack,
+built as it is certified, in chunks of as many θ, at least one, as keep the
+(θ, n, n') temporaries within CUSPIDAL_ENTRIES entries: one chunk while
+p <= 53.  The upper end keeps δ, a model as on the other path: these blocks
+are at most p + 1 wide, and δ's share for the P - p - 1 rows they lack,
+8k(P - p - 1)u, covers ε, as 8(P - p - 1) >= p(2p + 9k + 112) + 7 while
+p <= 59 and k <= 3.  The path raises CapacityError when p + 1 >
+DENSE_DIM_CAP, before any block is built.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,6 +204,7 @@ DENSE_DIM_CAP = 2000
 DEFAULT_TOL = 1e-8
 SPECTRAL_CAP = 200_000  # largest group order kazhdan_bracket accepts
 CHARACTER_CAP = 10_000_000  # most root-of-unity assignments _characters scans
+CUSPIDAL_ENTRIES = 1 << 17  # most (θ, n, n') entries of a cuspidal chunk: one chunk while p <= 53
 
 
 @dataclass
@@ -491,31 +497,25 @@ def _certified_levels(stack: np.ndarray, lam: float, lift: int) -> Optional[np.n
     return levels
 
 
-def _certify_stacks(stacks: List[np.ndarray], lifts: List[int], lam: float) -> Tuple[float, float]:
-    """(λ̃, the least level certified on the stacks): one Cholesky per stack at λ̃.
+def _certify(first: List[np.ndarray], lift: int, rest: Iterable[np.ndarray]) -> Tuple[float, float]:
+    """(λ̃, μ): λ̃ from eigvalsh on `first`, then one Cholesky per stack of `first` and `rest` at λ̃.
 
-    A refused stack gets its own eigvalsh, which lowers λ̃, and one more
-    try; a second refusal raises CertificateError.
+    first[0][0] holds the constants: their 0 is left out of λ̃, and the
+    sub-block is lifted by s = ⌈lift/w⌉ with lift = 4k.  A refused stack
+    gets its own eigvalsh, which lowers λ̃, and one more try; a second
+    refusal raises CertificateError.  `rest` is consumed one stack at a time.
     """
+    lam = min(_least(stack, i == 0) for i, stack in enumerate(first))
     mu = math.inf
-    for stack, lift in zip(stacks, lifts):
-        levels = _certified_levels(stack, lam, lift)
+    for i, stack in enumerate(itertools.chain(first, rest)):
+        s = -(-lift // stack.shape[1]) if i == 0 else 0
+        levels = _certified_levels(stack, lam, s)
         if levels is None:
-            lam = min(lam, _least(stack, bool(lift)))
-            levels = _certified_levels(stack, lam, lift)
+            lam = min(lam, _least(stack, i == 0))
+            levels = _certified_levels(stack, lam, s)
             certify("the Cholesky certificate refuses a block", int(levels is None), 0)
         mu = min(mu, float(levels.min()))
     return lam, mu
-
-
-def _certify_block(blocks: _CharacterBlocks, j: int, lam: float) -> Tuple[float, float]:
-    """(λ̃, the least level certified on V_j): one Cholesky per stack; block 0 sets λ̃ first."""
-    stacks = blocks.stacks(j)
-    lifts = [0] * len(stacks)
-    if j == 0:
-        lifts[0] = -(-2 * len(blocks.cols) // stacks[0].shape[1])  # s = ⌈4k/w⌉, 2k = len(cols)
-        lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks, lifts))
-    return _certify_stacks(stacks, lifts, lam)
 
 
 def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
@@ -525,29 +525,13 @@ def _lambda1(G: FinGroup, S: Sequence[int]) -> Tuple[float, int, float]:
     """
     blocks = _CharacterBlocks.of(G, S)
     reps = blocks.orbit_reps()
-    if blocks.cols.shape[1] == 1:  # r = 1; each eigvalsh is its entry, each Cholesky a sign test
-        vals = np.full((len(reps), 1), float(len(blocks.cols)))
-        _Terms(0 * blocks.exps[:, 0], blocks.exps[:, 0], 0, blocks.m, 1).fill(vals, reps, 0)
-        vals = vals[:, 0]
-        vals[0] += 2 * len(blocks.cols)  # s = 4k
-        lam = float(vals[1:].min(initial=math.inf))
-        shift = _rump_shift(vals, vals, 1, False)
-        levels = np.maximum(lam - 2 * shift, 0.0)
-        refused = int(np.count_nonzero(vals - levels - shift <= 0))
-        certify("the Cholesky certificate refuses a block", refused, 0)
-        return lam, len(reps), float(levels.min())
-    lam, mu = math.inf, math.inf
-    for j in reps.tolist():  # reps[0] = 0
-        lam, level = _certify_block(blocks, j, lam)
-        mu = min(mu, level)
+    if blocks.cols.shape[1] == 1:  # r = 1: every V_j is the real 1×1 block of its real part
+        terms = _Terms(0 * blocks.exps[:, 0], blocks.exps[:, 0], 0, blocks.m, 1)
+        first, rest = [_stack(terms, reps, 0, np.float64, len(blocks.cols))], []
+    else:  # reps[0] = 0
+        first, rest = blocks.stacks(0), (stack for j in reps[1:].tolist() for stack in blocks.stacks(j))
+    lam, mu = _certify(first, 2 * len(blocks.cols), rest)  # 4k, as 2k = len(cols)
     return lam, len(reps), mu
-
-
-def _general_levels(G: FinGroup, S: Sequence[int]) -> Tuple[float, float, float]:
-    """(λ̃, μ, ε) of the character blocks."""
-    k = len(set(int(s) for s in S))
-    lam, _, mu = _lambda1(G, S)
-    return lam, mu, 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the module docstring
 
 
 def _prime_modulus(G: FinGroup) -> Optional[int]:
@@ -699,14 +683,13 @@ def _prime_levels(p: int, mats) -> Tuple[float, float, float]:
     rows = np.stack([mats, np.stack([d, -b, -c, a], axis=1) % p], axis=1).reshape(-1, 4)  # s, s⁻¹
     field = _Field.of(p)
     terms, half = _principal_terms(field, rows), (p - 1) // 2
-    stacks = [
+    principal = [
         _stack(terms, np.array([0, half]), 0, np.float64, 2 * k),
         _stack(terms, np.arange(1, half), 0, np.complex128, 2 * k),
-        _cuspidal_stack(field, mats, np.arange(1, (p + 3) // 2)),
     ]
-    lifts = [-(-4 * k // (p + 1)), 0, 0]  # s = ⌈4k/w⌉ on Ind 1's constants
-    lam = min(_least(stack, bool(lift)) for stack, lift in zip(stacks[:2], lifts))
-    lam, mu = _certify_stacks(stacks, lifts, lam)
+    js, step = np.arange(1, (p + 3) // 2), max(CUSPIDAL_ENTRIES // (p * p - 1), 1)
+    cuspidal = (_cuspidal_stack(field, mats, js[i : i + step]) for i in range(0, js.size, step))
+    lam, mu = _certify(principal, 4 * k, cuspidal)
     return lam, mu, k * (p * (2 * p + 9 * k + 112) + 7) * 2.0**-53  # ε of the module docstring
 
 
@@ -724,14 +707,19 @@ def kazhdan_bracket(G: FinGroup, S: Sequence[int], tol: float = DEFAULT_TOL) -> 
     if p is None and G.order > SPECTRAL_CAP:
         raise CapacityError(f"group order {G.order} exceeds spectral cap {SPECTRAL_CAP}")
     gens = sorted(set(int(v) for v in S))
+    k = len(gens)
     try:
-        lam, mu, eps = _general_levels(G, S) if p is None else _prime_levels(p, G.entries[:, gens].T)
+        if p is None:
+            lam, _, mu = _lambda1(G, S)
+            eps = 2 * k * (26 + 6 * k) * 2.0**-53  # ε of the module docstring
+        else:
+            lam, mu, eps = _prime_levels(p, G.entries[:, gens].T)
     except PermstabError:
         _require_generating(G, S)
         raise
     if mu <= eps:  # fl(μ - ε) <= 0 exactly when μ <= ε
         _require_generating(G, S)
-    return _bracket(lam, mu, eps, len(gens), tol)
+    return _bracket(lam, mu, eps, k, tol)
 
 
 def _bracket(lam: float, mu: float, eps: float, k: int, tol: float) -> KazhdanBracket:

@@ -251,6 +251,17 @@ def test_extract_conjugacy_identical_actions():
     assert all(int(res.phi.entries[x]) == x for x in res.X1)
 
 
+@pytest.mark.parametrize("verify_actions", [True, False])
+def test_extract_conjugacy_refuses_another_groups_action(verify_actions):
+    # ℤ/4's regular action is no action of ℤ/2 × ℤ/2, though both have order 4:
+    # it must not be read as one, with or without the action check
+    K, act = direct_product(cyclic(2), cyclic(2)), left_regular(cyclic(4))
+    with pytest.raises(ValueError, match="^action does not belong to the given group$"):
+        extract_conjugacy(K, act, act, verify_actions=verify_actions)
+    same = left_regular(K)
+    assert extract_conjugacy(K, same, same).X1 == [0, 1, 2, 3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(6, 24), st.integers(0, 2000))
 def test_extract_conjugacy_property(n, seed):

@@ -384,14 +384,20 @@ def _count_lapack(monkeypatch):
 def test_one_eigensolve_and_one_cholesky_per_block(monkeypatch, G, retries):
     # eigvalsh runs on block 0's stacks alone, unless a stack is refused and
     # gets its own; each stack of each orbit block gets one Cholesky, each
-    # refused one a second, of the same dtype; N = 1 blocks need neither
+    # refused one a second, of the same dtype; when N = 1 every orbit block
+    # is one row of a single (R, 1, 1) float64 stack, which takes one of each
     blocks = _CharacterBlocks.of(G, G.generators)
-    dense = blocks.cols.shape[1] > 1
-    stacks = [s.dtype for j in blocks.orbit_reps().tolist() for s in blocks.stacks(j)] if dense else []
-    first = [s.dtype for s in blocks.stacks(0)] if dense else []
+    R = len(blocks.orbit_reps())
+    if blocks.cols.shape[1] > 1:
+        stacks = [s.dtype for j in blocks.orbit_reps().tolist() for s in blocks.stacks(j)]
+        first = [s.dtype for s in blocks.stacks(0)]
+    else:
+        stacks = first = [np.dtype(np.float64)]
     calls = _count_lapack(monkeypatch)
     lam, solved, _ = spectral._lambda1(G, G.generators)
-    assert solved == len(blocks.orbit_reps())
+    assert solved == R
+    if blocks.cols.shape[1] == 1:
+        assert calls["eigvalsh"] == calls["cholesky"] == [(np.float64, (R, 1, 1))]
     eig, chol = (collections.Counter(dtype for dtype, _ in calls[name]) for name in ("eigvalsh", "cholesky"))
     refused = eig - collections.Counter(first)
     assert sum(refused.values()) == retries and eig == collections.Counter(first) + refused
